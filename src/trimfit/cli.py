@@ -2,21 +2,19 @@
 
 Subcommands: generate, fit, global, diagnose, experiment. Exit codes are 0
 for success, 1 for configuration or runtime errors, 2 when a solver exhausts
-its rounds without meeting tol, and 3 for a partial recovery. The
-TRIMFIT_THREADS environment variable caps experiment parallelism; 0 or 1
-runs repeats sequentially.
+its rounds without meeting tol, and 3 for a partial recovery.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,39 +35,73 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PARTIAL = 3
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("TRIMFIT_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"TRIMFIT_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError("TRIMFIT_THREADS must be nonnegative")
-    return value
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _model_from_config(doc: dict) -> model_mod.MixtureSpec:
-    cov = doc.get("covariance")
-    if cov is not None:
-        cov = [None if c is None else np.asarray(c, dtype=float) for c in cov]
-    return model_mod.MixtureSpec(
-        d=doc["d"], m=doc["m"],
-        components=[np.asarray(c, dtype=float) for c in doc["components"]],
-        weights=doc["weights"], covariance=cov)
+def _generate_instance(doc: dict, seed: int):
+    """Dataset and truth from a config's "model" and optional "corruption"."""
+    model = doc["model"]
+    spec = model_mod.MixtureSpec(d=model["d"], m=model["m"], components=model["components"],
+                                 weights=model["weights"], covariance=model.get("covariance"))
+    # The schema admits only CorruptionSpec's fields, so its defaults apply.
+    corruption = model_mod.CorruptionSpec(**doc.get("corruption", {}))
+    return model_mod.generate_mlrc(spec, corruption, n=model["n"], seed=seed)
 
 
-def _corruption_from_config(doc: dict | None) -> model_mod.CorruptionSpec:
-    if not doc:
-        return model_mod.CorruptionSpec()
-    return model_mod.CorruptionSpec(
-        gamma_star=doc.get("gamma_star", 0.0),
-        adversary=doc.get("adversary", "none"),
-        magnitude=doc.get("magnitude", 1.0))
+def _build_config(kind: str, params: dict):
+    """Solver config of the given kind ("ilts", "gd-ilts" or "global").
+
+    Keys of params that name no field of the config, or hold None, are
+    ignored, so the dataclass defaults are the only defaults. For "global",
+    max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol.
+    """
+    given = {key: value for key, value in params.items() if value is not None}
+
+    def fields_of(cls) -> dict:
+        names = {field.name for field in dataclasses.fields(cls)}
+        return {key: value for key, value in given.items() if key in names}
+
+    if kind == "ilts":
+        return IltsConfig(**fields_of(IltsConfig))
+    if kind == "gd-ilts":
+        return GdConfig(**fields_of(GdConfig))
+    if kind == "global":
+        inner = {"max_rounds": "ilts_max_rounds", "tol": "ilts_tol"}
+        given = {inner.get(key, key): value for key, value in given.items()}
+        return pipe.GlobalConfig(**fields_of(pipe.GlobalConfig))
+    raise ValueError(f"unknown solver kind {kind!r}")
+
+
+def _run_solver(dataset, theta0, config, truth):
+    run = gd_ilts_run if isinstance(config, GdConfig) else ilts_run
+    return run(dataset, theta0, config, truth=truth)
+
+
+def _load_inputs(dataset_path: str, truth_path: str | None):
+    """Dataset and optional truth sidecar, checked to describe the same samples."""
+    dataset = model_mod.load_dataset(dataset_path)
+    if not truth_path:
+        return dataset, None
+    truth = model_mod.load_truth(truth_path)
+    if (truth.n, truth.theta_star.shape[0]) != (dataset.n, dataset.d):
+        raise ValueError(
+            f"{truth_path} has n = {truth.n}, d = {truth.theta_star.shape[0]} but "
+            f"{dataset_path} has n = {dataset.n}, d = {dataset.d}")
+    return dataset, truth
+
+
+def _write_document(doc: dict, schema: dict, path: str | None) -> None:
+    """Validate an output document and write it as indented JSON, to stdout
+    when path is None."""
+    validate_document(doc, schema, path or "<stdout>")
+    text = json.dumps(doc, indent=1) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -97,13 +129,9 @@ def _theta0_from_args(args, d: int) -> np.ndarray:
 def cmd_generate(args) -> int:
     doc = _load_json(args.config)
     validate_document(doc, GENERATE_CONFIG_SCHEMA, args.config)
-    spec = _model_from_config(doc["model"])
-    corruption = _corruption_from_config(doc.get("corruption"))
+    dataset, truth = _generate_instance(doc, doc["model"]["seed"])
     out_dir = args.output_dir or doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-
-    dataset, truth = model_mod.generate_mlrc(
-        spec, corruption, n=doc["model"]["n"], seed=doc["model"]["seed"])
 
     base = os.path.join(out_dir, doc["name"])
     data_path = base + ".csv"
@@ -124,32 +152,15 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # fit
 
-def _run_fit(dataset, theta0, args, truth):
-    if args.gd:
-        config = GdConfig(tau=args.tau, eta=args.eta, schedule=args.schedule,
-                          m_steps=args.m_steps, w=args.w, c_u=args.c_u,
-                          max_rounds=args.max_rounds, tol=args.tol)
-        trace = gd_ilts_run(dataset, theta0, config, truth=truth)
-    else:
-        config = IltsConfig(tau=args.tau, max_rounds=args.max_rounds, tol=args.tol,
-                            rank_policy=args.rank_policy)
-        trace = ilts_run(dataset, theta0, config, truth=truth)
-    return trace, config
-
-
 def cmd_fit(args) -> int:
-    dataset = model_mod.load_dataset(args.dataset)
-    truth = model_mod.load_truth(args.truth) if args.truth else None
+    dataset, truth = _load_inputs(args.dataset, args.truth)
     theta0 = _theta0_from_args(args, dataset.d)
-    trace, config = _run_fit(dataset, theta0, args, truth)
+    config = _build_config("gd-ilts" if args.gd else "ilts", vars(args))
+    trace = _run_solver(dataset, theta0, config, truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
-    summary = trace_summary(trace, config)
-    validate_document(summary, SUMMARY_SCHEMA, prefix + ".summary.json")
+    _write_document(trace_summary(trace, config), SUMMARY_SCHEMA, prefix + ".summary.json")
     write_trace_csv(trace, prefix + ".trace.csv")
-    with open(prefix + ".summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
 
     print(f"trace:   {prefix}.trace.csv")
     print(f"summary: {prefix}.summary.json")
@@ -168,8 +179,7 @@ def _load_subspace(path: str) -> pipe.SubspaceEstimate:
 
 
 def cmd_global(args) -> int:
-    dataset = model_mod.load_dataset(args.dataset)
-    truth = model_mod.load_truth(args.truth) if args.truth else None
+    dataset, truth = _load_inputs(args.dataset, args.truth)
     taus = _parse_floats(args.tau)
     if len(taus) == 1:
         taus = taus * args.m
@@ -183,16 +193,14 @@ def cmd_global(args) -> int:
     if delta is None:
         delta = 10.0 * args.target_accuracy * math.sqrt(math.log(dataset.n))
 
-    config = pipe.GlobalConfig(
-        m=args.m, tau_list=tuple(taus), delta=delta,
-        candidate_budget=args.budget, epsilon_net=epsilon, seed=args.seed,
-        radius=args.radius, ilts_max_rounds=args.max_rounds, ilts_tol=args.tol)
+    config = _build_config("global", dict(
+        vars(args), tau_list=tuple(taus), delta=delta,
+        candidate_budget=args.budget, epsilon_net=epsilon))
     report = pipe.global_ilts(dataset, config, subspace=subspace, truth=truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
-    doc = pipe.report_to_dict(report)
-    validate_document(doc, RECOVERY_REPORT_SCHEMA, prefix + ".report.json")
-    pipe.save_report(report, prefix + ".report.json")
+    _write_document(pipe.report_to_dict(report), RECOVERY_REPORT_SCHEMA,
+                    prefix + ".report.json")
     pipe.write_candidate_csv(report, prefix + ".candidates.csv")
 
     print(f"report:     {prefix}.report.json")
@@ -207,8 +215,7 @@ def cmd_global(args) -> int:
 # diagnose
 
 def cmd_diagnose(args) -> int:
-    dataset = model_mod.load_dataset(args.dataset)
-    truth = model_mod.load_truth(args.truth) if args.truth else None
+    dataset, truth = _load_inputs(args.dataset, args.truth)
     doc: dict = {"format": "trimfit-diagnostics", "format_version": 1,
                  "seed": args.seed}
 
@@ -239,14 +246,9 @@ def cmd_diagnose(args) -> int:
             entries.append(est.to_dict())
         doc["affine_error"] = entries
 
-    validate_document(doc, DIAGNOSE_REPORT_SCHEMA, args.out or "<stdout>")
-    text = json.dumps(doc, indent=1)
+    _write_document(doc, DIAGNOSE_REPORT_SCHEMA, args.out)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
         print(f"report: {args.out}")
-    else:
-        print(text)
     return EXIT_OK
 
 
@@ -256,15 +258,10 @@ def cmd_diagnose(args) -> int:
 def _experiment_instance(doc: dict, repeat: int):
     """Dataset, truth and repeat seed for one repeat of an experiment."""
     if "model" in doc:
-        base_seed = doc["model"]["seed"]
-        seed = base_seed + repeat
-        spec = _model_from_config(doc["model"])
-        corruption = _corruption_from_config(doc.get("corruption"))
-        dataset, truth = model_mod.generate_mlrc(spec, corruption,
-                                                 n=doc["model"]["n"], seed=seed)
+        seed = doc["model"]["seed"] + repeat
+        dataset, truth = _generate_instance(doc, seed)
     else:
-        dataset = model_mod.load_dataset(doc["dataset"])
-        truth = model_mod.load_truth(doc["truth"]) if doc.get("truth") else None
+        dataset, truth = _load_inputs(doc["dataset"], doc.get("truth"))
         seed = doc["solver"].get("seed", 0) + repeat
     return dataset, truth, seed
 
@@ -284,37 +281,18 @@ def _run_repeat(doc: dict, repeat: int) -> dict:
     solver = doc["solver"]
     kind = solver["kind"]
     row: dict = {"repeat": repeat, "seed": seed}
+    config = _build_config(kind, dict(solver, seed=seed))
 
     if kind in ("ilts", "gd-ilts"):
         theta0 = _solver_theta0(solver, dataset.d, seed)
-        if kind == "ilts":
-            config = IltsConfig(tau=solver["tau"],
-                                max_rounds=solver.get("max_rounds", 50),
-                                tol=solver.get("tol", 1e-10),
-                                rank_policy=solver.get("rank_policy", "fail"))
-            trace = ilts_run(dataset, theta0, config, truth=truth)
-        else:
-            config = GdConfig(tau=solver["tau"], eta=solver.get("eta"),
-                              schedule=solver.get("schedule", "fixed"),
-                              m_steps=solver.get("m_steps", 100),
-                              w=solver.get("w", 10.0), c_u=solver.get("c_u", 1.0),
-                              max_rounds=solver.get("max_rounds", 50),
-                              tol=solver.get("tol", 1e-10))
-            trace = gd_ilts_run(dataset, theta0, config, truth=truth)
+        trace = _run_solver(dataset, theta0, config, truth)
         row["converged"] = int(trace.converged)
         row["rounds_used"] = trace.rounds_used
         row["final_step_norm"] = float(trace.step_norms[-1]) if trace.rounds_used else ""
         row["final_trimmed_loss"] = float(trace.trimmed_losses[-1])
         row["final_dist"] = (float(trace.dist_to_nearest[-1])
                              if trace.dist_to_nearest is not None else "")
-    elif kind == "global":
-        config = pipe.GlobalConfig(
-            m=solver["m"], tau_list=tuple(solver["tau_list"]),
-            delta=solver["delta"], candidate_budget=solver["candidate_budget"],
-            epsilon_net=solver["epsilon_net"], seed=seed,
-            radius=solver.get("radius"),
-            ilts_max_rounds=solver.get("max_rounds", 30),
-            ilts_tol=solver.get("tol", 1e-11))
+    else:  # "global"; _build_config rejected any other kind
         report = pipe.global_ilts(dataset, config, truth=truth)
         row["partial"] = int(report.partial)
         row["recovered"] = sum(report.recovered)
@@ -322,17 +300,13 @@ def _run_repeat(doc: dict, repeat: int) -> dict:
         eps = report.epsilon_recovery
         row["epsilon_recovery"] = (float(eps) if eps is not None
                                    and math.isfinite(eps) else "")
-    else:
-        raise ValueError(f"unknown solver kind {kind!r}")
 
     for quantity in doc.get("diagnostics", []):
+        if truth is None:
+            raise ValueError(f"{quantity} diagnostic needs ground truth")
         if quantity == "q_separation":
-            if truth is None:
-                raise ValueError("q_separation diagnostic needs ground truth")
             row["q_separation"] = diag.q_separation(truth.theta_star)[0]
-        elif quantity == "gamma_star":
-            if truth is None:
-                raise ValueError("gamma_star diagnostic needs ground truth")
+        else:  # gamma_star, the only other quantity the schema admits
             row["gamma_star"] = model_mod.realized_gamma_star(truth)
     return row
 
@@ -364,24 +338,12 @@ def cmd_experiment(args) -> int:
     os.makedirs(doc["output_dir"], exist_ok=True)
     repeats = doc["repeats"]
 
-    threads = _thread_cap()
     rows: list[dict] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_run_repeat, doc, r): r for r in range(repeats)}
-            results: dict[int, dict] = {}
-            for future, r in futures.items():
-                try:
-                    results[r] = future.result()
-                except Exception as exc:  # recorded per repeat, not fatal here
-                    results[r] = {"repeat": r, "seed": "", "error": str(exc)}
-            rows = [results[r] for r in range(repeats)]
-    else:
-        for r in range(repeats):
-            try:
-                rows.append(_run_repeat(doc, r))
-            except Exception as exc:
-                rows.append({"repeat": r, "seed": "", "error": str(exc)})
+    for r in range(repeats):
+        try:
+            rows.append(_run_repeat(doc, r))
+        except Exception as exc:  # recorded per repeat, not fatal here
+            rows.append({"repeat": r, "seed": "", "error": str(exc)})
 
     columns: list[str] = []
     for row in rows:
@@ -429,17 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="trimming fraction")
     p.add_argument("--theta0", help="comma-separated starting point")
     p.add_argument("--theta0-file", help="file with the starting point")
-    p.add_argument("--max-rounds", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--rank-policy", choices=["fail", "min-norm"], default="fail")
+    p.add_argument("--max-rounds", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--rank-policy", choices=["fail", "min-norm"])
     p.add_argument("--truth", help="truth sidecar JSON for distance tracking")
     p.add_argument("--out-prefix", help="output path prefix")
     p.add_argument("--gd", action="store_true", help="gradient-descent inner solves")
     p.add_argument("--eta", type=float, help="inner step size (default 1/L per round)")
-    p.add_argument("--schedule", choices=["fixed", "adaptive"], default="fixed")
-    p.add_argument("--m-steps", type=int, default=100, help="fixed inner step count")
-    p.add_argument("--w", type=float, default=10.0, help="adaptive schedule weight")
-    p.add_argument("--c-u", type=float, default=1.0, help="adaptive schedule scale")
+    p.add_argument("--schedule", choices=["fixed", "adaptive"])
+    p.add_argument("--m-steps", type=int, help="fixed inner step count")
+    p.add_argument("--w", type=float, help="adaptive schedule weight")
+    p.add_argument("--c-u", type=float, help="adaptive schedule scale")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("global", help="recover all components")
@@ -456,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="net granularity (default 0.2 * radius)")
     p.add_argument("--truth", help="truth sidecar JSON for recovery metrics")
     p.add_argument("--subspace", help="external subspace basis JSON")
-    p.add_argument("--max-rounds", type=int, default=30, help="inner solver rounds")
-    p.add_argument("--tol", type=float, default=1e-11, help="inner solver tolerance")
+    p.add_argument("--max-rounds", type=int, help="inner solver rounds")
+    p.add_argument("--tol", type=float, help="inner solver tolerance")
     p.add_argument("--out-prefix", help="output path prefix")
     p.set_defaults(func=cmd_global)
 

@@ -20,8 +20,9 @@ Measured quantities:
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,8 +47,7 @@ class RegularityEstimate:
     trials: int     # subsets evaluated
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "psi_plus": self.psi_plus, "psi_minus": self.psi_minus,
-                "mode": self.mode, "trials": self.trials}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class AffineErrorEstimate:
     mode: str = "sampled"
 
     def to_dict(self) -> dict:
-        return {"delta": self.delta, "j": self.j, "value": self.value,
-                "directions": self.directions, "mode": self.mode}
+        return asdict(self)
 
 
 def q_separation(theta_star: np.ndarray):
@@ -86,9 +85,17 @@ def q_separation(theta_star: np.ndarray):
     return q, per
 
 
-def _gram_extremes(X_S: np.ndarray):
-    eig = np.linalg.eigvalsh(X_S.T @ X_S)
-    return float(eig[-1]), float(eig[0])
+def _gram_extremes(X: np.ndarray, subsets):
+    """Largest top and smallest bottom eigenvalue of X_S^T X_S over the
+    row subsets S, the bottom one clamped at zero."""
+    psi_plus = -np.inf
+    psi_minus = np.inf
+    for rows in subsets:
+        X_S = X[np.asarray(rows)]
+        eig = np.linalg.eigvalsh(X_S.T @ X_S)
+        psi_plus = max(psi_plus, float(eig[-1]))
+        psi_minus = min(psi_minus, float(eig[0]))
+    return psi_plus, max(psi_minus, 0.0)
 
 
 def feature_regularity_exact(X: np.ndarray, k: int) -> RegularityEstimate:
@@ -102,14 +109,8 @@ def feature_regularity_exact(X: np.ndarray, k: int) -> RegularityEstimate:
         raise ValueError(
             f"C({n}, {k}) = {total} subsets exceeds the exact budget {EXACT_SUBSET_BUDGET}; "
             "use the sampled mode")
-    import itertools
-    psi_plus = -np.inf
-    psi_minus = np.inf
-    for rows in itertools.combinations(range(n), k):
-        top, bottom = _gram_extremes(X[list(rows)])
-        psi_plus = max(psi_plus, top)
-        psi_minus = min(psi_minus, bottom)
-    return RegularityEstimate(k=k, psi_plus=psi_plus, psi_minus=max(psi_minus, 0.0),
+    psi_plus, psi_minus = _gram_extremes(X, itertools.combinations(range(n), k))
+    return RegularityEstimate(k=k, psi_plus=psi_plus, psi_minus=psi_minus,
                               mode="exact", trials=total)
 
 
@@ -138,13 +139,8 @@ def feature_regularity_sampled(X: np.ndarray, k: int, trials: int,
     subsets = [order[-k:], order[:k]]
     for _ in range(trials):
         subsets.append(rng.choice(n, size=k, replace=False))
-    psi_plus = -np.inf
-    psi_minus = np.inf
-    for rows in subsets:
-        top, bottom = _gram_extremes(X[rows])
-        psi_plus = max(psi_plus, top)
-        psi_minus = min(psi_minus, bottom)
-    return RegularityEstimate(k=k, psi_plus=psi_plus, psi_minus=max(psi_minus, 0.0),
+    psi_plus, psi_minus = _gram_extremes(X, subsets)
+    return RegularityEstimate(k=k, psi_plus=psi_plus, psi_minus=psi_minus,
                               mode="sampled", trials=len(subsets))
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ilts import SolverTrace, select_trimmed_set, trimmed_loss, _dist_to_nearest
+from .ilts import SolverTrace, _alternate, _check_alternation
 from .model import Dataset, GroundTruth
 from .util import check_finite, floor_count
 
@@ -49,8 +49,7 @@ class GdConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must lie in (0, 1]")
+        _check_alternation(self)
         if self.eta is not None and self.eta <= 0:
             raise ValueError("eta must be positive when given")
         if self.schedule not in SCHEDULES:
@@ -61,10 +60,6 @@ class GdConfig:
             raise ValueError("w must be positive")
         if self.c_u <= 0:
             raise ValueError("c_u must be positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
 
 
 def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
@@ -156,26 +151,11 @@ def gd_ilts_run(dataset: Dataset, theta0: np.ndarray, config: GdConfig,
     point here, so only the step-norm test stops the outer loop early.
     """
     n = dataset.n
-    k = floor_count(config.tau * n)
-    if k < 1:
-        raise ValueError(f"floor(tau * n) = {k}; no samples would be selected")
-    theta = np.asarray(theta0, dtype=float)
-    if theta.shape != (dataset.d,):
-        raise ValueError(f"theta0 must be a length-{dataset.d} vector")
-    check_finite(theta, "theta0")
-
-    theta_star = truth.theta_star if truth is not None else None
-    iterates = [theta.copy()]
-    subset = select_trimmed_set(dataset, theta, k)
-    selected = [subset]
-    losses = [trimmed_loss(dataset, theta, subset)]
-    dists = [_dist_to_nearest(theta, theta_star)] if theta_star is not None else None
-    steps: list[float] = []
     inner_counts: list[int] = []
     theta_prev: np.ndarray | None = None
-    converged = False
 
-    for _ in range(config.max_rounds):
+    def refit(theta, subset):
+        nonlocal theta_prev
         if config.schedule == "fixed":
             m_t = config.m_steps
         else:
@@ -183,27 +163,9 @@ def gd_ilts_run(dataset: Dataset, theta0: np.ndarray, config: GdConfig,
             m_t = stopping_steps(lam, config.w, config.c_u)
         eta_t = config.eta if config.eta is not None else 1.0 / largest_curvature(dataset, subset)
         theta_next = gd_inner_loop(dataset, subset, theta, eta_t, m_t)
-        step = float(np.linalg.norm(theta_next - theta))
-        subset = select_trimmed_set(dataset, theta_next, k)
-        iterates.append(theta_next)
-        selected.append(subset)
-        losses.append(trimmed_loss(dataset, theta_next, subset))
-        steps.append(step)
         inner_counts.append(m_t)
-        if dists is not None:
-            dists.append(_dist_to_nearest(theta_next, theta_star))
-        theta_prev, theta = theta, theta_next
-        if step <= config.tol:
-            converged = True
-            break
+        theta_prev = theta
+        return theta_next
 
-    return SolverTrace(
-        iterates=np.array(iterates),
-        selected_sets=tuple(selected),
-        trimmed_losses=np.array(losses),
-        step_norms=np.array(steps),
-        rounds_used=len(steps),
-        converged=converged,
-        dist_to_nearest=None if dists is None else np.array(dists),
-        inner_steps=tuple(inner_counts),
-    )
+    trace = _alternate(dataset, theta0, floor_count(config.tau * n), config, refit, False, truth)
+    return replace(trace, inner_steps=tuple(inner_counts))

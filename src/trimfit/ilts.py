@@ -11,7 +11,6 @@ set makes the next iterate identical, hence a fixed point).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,6 +29,16 @@ class RankDeficientError(RuntimeError):
     """Selected design matrix is rank deficient under rank_policy='fail'."""
 
 
+def _check_alternation(config) -> None:
+    """Validate the tau, max_rounds and tol fields every solver config shares."""
+    if not 0 < config.tau <= 1:
+        raise ValueError("tau must lie in (0, 1]")
+    if config.max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    if config.tol < 0:
+        raise ValueError("tol must be nonnegative")
+
+
 @dataclass(frozen=True)
 class IltsConfig:
     tau: float
@@ -38,12 +47,7 @@ class IltsConfig:
     rank_policy: str = "fail"
 
     def __post_init__(self):
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must lie in (0, 1]")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        _check_alternation(self)
         if self.rank_policy not in RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {RANK_POLICIES}")
 
@@ -123,16 +127,16 @@ def _dist_to_nearest(theta: np.ndarray, theta_star: np.ndarray) -> float:
     return float(np.min(np.linalg.norm(theta_star - theta[:, None], axis=0)))
 
 
-def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
-             truth: GroundTruth | None = None) -> SolverTrace:
-    """Run the trimmed alternation from theta0."""
-    n = dataset.n
-    k = floor_count(config.tau * n)
+def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
+               stop_on_same_set: bool, truth: GroundTruth | None = None) -> SolverTrace:
+    """The trimmed alternation shared by the exact and gradient variants.
+
+    Each round refits with refit(theta, subset) on the current selection and
+    then reselects the k smallest residuals. The run stops once the step norm
+    falls to config.tol or, when stop_on_same_set holds, the selection repeats.
+    """
     if k < 1:
         raise ValueError(f"floor(tau * n) = {k}; no samples would be selected")
-    if config.rank_policy == "fail" and k < dataset.d:
-        raise ValueError(
-            f"floor(tau * n) = {k} < d = {dataset.d} cannot be solved under rank_policy='fail'")
     theta = np.asarray(theta0, dtype=float)
     if theta.shape != (dataset.d,):
         raise ValueError(f"theta0 must be a length-{dataset.d} vector")
@@ -148,7 +152,7 @@ def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
     converged = False
 
     for _ in range(config.max_rounds):
-        theta_next = least_squares(dataset, subset, config.rank_policy)
+        theta_next = refit(theta, subset)
         step = float(np.linalg.norm(theta_next - theta))
         subset_next = select_trimmed_set(dataset, theta_next, k)
         iterates.append(theta_next)
@@ -157,7 +161,7 @@ def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
         steps.append(step)
         if dists is not None:
             dists.append(_dist_to_nearest(theta_next, theta_star))
-        same_set = np.array_equal(subset_next, subset)
+        same_set = stop_on_same_set and np.array_equal(subset_next, subset)
         theta, subset = theta_next, subset_next
         if step <= config.tol or same_set:
             converged = True
@@ -172,6 +176,20 @@ def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
         converged=converged,
         dist_to_nearest=None if dists is None else np.array(dists),
     )
+
+
+def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
+             truth: GroundTruth | None = None) -> SolverTrace:
+    """Run the trimmed alternation from theta0 with exact least-squares refits."""
+    k = floor_count(config.tau * dataset.n)
+    if config.rank_policy == "fail" and 1 <= k < dataset.d:
+        raise ValueError(
+            f"floor(tau * n) = {k} < d = {dataset.d} cannot be solved under rank_policy='fail'")
+
+    def refit(theta, subset):
+        return least_squares(dataset, subset, config.rank_policy)
+
+    return _alternate(dataset, theta0, k, config, refit, True, truth)
 
 
 def contraction_ratio(trace: SolverTrace, truth: GroundTruth, j: int) -> list[float]:
@@ -245,9 +263,3 @@ def trace_summary(trace: SolverTrace, config) -> dict:
     if trace.inner_steps is not None:
         summary["inner_steps"] = [int(v) for v in trace.inner_steps]
     return summary
-
-
-def write_trace_summary(trace: SolverTrace, config, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(trace_summary(trace, config), fh, indent=1)
-        fh.write("\n")

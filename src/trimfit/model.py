@@ -384,16 +384,43 @@ def load_dataset(path: str) -> Dataset:
         if header[1:] != [f"x{i}" for i in range(1, d + 1)]:
             raise ValueError(f"{path}: malformed feature column names")
         ys, rows = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != d + 1:
-                raise ValueError(f"{path}: row with {len(parts)} fields, expected {d + 1}")
-            ys.append(float(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
-    return Dataset(X=np.array(rows, dtype=float), y=np.array(ys, dtype=float))
+                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, expected {d + 1}")
+            try:
+                ys.append(float(parts[0]))
+                rows.append([float(p) for p in parts[1:]])
+            except ValueError:
+                raise ValueError(_locate_bad_field(path, header)) from None
+    X = np.array(rows, dtype=float)
+    y = np.array(ys, dtype=float)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError(_locate_bad_field(path, header))
+    return Dataset(X=X, y=y)
+
+
+def _is_finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _locate_bad_field(path: str, header: list) -> str:
+    """path:line message naming the first field that is not a finite number."""
+    with open(path, "r", encoding="ascii") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            for name, text in zip(header, line.strip().split(",")):
+                if not _is_finite_number(text):
+                    return f"{path}:{lineno}: column {name}: expected a finite number, got {text!r}"
+    return f"{path}: a field is not a finite number"
 
 
 def truth_to_dict(truth: GroundTruth) -> dict:

@@ -11,8 +11,6 @@ flags a partial result instead of raising.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,9 +27,6 @@ PROVENANCES = ("svd", "external")
 _BASIS_TOL = 1e-10
 # Orthonormality tolerance accepted on comparison inputs.
 _COMPARE_TOL = 1e-8
-
-# Exhaustive matching is used up to this many components.
-_EXHAUSTIVE_MATCH_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -247,35 +242,39 @@ def _distance_matrix(theta_hat: np.ndarray, theta_star: np.ndarray) -> np.ndarra
     return np.where(np.isnan(dist), np.inf, dist)
 
 
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    blocked = (~allowed).astype(float)
+    rows, cols = linear_sum_assignment(blocked)
+    return not blocked[rows, cols].any()
+
+
 def _bottleneck_matching(dist: np.ndarray):
-    """Minimize the largest matched distance via threshold bisection."""
+    """Lexicographically first permutation minimizing the largest matched distance.
+
+    Threshold bisection over the distinct entries finds the bottleneck value.
+    Truth columns are then matched in order, each to the smallest free
+    estimate column that still leaves a perfect matching under that value.
+    """
+    m = dist.shape[0]
     values = np.unique(dist)
     lo, hi = 0, len(values) - 1
-
-    def feasible(threshold: float):
-        blocked = (dist > threshold).astype(float)
-        rows, cols = linear_sum_assignment(blocked)
-        if blocked[rows, cols].sum() == 0:
-            return cols
-        return None
-
-    best = feasible(values[hi])
-    if best is None:
-        raise RuntimeError("no complete matching exists")
     while lo < hi:
         mid = (lo + hi) // 2
-        cols = feasible(values[mid])
-        if cols is None:
-            lo = mid + 1
-        else:
+        if _has_perfect_matching(dist <= values[mid]):
             hi = mid
-            best = cols
-    # cols[a] is the truth column matched to estimate column a.
-    perm = np.empty(dist.shape[0], dtype=int)
-    for a, b in enumerate(best):
-        perm[b] = a
-    value = float(max(dist[perm[b], b] for b in range(dist.shape[0])))
-    return value, perm
+        else:
+            lo = mid + 1
+    allowed = dist <= values[lo]
+    perm: list[int] = []
+    free = list(range(m))
+    for b in range(m):
+        # A perfect matching under the bottleneck value survives every step,
+        # so some free column always qualifies.
+        a = next(a for a in free if allowed[a, b] and _has_perfect_matching(
+            allowed[np.ix_([x for x in free if x != a], range(b + 1, m))]))
+        perm.append(a)
+        free.remove(a)
+    return float(values[lo]), np.array(perm, dtype=int)
 
 
 def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):
@@ -283,26 +282,15 @@ def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):
 
     Returns (value, perm) where perm[b] names the estimate column matched to
     truth column b and value = max_b ||theta_hat[:, perm[b]] - theta_star[:, b]||.
-    Exhaustive search below nine components, threshold-bisection assignment
-    above.
+    Among the permutations attaining the value, perm is the lexicographically
+    first; with every distance infinite it is the identity.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_hat.shape != theta_star.shape or theta_hat.ndim != 2:
         raise ValueError(
             f"shape mismatch: estimate {theta_hat.shape} vs truth {theta_star.shape}")
-    m = theta_hat.shape[1]
-    dist = _distance_matrix(theta_hat, theta_star)
-    if m <= _EXHAUSTIVE_MATCH_LIMIT:
-        best_val = np.inf
-        best_perm = tuple(range(m))
-        for perm in itertools.permutations(range(m)):
-            val = max(dist[perm[b], b] for b in range(m))
-            if val < best_val:
-                best_val = val
-                best_perm = perm
-        return float(best_val), np.array(best_perm, dtype=int)
-    return _bottleneck_matching(dist)
+    return _bottleneck_matching(_distance_matrix(theta_hat, theta_star))
 
 
 def global_ilts(dataset: Dataset, config: GlobalConfig,
@@ -394,11 +382,8 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
 
 def report_to_dict(report: RecoveryReport) -> dict:
     """JSON-shaped report; unrecovered columns and infinite errors are null."""
-    m = report.theta_hat.shape[1]
-    columns = []
-    for j in range(m):
-        col = report.theta_hat[:, j]
-        columns.append([float(v) for v in col] if report.recovered[j] else None)
+    columns = [[float(v) for v in report.theta_hat[:, j]] if recovered else None
+               for j, recovered in enumerate(report.recovered)]
     per_errors = None
     if report.per_component_errors is not None:
         per_errors = [None if math.isinf(e) else float(e)
@@ -420,12 +405,6 @@ def report_to_dict(report: RecoveryReport) -> dict:
         "per_component_errors": per_errors,
         "epsilon_recovery": eps,
     }
-
-
-def save_report(report: RecoveryReport, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report_to_dict(report), fh, indent=1)
-        fh.write("\n")
 
 
 def write_candidate_csv(report: RecoveryReport, path: str) -> None:

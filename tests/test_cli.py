@@ -3,13 +3,19 @@
 Commands run in-process through main(argv), which returns the exit code.
 """
 
+import csv
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from trimfit.cli import main
+from trimfit.gd import GdConfig
+from trimfit.ilts import IltsConfig, ilts_run
+from trimfit.model import CorruptionSpec, MixtureSpec, generate_mlrc
 
 GEN_CONFIG = {
     "version": 1,
@@ -245,3 +251,64 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def generate_variant(tmp_path, name, **model):
+    doc = json.loads(json.dumps(GEN_CONFIG))
+    doc["name"] = name
+    doc["model"].update(model)
+    cfg = write_config(tmp_path, doc, name + ".json")
+    assert main(["generate", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+    return str(tmp_path / (name + ".csv")), str(tmp_path / (name + ".truth.json"))
+
+
+@pytest.mark.parametrize("model", [{"n": 200},
+                                   {"d": 4, "components": [[1, 0, 0, 0], [0, 1, 0, 0]]}],
+                         ids=["n", "d"])
+def test_truth_that_does_not_fit_the_dataset_is_rejected(tmp_path, capsys, model):
+    data, _ = generate(tmp_path)
+    _, other_truth = generate_variant(tmp_path, "other", **model)
+    out = str(tmp_path / "out")
+    commands = [["fit", data, "--tau", "0.4", "--out-prefix", out],
+                ["global", data, "--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0",
+                 "--out-prefix", out],
+                ["diagnose", data, "--q-separation", "--out", out]]
+    for argv in commands:
+        assert main(argv + ["--truth", other_truth]) == 1
+        err = capsys.readouterr().err
+        assert data in err and other_truth in err
+
+
+def test_fit_defaults_come_from_the_config_dataclasses(tmp_path):
+    data, _ = generate(tmp_path)
+    for flags, expected in (([], IltsConfig(tau=0.4)), (["--gd"], GdConfig(tau=0.4))):
+        prefix = str(tmp_path / "run")
+        assert main(["fit", data, "--tau", "0.4", "--out-prefix", prefix] + flags) in (0, 2)
+        summary = json.loads((tmp_path / "run.summary.json").read_text())
+        assert summary["config"] == asdict(expected)
+
+
+def test_experiment_defaults_match_a_direct_run(tmp_path):
+    exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"],
+           "corruption": GEN_CONFIG["corruption"],
+           "solver": {"kind": "ilts", "tau": 0.4},
+           "repeats": 2, "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
+    with open(tmp_path / "out" / "exp.rows.csv", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+
+    model = GEN_CONFIG["model"]
+    spec = MixtureSpec(d=model["d"], m=model["m"], components=model["components"],
+                       weights=model["weights"])
+    for repeat, row in enumerate(rows):
+        seed = model["seed"] + repeat
+        ds, truth = generate_mlrc(spec, CorruptionSpec(**GEN_CONFIG["corruption"]),
+                                  n=model["n"], seed=seed)
+        theta0 = np.random.default_rng(seed).standard_normal(model["d"])
+        trace = ilts_run(ds, theta0, IltsConfig(tau=0.4), truth=truth)
+        assert int(row["seed"]) == seed
+        assert int(row["converged"]) == int(trace.converged)
+        assert int(row["rounds_used"]) == trace.rounds_used
+        assert float(row["final_step_norm"]) == trace.step_norms[-1]
+        assert float(row["final_trimmed_loss"]) == trace.trimmed_losses[-1]
+        assert float(row["final_dist"]) == trace.dist_to_nearest[-1]

@@ -196,3 +196,41 @@ def test_trace_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == ""
     assert float(first[3]) == pytest.approx(0.4)
+
+
+def tied_integer_instances(count, seed):
+    """Small integer designs and responses, so residuals tie often."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(8, 30))
+        d = int(rng.integers(1, 4))
+        ds = Dataset(X=rng.integers(-2, 3, size=(n, d)).astype(float),
+                     y=rng.integers(-3, 4, size=n).astype(float))
+        tau = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
+        theta0 = rng.integers(-2, 3, size=d).astype(float)
+        yield ds, theta0, IltsConfig(tau=tau, rank_policy="min-norm")
+
+
+def test_exact_rounds_never_increase_loss_on_tied_data():
+    runs = 0
+    for ds, theta0, cfg in tied_integer_instances(300, seed=61):
+        losses = ilts_run(ds, theta0, cfg).trimmed_losses
+        runs += 1
+        for a, b in zip(losses, losses[1:]):
+            assert b <= a + 1e-10 * max(1.0, a)
+    assert runs == 300
+
+
+def test_same_set_stop_is_a_fixed_point():
+    stops = 0
+    for ds, theta0, cfg in tied_integer_instances(300, seed=62):
+        trace = ilts_run(ds, theta0, cfg)
+        sets = trace.selected_sets
+        if trace.rounds_used == 0 or not np.array_equal(sets[-1], sets[-2]):
+            continue
+        stops += 1
+        k = len(sets[-1])
+        theta = least_squares(ds, sets[-1], cfg.rank_policy)
+        assert np.array_equal(theta, trace.final)
+        assert np.array_equal(select_trimmed_set(ds, theta, k), sets[-1])
+    assert stops >= 100

@@ -1,5 +1,7 @@
 """Generator and serialization tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,30 @@ def test_ground_truth_label_range_checked():
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         Dataset(X=np.array([[1.0], [np.nan]]), y=np.array([0.0, 1.0]))
+
+
+def write_csv(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def test_load_dataset_non_numeric_names_line_and_column(tmp_path):
+    path = write_csv(tmp_path, "y,x1,x2\n1.0,2.0,3.0\n\n1.0,abc,3.0\n")
+    with pytest.raises(ValueError, match=re.escape(path) + r":4: column x1: .*'abc'"):
+        load_dataset(path)
+
+
+def test_load_dataset_field_count_names_line(tmp_path):
+    path = write_csv(tmp_path, "y,x1,x2\n1.0,2.0,3.0\n1.0,2.0\n")
+    with pytest.raises(ValueError, match=re.escape(path) + r":3: 2 fields, expected 3"):
+        load_dataset(path)
+
+
+def test_load_dataset_non_finite_names_line_and_column(tmp_path):
+    path = write_csv(tmp_path, "y,x1,x2\n1.0,2.0,3.0\n1.0,2.0,nan\n")
+    with pytest.raises(ValueError, match=re.escape(path) + r":3: column x2: .*'nan'"):
+        load_dataset(path)
+    path = write_csv(tmp_path, "y,x1,x2\n1.0,2.0,3.0\n\n1.0,2.0,3.0\n-inf,2.0,3.0\n")
+    with pytest.raises(ValueError, match=re.escape(path) + r":5: column y: .*'-inf'"):
+        load_dataset(path)
