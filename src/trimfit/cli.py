@@ -21,9 +21,9 @@ import numpy as np
 from . import diagnostics as diag
 from . import model as model_mod
 from . import pipeline as pipe
-from .gd import DivergenceError, GdConfig, gd_ilts_run
-from .ilts import (IltsConfig, RankDeficientError, ilts_run, trace_summary,
-                   write_trace_csv)
+from .gd import SCHEDULES, DivergenceError, GdConfig, gd_ilts_run
+from .ilts import (RANK_POLICIES, IltsConfig, RankDeficientError, ilts_run,
+                   trace_summary, write_trace_csv)
 from .schemas import (DIAGNOSE_REPORT_SCHEMA, EXPERIMENT_CONFIG_SCHEMA,
                       GENERATE_CONFIG_SCHEMA, RECOVERY_REPORT_SCHEMA,
                       SUBSPACE_FILE_SCHEMA, SUMMARY_SCHEMA, TRUTH_SCHEMA,
@@ -185,17 +185,13 @@ def cmd_global(args) -> int:
         taus = taus * args.m
     subspace = _load_subspace(args.subspace) if args.subspace else None
 
-    radius = args.radius
-    if radius is None:
-        radius = pipe.default_radius(dataset)
-    epsilon = args.epsilon if args.epsilon is not None else 0.2 * radius
     delta = args.delta
     if delta is None:
         delta = 10.0 * args.target_accuracy * math.sqrt(math.log(dataset.n))
 
     config = _build_config("global", dict(
         vars(args), tau_list=tuple(taus), delta=delta,
-        candidate_budget=args.budget, epsilon_net=epsilon))
+        candidate_budget=args.budget, epsilon_net=args.epsilon))
     report = pipe.global_ilts(dataset, config, subspace=subspace, truth=truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
@@ -393,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0-file", help="file with the starting point")
     p.add_argument("--max-rounds", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--rank-policy", choices=["fail", "min-norm"])
+    p.add_argument("--rank-policy", choices=RANK_POLICIES)
     p.add_argument("--truth", help="truth sidecar JSON for distance tracking")
     p.add_argument("--out-prefix", help="output path prefix")
     p.add_argument("--gd", action="store_true", help="gradient-descent inner solves")
     p.add_argument("--eta", type=float, help="inner step size (default 1/L per round)")
-    p.add_argument("--schedule", choices=["fixed", "adaptive"])
+    p.add_argument("--schedule", choices=SCHEDULES)
     p.add_argument("--m-steps", type=int, help="fixed inner step count")
     p.add_argument("--w", type=float, help="adaptive schedule weight")
     p.add_argument("--c-u", type=float, help="adaptive schedule scale")

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import as_readonly, check_finite, floor_count, fmt17
+from .util import as_readonly, check_finite, floor_count
 
 ADVERSARIES = ("none", "oblivious-random", "residual-targeted", "component-targeted")
 
@@ -230,51 +230,22 @@ def _allocate_counts(weights: Sequence[float], n: int) -> np.ndarray:
     leftover = n - int(base.sum())
     if leftover < 0:
         raise ValueError("weights allocate more samples than n")
-    if leftover > 0:
-        rem = raw - base
-        order = np.argsort(-rem, kind="stable")
-        base[order[:leftover]] += 1
+    base[np.argsort(base - raw, kind="stable")[:leftover]] += 1
     return base
 
 
-def _corrupt_count(gamma_star: float, tau_min: float, n: int) -> int:
-    return floor_count(gamma_star * tau_min * n)
+def _corrupt(X: np.ndarray, y: np.ndarray, partition: np.ndarray, m: int,
+             tau_min: float, corruption: CorruptionSpec, rng: np.random.Generator):
+    """Responses after the adversary moves floor(gamma_star * tau_min * n) of them.
 
-
-def _generate_clean(spec: MixtureSpec, n: int, rng: np.random.Generator):
-    counts = _allocate_counts(spec.weights, n)
-    labels = np.repeat(np.arange(spec.m, dtype=np.int64), counts)
-    labels = labels[rng.permutation(n)]
-
-    X = rng.standard_normal((n, spec.d))
-    if spec.covariance is not None:
-        for j, cov in enumerate(spec.covariance):
-            if cov is None:
-                continue
-            mask = labels == j
-            # X rows become draws from N(0, cov) via the Cholesky factor.
-            X[mask] = X[mask] @ np.linalg.cholesky(cov).T
-
-    theta = spec.theta_star
-    y = np.sum(X * theta.T[labels], axis=1)
-    dataset = Dataset(X=X, y=y)
-    truth = GroundTruth(
-        theta_star=theta,
-        partition=labels,
-        corrupted=np.zeros(n, dtype=bool),
-        r=np.zeros(n),
-        tau_star=_realized_tau(labels, np.zeros(n, dtype=bool), spec.m),
-    )
-    return dataset, truth
-
-
-def _inject(dataset: Dataset, truth: GroundTruth, corruption: CorruptionSpec,
-            rng: np.random.Generator):
-    n = dataset.n
-    tau_min = min(truth.tau_star)
-    n_bad = _corrupt_count(corruption.gamma_star, tau_min, n)
+    Returns (y, r, corrupted); y is the input array itself when nothing moves.
+    """
+    n = y.shape[0]
+    r = np.zeros(n)
+    corrupted = np.zeros(n, dtype=bool)
+    n_bad = floor_count(corruption.gamma_star * tau_min * n)
     if corruption.adversary == "none" or n_bad == 0:
-        return dataset, truth
+        return y, r, corrupted
     if n_bad > n:
         raise ValueError(f"corrupted count {n_bad} exceeds n = {n}")
 
@@ -284,40 +255,24 @@ def _inject(dataset: Dataset, truth: GroundTruth, corruption: CorruptionSpec,
     elif corruption.adversary == "residual-targeted":
         # Overwrite the responses nearest zero so they mimic a phantom
         # component of the configured magnitude along a fixed axis.
-        order = np.argsort(np.abs(dataset.y), kind="stable")
-        idx = order[:n_bad]
-        phantom = np.zeros(dataset.d)
+        idx = np.argsort(np.abs(y), kind="stable")[:n_bad]
+        phantom = np.zeros(X.shape[1])
         phantom[_PHANTOM_AXIS] = corruption.magnitude
-        values = dataset.X[idx] @ phantom - dataset.y[idx]
+        values = X[idx] @ phantom - y[idx]
     else:  # component-targeted
-        sizes = [np.count_nonzero(truth.partition == j) for j in range(truth.m)]
-        smallest = int(np.argmin(sizes))
-        pool = np.flatnonzero(truth.partition == smallest)
+        smallest = int(np.argmin(np.bincount(partition, minlength=m)))
+        pool = np.flatnonzero(partition == smallest)
         if n_bad > pool.size:
             raise ValueError(
                 f"corrupted count {n_bad} exceeds smallest component size {pool.size}")
         idx = pool[rng.choice(pool.size, size=n_bad, replace=False)]
         values = rng.normal(0.0, corruption.magnitude, size=n_bad)
 
-    y = dataset.y.copy()
+    y = y.copy()
     y[idx] += values
-    r = truth.r.copy()
     r[idx] = values
-    corrupted = truth.corrupted.copy()
     corrupted[idx] = True
-
-    new_dataset = Dataset(X=dataset.X, y=y)
-    new_truth = GroundTruth(
-        theta_star=truth.theta_star,
-        partition=truth.partition,
-        corrupted=corrupted,
-        r=r,
-        tau_star=_realized_tau(truth.partition, corrupted, truth.m),
-        seed=truth.seed,
-        generator=truth.generator,
-        generator_version=truth.generator_version,
-    )
-    return new_dataset, new_truth
+    return y, r, corrupted
 
 
 def inject_corruptions(dataset: Dataset, truth: GroundTruth,
@@ -325,16 +280,19 @@ def inject_corruptions(dataset: Dataset, truth: GroundTruth,
     """Corrupt exactly floor(gamma_star * tau_min * n) responses.
 
     tau_min is taken from the incoming truth, which must be uncorrupted.
-    Rows off the corrupted set are returned bit-identical.
+    Rows off the corrupted set are returned bit-identical; when nothing is
+    corrupted the inputs themselves are returned.
     """
     if np.any(truth.corrupted):
         raise ValueError("input truth already carries corruptions")
-    rng = np.random.default_rng(seed)
-    new_dataset, new_truth = _inject(dataset, truth, corruption, rng)
-    if new_truth is truth:
-        return new_dataset, new_truth
-    object.__setattr__(new_truth, "seed", seed)
-    return new_dataset, new_truth
+    y, r, corrupted = _corrupt(dataset.X, dataset.y, truth.partition, truth.m,
+                               min(truth.tau_star), corruption, np.random.default_rng(seed))
+    if not corrupted.any():
+        return dataset, truth
+    return Dataset(X=dataset.X, y=y), GroundTruth(
+        theta_star=truth.theta_star, partition=truth.partition, corrupted=corrupted,
+        r=r, tau_star=_realized_tau(truth.partition, corrupted, truth.m), seed=seed,
+        generator=truth.generator, generator_version=truth.generator_version)
 
 
 def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: int):
@@ -352,13 +310,25 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
     counts = _allocate_counts(spec.weights, n)
     if np.any(counts == 0):
         raise ValueError("some component receives zero samples at this n")
-    root = np.random.SeedSequence(seed)
-    clean_ss, corrupt_ss = root.spawn(2)
-    dataset, truth = _generate_clean(spec, n, np.random.default_rng(clean_ss))
-    object.__setattr__(truth, "seed", seed)
-    dataset, truth = _inject(dataset, truth, corruption, np.random.default_rng(corrupt_ss))
-    object.__setattr__(truth, "seed", seed)
-    return dataset, truth
+    clean_ss, corrupt_ss = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(clean_ss)
+    labels = np.repeat(np.arange(spec.m, dtype=np.int64), counts)[rng.permutation(n)]
+
+    X = rng.standard_normal((n, spec.d))
+    for j, cov in enumerate(spec.covariance or ()):
+        if cov is not None:
+            # X rows become draws from N(0, cov) via the Cholesky factor.
+            mask = labels == j
+            X[mask] = X[mask] @ np.linalg.cholesky(cov).T
+
+    theta = spec.theta_star
+    y = np.sum(X * theta.T[labels], axis=1)
+    # The clean fractions are counts / n, so their minimum is min(counts) / n.
+    y, r, corrupted = _corrupt(X, y, labels, spec.m, float(counts.min()) / n, corruption,
+                               np.random.default_rng(corrupt_ss))
+    return Dataset(X=X, y=y), GroundTruth(
+        theta_star=theta, partition=labels, corrupted=corrupted, r=r,
+        tau_star=_realized_tau(labels, corrupted, spec.m), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +336,10 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
 # significant digits per value; truths travel as a JSON sidecar.
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    cols = ["y"] + [f"x{i}" for i in range(1, dataset.d + 1)]
-    lines = [",".join(cols)]
-    for i in range(dataset.n):
-        row = [fmt17(dataset.y[i])] + [fmt17(v) for v in dataset.X[i]]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ",".join(["y"] + [f"x{i}" for i in range(1, dataset.d + 1)])
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack([dataset.y, dataset.X]), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
 
 
 def load_dataset(path: str) -> Dataset:
@@ -383,42 +350,36 @@ def load_dataset(path: str) -> Dataset:
         d = len(header) - 1
         if header[1:] != [f"x{i}" for i in range(1, d + 1)]:
             raise ValueError(f"{path}: malformed feature column names")
-        ys, rows = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, expected {d + 1}")
-            try:
-                ys.append(float(parts[0]))
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError:
-                raise ValueError(_locate_bad_field(path, header)) from None
-    X = np.array(rows, dtype=float)
-    y = np.array(ys, dtype=float)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError(_locate_bad_field(path, header))
-    return Dataset(X=X, y=y)
-
-
-def _is_finite_number(text: str) -> bool:
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no data rows")
     try:
-        return math.isfinite(float(text))
+        data = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        return False
+        raise ValueError(_locate_bad_field(path, header)) from None
+    if data.shape[1] != d + 1 or not np.isfinite(data).all():
+        raise ValueError(_locate_bad_field(path, header))
+    return Dataset(X=data[:, 1:], y=data[:, 0])
 
 
 def _locate_bad_field(path: str, header: list) -> str:
-    """path:line message naming the first field that is not a finite number."""
+    """path:line message naming the first line with the wrong field count or
+    the first field that is not a finite number."""
     with open(path, "r", encoding="ascii") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            fields = line.strip().split(",")
+            if fields == [""]:
                 continue
-            for name, text in zip(header, line.strip().split(",")):
-                if not _is_finite_number(text):
+            if len(fields) != len(header):
+                return f"{path}:{lineno}: {len(fields)} fields, expected {len(header)}"
+            for name, text in zip(header, fields):
+                try:
+                    # float() also takes digit-group underscores; np.loadtxt does not.
+                    ok = "_" not in text and math.isfinite(float(text))
+                except ValueError:
+                    ok = False
+                if not ok:
                     return f"{path}:{lineno}: column {name}: expected a finite number, got {text!r}"
     return f"{path}: a field is not a finite number"
 
@@ -445,18 +406,26 @@ def save_truth(truth: GroundTruth, path: str) -> None:
 
 
 def load_truth(path: str) -> GroundTruth:
+    """Read a truth sidecar; every error names the file, and the field if any."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "trimfit-truth":
-        raise ValueError(f"{path}: not a truth sidecar")
-    theta = np.column_stack([np.asarray(c, dtype=float) for c in doc["theta_star"]])
-    return GroundTruth(
-        theta_star=theta,
-        partition=np.asarray(doc["partition"], dtype=np.int64),
-        corrupted=np.asarray(doc["corrupted"], dtype=bool),
-        r=np.asarray(doc["r"], dtype=float),
-        tau_star=tuple(doc["tau_star"]),
-        seed=doc.get("seed"),
-        generator=doc.get("generator", _GENERATOR_NAME),
-        generator_version=doc.get("generator_version", _generator_version()),
-    )
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "trimfit-truth":
+        raise ValueError(f"{path}: field format: expected 'trimfit-truth'")
+    try:
+        return GroundTruth(
+            theta_star=np.column_stack([np.asarray(c, dtype=float) for c in doc["theta_star"]]),
+            partition=np.asarray(doc["partition"], dtype=np.int64),
+            corrupted=np.asarray(doc["corrupted"], dtype=bool),
+            r=np.asarray(doc["r"], dtype=float),
+            tau_star=tuple(doc["tau_star"]),
+            seed=doc.get("seed"),
+            generator=doc.get("generator", _GENERATOR_NAME),
+            generator_version=doc.get("generator_version", _generator_version()),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

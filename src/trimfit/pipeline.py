@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .ilts import IltsConfig, RankDeficientError, ilts_run
 from .model import Dataset, GroundTruth
-from .util import check_finite, floor_count, fmt17
+from .util import check_finite, floor_count
 
 PROVENANCES = ("svd", "external")
 
@@ -66,7 +66,8 @@ class GlobalConfig:
     """Settings for the full recovery loop.
 
     radius = None derives the candidate sphere radius from the data as the
-    0.95 quantile of |y_i| / ||x_i||; the report flags that default. The
+    0.95 quantile of |y_i| / ||x_i||; the report flags that default.
+    epsilon_net = None sets the net granularity to 0.2 times the radius. The
     trimmed alternation inside the candidate loop runs with ilts_max_rounds
     and ilts_tol.
     """
@@ -75,9 +76,9 @@ class GlobalConfig:
     tau_list: tuple
     delta: float
     candidate_budget: int
-    epsilon_net: float
     seed: int
     radius: float | None = None
+    epsilon_net: float | None = None
     ilts_max_rounds: int = 30
     ilts_tol: float = 1e-11
 
@@ -93,8 +94,8 @@ class GlobalConfig:
             raise ValueError("delta must be positive")
         if self.candidate_budget < 1:
             raise ValueError("candidate_budget must be at least 1")
-        if self.epsilon_net <= 0:
-            raise ValueError("epsilon_net must be positive")
+        if self.epsilon_net is not None and self.epsilon_net <= 0:
+            raise ValueError("epsilon_net must be positive when given")
         if self.radius is not None and self.radius <= 0:
             raise ValueError("radius must be positive when given")
         if self.ilts_max_rounds < 1:
@@ -313,6 +314,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
     else:
         radius = config.radius
         radius_source = "user"
+    epsilon = 0.2 * radius if config.epsilon_net is None else config.epsilon_net
 
     theta_hat = np.full((d, config.m), np.nan)
     recovered = [False] * config.m
@@ -326,7 +328,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         tau_j = config.tau_list[j]
         min_count = floor_count(tau_j * n)
         seed_j = int(component_seeds[j].generate_state(1)[0])
-        candidates = generate_candidates(subspace, radius, config.epsilon_net,
+        candidates = generate_candidates(subspace, radius, epsilon,
                                          config.candidate_budget, seed_j)
         if working.size == 0 or floor_count(tau_j * working.size) < d:
             continue  # not enough rows left to fit this slot

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import jsonschema
 
+from .gd import SCHEDULES
+from .ilts import RANK_POLICIES
+from .model import ADVERSARIES
+from .pipeline import PROVENANCES
+
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
 _NULLABLE_NUMBER_ARRAY = {
     "type": "array",
@@ -41,8 +46,7 @@ CORRUPTION_SCHEMA = {
     "type": "object",
     "properties": {
         "gamma_star": {"type": "number", "minimum": 0},
-        "adversary": {"enum": ["none", "oblivious-random", "residual-targeted",
-                               "component-targeted"]},
+        "adversary": {"enum": list(ADVERSARIES)},
         "magnitude": {"type": "number", "exclusiveMinimum": 0},
     },
     "additionalProperties": False,
@@ -126,7 +130,7 @@ SUBSPACE_FILE_SCHEMA = {
     "required": ["basis"],
     "properties": {
         "basis": {"type": "array", "items": _NUMBER_ARRAY},
-        "provenance": {"enum": ["svd", "external"]},
+        "provenance": {"enum": list(PROVENANCES)},
     },
     "additionalProperties": False,
 }
@@ -183,10 +187,10 @@ SOLVER_SCHEMA = {
         "tau": {"type": "number"},
         "max_rounds": {"type": "integer", "minimum": 1},
         "tol": {"type": "number", "minimum": 0},
-        "rank_policy": {"enum": ["fail", "min-norm"]},
+        "rank_policy": {"enum": list(RANK_POLICIES)},
         "theta0": {"anyOf": [_NUMBER_ARRAY, {"const": "random"}]},
         "eta": {"anyOf": [{"type": "number"}, {"type": "null"}]},
-        "schedule": {"enum": ["fixed", "adaptive"]},
+        "schedule": {"enum": list(SCHEDULES)},
         "m_steps": {"type": "integer", "minimum": 1},
         "w": {"type": "number"},
         "c_u": {"type": "number"},

@@ -4,14 +4,17 @@ Commands run in-process through main(argv), which returns the exit code.
 """
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from trimfit import pipeline
 from trimfit.cli import main
 from trimfit.gd import GdConfig
 from trimfit.ilts import IltsConfig, ilts_run
@@ -312,3 +315,28 @@ def test_experiment_defaults_match_a_direct_run(tmp_path):
         assert float(row["final_step_norm"]) == trace.step_norms[-1]
         assert float(row["final_trimmed_loss"]) == trace.trimmed_losses[-1]
         assert float(row["final_dist"]) == trace.dist_to_nearest[-1]
+
+
+def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
+    data, truth = generate(tmp_path)
+    calls = []
+    real = pipeline.default_radius
+    monkeypatch.setattr(pipeline, "default_radius", lambda ds: calls.append(1) or real(ds))
+    prefix = tmp_path / "glob"
+    assert main(["global", data, "--m", "2", "--tau", "0.35", "--budget", "400",
+                 "--seed", "5", "--truth", truth, "--out-prefix", str(prefix)]) == 0
+    assert len(calls) == 1
+    # Output hashes recorded when the CLI still derived epsilon = 0.2 * radius itself.
+    digests = [hashlib.sha256((tmp_path / f"glob.{suffix}").read_bytes()).hexdigest()
+               for suffix in ("report.json", "candidates.csv")]
+    assert digests == ["b312c93efa7251792b2ccd7386e8de55d8f109c637b38b69f8e7d925d5668787",
+                       "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce"]
+
+
+def test_fit_on_header_only_csv_names_the_file(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("y,x1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", str(path), "--tau", "0.5"]) == 1
+    assert f"{path}: no data rows" in capsys.readouterr().err

@@ -1,9 +1,16 @@
 """Generator and serialization tests."""
 
+import hashlib
+import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trimfit.model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                            _allocate_counts, generate_mlrc, inject_corruptions,
@@ -263,3 +270,149 @@ def test_load_dataset_non_finite_names_line_and_column(tmp_path):
     path = write_csv(tmp_path, "y,x1,x2\n1.0,2.0,3.0\n\n1.0,2.0,3.0\n-inf,2.0,3.0\n")
     with pytest.raises(ValueError, match=re.escape(path) + r":5: column y: .*'-inf'"):
         load_dataset(path)
+
+
+def test_load_dataset_skips_whitespace_only_lines(tmp_path):
+    path = write_csv(tmp_path, "y,x1\n1.5,2.0\n   \n\t\n-3.0,4.0\n\n")
+    ds = load_dataset(path)
+    assert ds.y.tolist() == [1.5, -3.0]
+    assert ds.X.tolist() == [[2.0], [4.0]]
+    # line numbers still count the skipped lines
+    path = write_csv(tmp_path, "y,x1\n1.5,2.0\n  \n-3.0,oops\n")
+    with pytest.raises(ValueError, match=re.escape(path) + r":4: column x1: .*'oops'"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_comment_lines(tmp_path):
+    path = write_csv(tmp_path, "y,x1,x2\n1.0,2.0,3.0\n#1.0,2.0,3.0\n")
+    with pytest.raises(ValueError, match=re.escape(path) + r":3: column y: .*'#1.0'"):
+        load_dataset(path)
+
+
+def test_load_dataset_header_only_names_the_file(tmp_path):
+    path = write_csv(tmp_path, "y,x1\n\n")
+    with pytest.raises(ValueError, match=re.escape(path) + ": no data rows"):
+        load_dataset(path)
+
+
+def reference_save_dataset(dataset, path):
+    """The per-row writer the numpy writer replaced: the byte reference."""
+    cols = ["y"] + [f"x{i}" for i in range(1, dataset.d + 1)]
+    lines = [",".join(cols)]
+    for i in range(dataset.n):
+        row = [format(float(dataset.y[i]), ".17g")]
+        row += [format(float(v), ".17g") for v in dataset.X[i]]
+        lines.append(",".join(row))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+MAX = np.finfo(float).max
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308,
+            1e300, -1e300, 1e-300, -1e-300, MAX, -MAX, 0.1, 1 / 3]
+FINITE = st.one_of(st.sampled_from(EXTREMES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    return Dataset(X=draw(arrays(np.float64, (n, d), elements=FINITE)),
+                   y=draw(arrays(np.float64, n, elements=FINITE)))
+
+
+@settings(deadline=None)
+@given(datasets())
+def test_dataset_csv_round_trip_is_bit_exact(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.csv")
+        ref = os.path.join(tmp, "ref.csv")
+        save_dataset(ds, path)
+        reference_save_dataset(ds, ref)
+        with open(path, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
+        back = load_dataset(path)
+    assert np.array_equal(back.X.view(np.int64), ds.X.view(np.int64))
+    assert np.array_equal(back.y.view(np.int64), ds.y.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["not-json", "format", "missing"])
+def test_load_truth_errors_name_the_file(tmp_path, case):
+    _, truth = generate_mlrc(two_component_spec(), CorruptionSpec(), n=20, seed=1)
+    path = tmp_path / "t.truth.json"
+    save_truth(truth, str(path))
+    doc = json.loads(path.read_text())
+    if case == "not-json":
+        path.write_text("y,x1\n1,2\n")
+        expected = "not a JSON document"
+    elif case == "format":
+        doc["format"] = "trimfit-recovery"
+        path.write_text(json.dumps(doc))
+        expected = "field format"
+    else:
+        del doc["r"]
+        path.write_text(json.dumps(doc))
+        expected = "missing field 'r'"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
+        load_truth(str(path))
+
+
+def instance_digest(ds, truth):
+    h = hashlib.sha256()
+    for a in (ds.X, ds.y, truth.theta_star, truth.partition, truth.corrupted, truth.r):
+        h.update(a.tobytes())
+    h.update(repr((truth.tau_star, truth.seed)).encode())
+    return h.hexdigest()
+
+
+PINNED_COVARIANCE = (np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.5]]), None,
+                     np.diag([1.0, 3.0, 0.25]))
+
+# (covariance, adversary, gamma_star) -> (generate_mlrc digest, inject_corruptions
+# digest). Recorded before generation was restructured; they pin every RNG
+# draw and its order. gamma_star 0.01 corrupts nothing at n = 97.
+PINNED_DIGESTS = {
+    (False, "none", 0.0): ("cd59958b61d733467dda72955c5eec764763a0a6fd647ed5edf51f1ce125630c",
+                           "cd59958b61d733467dda72955c5eec764763a0a6fd647ed5edf51f1ce125630c"),
+    (False, "oblivious-random", 0.3): (
+        "492651703c39c198b25a356b469c3dfa79a01fca3c2bb7b6038bc091873b6771",
+        "be159a04266c640bc98497fc1acc7af0e897a2a1c34f7f5e7d45bdf92b2082c8"),
+    (False, "residual-targeted", 0.3): (
+        "ba244196556d753fae1aa3df7849adedf7cb13abe57971469ae7a9d00cbba3d5",
+        "7f0d4d133da9a4195650fe081ac6f15ccf901817d81de736b81dc1f5c6474683"),
+    (False, "component-targeted", 0.3): (
+        "0388a49d9a9a2e7a62744d9884201e99992e837d1bd1a38193d47b27bcf77755",
+        "f070ce5a69193f3beb55c3a18005a132141685ee320bae7ba6c5969f6523d5e6"),
+    (False, "oblivious-random", 0.01): (
+        "cd59958b61d733467dda72955c5eec764763a0a6fd647ed5edf51f1ce125630c",
+        "cd59958b61d733467dda72955c5eec764763a0a6fd647ed5edf51f1ce125630c"),
+    (True, "none", 0.0): ("53fadf2e301911ceb9a2ea063cb597b2b20972a96261950b5c85c4232cfae22f",
+                          "53fadf2e301911ceb9a2ea063cb597b2b20972a96261950b5c85c4232cfae22f"),
+    (True, "oblivious-random", 0.3): (
+        "67772260216f0502936607151a54162b21c371074d64bc427b99d6bb18368948",
+        "a4ee76d864f918c4e85d147b2193f2246cfa5bcea74def11c23390e6a21aa71b"),
+    (True, "residual-targeted", 0.3): (
+        "1affbf681dc77ed352a05fdf6a7b5054f7e01b81cbfa8c1ec93d2c2fbc45e135",
+        "7365c171ba59348bbb3044b3a5ef06982552e99303a622a1b7e80a03ba21bf5a"),
+    (True, "component-targeted", 0.3): (
+        "aa72dbf2dd2d54c87a237c290027abeb034a20605ccb76ffda85d15966c09748",
+        "ee8ee1d14d90fb1ba2143e7eb29d161ab385ea30293f0de234009aedc780768b"),
+    (True, "oblivious-random", 0.01): (
+        "53fadf2e301911ceb9a2ea063cb597b2b20972a96261950b5c85c4232cfae22f",
+        "53fadf2e301911ceb9a2ea063cb597b2b20972a96261950b5c85c4232cfae22f"),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_generation_matches_pinned_digests(key):
+    with_cov, adversary, gamma = key
+    spec = MixtureSpec(d=3, m=3, components=[[1.0, -2.0, 0.5], [0.0, 1.0, 3.0],
+                                             [-1.5, 0.0, 1.0]],
+                       weights=[0.5, 0.3, 0.2],
+                       covariance=PINNED_COVARIANCE if with_cov else None)
+    corr = CorruptionSpec(gamma_star=gamma, adversary=adversary, magnitude=2.0)
+    clean = generate_mlrc(spec, CorruptionSpec(), n=97, seed=5)
+    digests = (instance_digest(*generate_mlrc(spec, corr, n=97, seed=5)),
+               instance_digest(*inject_corruptions(*clean, corr, seed=11)))
+    assert digests == PINNED_DIGESTS[key]
