@@ -24,10 +24,8 @@ from . import pipeline as pipe
 from .gd import SCHEDULES, DivergenceError, GdConfig, gd_ilts_run
 from .ilts import (RANK_POLICIES, IltsConfig, RankDeficientError, ilts_run,
                    trace_summary, write_trace_csv)
-from .schemas import (DIAGNOSE_REPORT_SCHEMA, EXPERIMENT_CONFIG_SCHEMA,
-                      GENERATE_CONFIG_SCHEMA, RECOVERY_REPORT_SCHEMA,
-                      SUBSPACE_FILE_SCHEMA, SUMMARY_SCHEMA, TRUTH_SCHEMA,
-                      validate_document)
+from .schemas import (EXPERIMENT_CONFIG_SCHEMA, GENERATE_CONFIG_SCHEMA,
+                      SUBSPACE_FILE_SCHEMA, validate_document)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -35,9 +33,15 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PARTIAL = 3
 
 
-def _load_json(path: str) -> dict:
+def _load_document(path: str, schema: dict) -> dict:
+    """A JSON input file, validated against schema; every error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    validate_document(doc, schema, path)
+    return doc
 
 
 def _generate_instance(doc: dict, seed: int):
@@ -92,10 +96,8 @@ def _load_inputs(dataset_path: str, truth_path: str | None):
     return dataset, truth
 
 
-def _write_document(doc: dict, schema: dict, path: str | None) -> None:
-    """Validate an output document and write it as indented JSON, to stdout
-    when path is None."""
-    validate_document(doc, schema, path or "<stdout>")
+def _write_document(doc: dict, path: str | None) -> None:
+    """Write a document as indented JSON, to stdout when path is None."""
     text = json.dumps(doc, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -104,31 +106,37 @@ def _write_document(doc: dict, schema: dict, path: str | None) -> None:
         fh.write(text)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.replace(",", " ").split()]
+def _parse_floats(text: str, source: str) -> list[float]:
+    """Numbers separated by commas or whitespace; errors name the source."""
+    try:
+        return [float(p) for p in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _checked_theta0(values, d: int) -> np.ndarray:
+    theta0 = np.asarray(values, dtype=float)
+    if theta0.shape != (d,):
+        raise ValueError(f"theta0 has {theta0.size} entries, expected d = {d}")
+    return theta0
 
 
 def _theta0_from_args(args, d: int) -> np.ndarray:
     if args.theta0 is not None and args.theta0_file is not None:
         raise ValueError("give only one of --theta0 and --theta0-file")
     if args.theta0 is not None:
-        values = _parse_floats(args.theta0)
-    elif args.theta0_file is not None:
+        return _checked_theta0(_parse_floats(args.theta0, "--theta0"), d)
+    if args.theta0_file is not None:
         with open(args.theta0_file, "r", encoding="ascii") as fh:
-            values = _parse_floats(fh.read())
-    else:
-        values = [0.0] * d
-    if len(values) != d:
-        raise ValueError(f"theta0 has {len(values)} entries, expected d = {d}")
-    return np.asarray(values, dtype=float)
+            return _checked_theta0(_parse_floats(fh.read(), args.theta0_file), d)
+    return np.zeros(d)
 
 
 # ---------------------------------------------------------------------------
 # generate
 
 def cmd_generate(args) -> int:
-    doc = _load_json(args.config)
-    validate_document(doc, GENERATE_CONFIG_SCHEMA, args.config)
+    doc = _load_document(args.config, GENERATE_CONFIG_SCHEMA)
     dataset, truth = _generate_instance(doc, doc["model"]["seed"])
     out_dir = args.output_dir or doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -136,8 +144,6 @@ def cmd_generate(args) -> int:
     base = os.path.join(out_dir, doc["name"])
     data_path = base + ".csv"
     truth_path = base + ".truth.json"
-    truth_doc = model_mod.truth_to_dict(truth)
-    validate_document(truth_doc, TRUTH_SCHEMA, truth_path)
     model_mod.save_dataset(dataset, data_path)
     model_mod.save_truth(truth, truth_path)
 
@@ -159,7 +165,7 @@ def cmd_fit(args) -> int:
     trace = _run_solver(dataset, theta0, config, truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
-    _write_document(trace_summary(trace, config), SUMMARY_SCHEMA, prefix + ".summary.json")
+    _write_document(trace_summary(trace, config), prefix + ".summary.json")
     write_trace_csv(trace, prefix + ".trace.csv")
 
     print(f"trace:   {prefix}.trace.csv")
@@ -172,15 +178,14 @@ def cmd_fit(args) -> int:
 # global
 
 def _load_subspace(path: str) -> pipe.SubspaceEstimate:
-    doc = _load_json(path)
-    validate_document(doc, SUBSPACE_FILE_SCHEMA, path)
+    doc = _load_document(path, SUBSPACE_FILE_SCHEMA)
     basis = np.column_stack([np.asarray(c, dtype=float) for c in doc["basis"]])
     return pipe.SubspaceEstimate(basis=basis, provenance="external")
 
 
 def cmd_global(args) -> int:
     dataset, truth = _load_inputs(args.dataset, args.truth)
-    taus = _parse_floats(args.tau)
+    taus = _parse_floats(args.tau, "--tau")
     if len(taus) == 1:
         taus = taus * args.m
     subspace = _load_subspace(args.subspace) if args.subspace else None
@@ -195,8 +200,7 @@ def cmd_global(args) -> int:
     report = pipe.global_ilts(dataset, config, subspace=subspace, truth=truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
-    _write_document(pipe.report_to_dict(report), RECOVERY_REPORT_SCHEMA,
-                    prefix + ".report.json")
+    _write_document(pipe.report_to_dict(report), prefix + ".report.json")
     pipe.write_candidate_csv(report, prefix + ".candidates.csv")
 
     print(f"report:     {prefix}.report.json")
@@ -235,14 +239,14 @@ def cmd_diagnose(args) -> int:
         counts = [int(np.count_nonzero(truth.partition == j)) for j in range(truth.m)]
         tau = [args.tau_fraction * c / dataset.n for c in counts]
         entries = []
-        for delta in _parse_floats(args.delta_grid):
+        for delta in _parse_floats(args.delta_grid, "--delta-grid"):
             est = diag.affine_error_estimate(
                 dataset.X, truth.partition, tau, args.component, delta,
                 args.directions, args.seed)
             entries.append(est.to_dict())
         doc["affine_error"] = entries
 
-    _write_document(doc, DIAGNOSE_REPORT_SCHEMA, args.out)
+    _write_document(doc, args.out)
     if args.out:
         print(f"report: {args.out}")
     return EXIT_OK
@@ -251,36 +255,25 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
-def _experiment_instance(doc: dict, repeat: int):
-    """Dataset, truth and repeat seed for one repeat of an experiment."""
-    if "model" in doc:
+def _run_repeat(doc: dict, repeat: int, inputs) -> dict:
+    """One row of an experiment. inputs is the loaded (dataset, truth) in
+    dataset mode and None in model mode, where each repeat generates its own
+    instance."""
+    solver = doc["solver"]
+    if inputs is None:
         seed = doc["model"]["seed"] + repeat
         dataset, truth = _generate_instance(doc, seed)
     else:
-        dataset, truth = _load_inputs(doc["dataset"], doc.get("truth"))
-        seed = doc["solver"].get("seed", 0) + repeat
-    return dataset, truth, seed
-
-
-def _solver_theta0(solver: dict, d: int, seed: int) -> np.ndarray:
-    theta0 = solver.get("theta0", "random")
-    if isinstance(theta0, str):
-        return np.random.default_rng(seed).standard_normal(d)
-    values = np.asarray(theta0, dtype=float)
-    if values.shape != (d,):
-        raise ValueError(f"theta0 has shape {values.shape}, expected ({d},)")
-    return values
-
-
-def _run_repeat(doc: dict, repeat: int) -> dict:
-    dataset, truth, seed = _experiment_instance(doc, repeat)
-    solver = doc["solver"]
+        dataset, truth = inputs
+        seed = solver.get("seed", 0) + repeat
     kind = solver["kind"]
     row: dict = {"repeat": repeat, "seed": seed}
     config = _build_config(kind, dict(solver, seed=seed))
 
     if kind in ("ilts", "gd-ilts"):
-        theta0 = _solver_theta0(solver, dataset.d, seed)
+        theta0 = solver.get("theta0", "random")
+        theta0 = (np.random.default_rng(seed).standard_normal(dataset.d)
+                  if theta0 == "random" else _checked_theta0(theta0, dataset.d))
         trace = _run_solver(dataset, theta0, config, truth)
         row["converged"] = int(trace.converged)
         row["rounds_used"] = trace.rounds_used
@@ -327,17 +320,17 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
 
 
 def cmd_experiment(args) -> int:
-    doc = _load_json(args.config)
-    validate_document(doc, EXPERIMENT_CONFIG_SCHEMA, args.config)
+    doc = _load_document(args.config, EXPERIMENT_CONFIG_SCHEMA)
     if ("model" in doc) == ("dataset" in doc):
         raise ValueError("config must carry exactly one of 'model' and 'dataset'")
+    inputs = None if "model" in doc else _load_inputs(doc["dataset"], doc.get("truth"))
     os.makedirs(doc["output_dir"], exist_ok=True)
     repeats = doc["repeats"]
 
     rows: list[dict] = []
     for r in range(repeats):
         try:
-            rows.append(_run_repeat(doc, r))
+            rows.append(_run_repeat(doc, r, inputs))
         except Exception as exc:  # recorded per repeat, not fatal here
             rows.append({"repeat": r, "seed": "", "error": str(exc)})
 
@@ -452,8 +445,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError,
-            RankDeficientError, DivergenceError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RankDeficientError, DivergenceError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

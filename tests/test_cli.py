@@ -6,6 +6,7 @@ Commands run in-process through main(argv), which returns the exit code.
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from trimfit import pipeline
+from trimfit import model, pipeline
 from trimfit.cli import main
 from trimfit.gd import GdConfig
 from trimfit.ilts import IltsConfig, ilts_run
@@ -340,3 +341,113 @@ def test_fit_on_header_only_csv_names_the_file(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["fit", str(path), "--tau", "0.5"]) == 1
     assert f"{path}: no data rows" in capsys.readouterr().err
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_every_output_file_is_pinned(tmp_path):
+    data, truth = generate(tmp_path)
+    # The sidecar records the installed numpy version; blank it so the pin
+    # holds under any numpy.
+    truth_bytes = re.sub(rb'"generator_version": "[^"]*"', b'"generator_version": ""',
+                         (tmp_path / "inst.truth.json").read_bytes())
+    digests = {"truth.json": hashlib.sha256(truth_bytes).hexdigest(), "csv": _sha256(data)}
+    theta0 = ["--tau", "0.4", "--theta0", "0.6,0,0"]
+    runs = {
+        "fit": (["fit", data, *theta0, "--truth", truth], 0),
+        "gd": (["fit", data, *theta0, "--gd", "--m-steps", "50", "--truth", truth], 0),
+        "fit-no-truth": (["fit", data, *theta0], 0),
+        "global": (["global", data, "--m", "2", "--tau", "0.35", "--budget", "400",
+                    "--seed", "5", "--truth", truth], 0),
+        "partial": (["global", data, "--m", "2", "--tau", "0.9", "--budget", "3",
+                     "--seed", "5"], 3),
+    }
+    for name, (argv, code) in runs.items():
+        prefix = tmp_path / name
+        assert main(argv + ["--out-prefix", str(prefix)]) == code
+        suffixes = ("report.json", "candidates.csv") if argv[0] == "global" else (
+            "summary.json", "trace.csv")
+        for suffix in suffixes:
+            digests[f"{name}.{suffix}"] = _sha256(f"{prefix}.{suffix}")
+    assert main(["diagnose", data, "--truth", truth, "--q-separation", "--regularity", "60",
+                 "--trials", "40", "--affine-error", "--delta-grid", "0.1,0.2",
+                 "--directions", "50", "--seed", "3", "--out", str(tmp_path / "diag.json")]) == 0
+    digests["diag.json"] = _sha256(tmp_path / "diag.json")
+    # Recorded when every JSON document was also checked against a JSON schema
+    # before it was written.
+    assert digests == {
+        "truth.json": "147ac25b3ddb567c3173886f6d7da8ed7bfd0d4b8c2ef150ee6267bd626a4348",
+        "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
+        "fit.summary.json": "111ae0b1d3c918a0224b5786b940bf2994d4aa4f6ff6eefe3ccb149ae07d2a1e",
+        "fit.trace.csv": "32d79a95a99b1f11c5590374f202b055c244af65724aaea2b7b372682050209b",
+        "gd.summary.json": "bab98ad4975666fb65495545b337088d7bdfdc846207c6d09e89b3e3009d20f2",
+        "gd.trace.csv": "403596cc75606c7f273b302eb2cccd0fc90356428aca3ad72747b4dc206fc3bb",
+        "fit-no-truth.summary.json":
+            "f5837040ef1c2c0206d71cc81d0e8c8ee59a646fe2536690420357f1b6e9ffa5",
+        "fit-no-truth.trace.csv":
+            "895c18fef8e4556027a82384a2f1caffad512c208a49c5c07fbd5becc95716ee",
+        "global.report.json": "b312c93efa7251792b2ccd7386e8de55d8f109c637b38b69f8e7d925d5668787",
+        "global.candidates.csv":
+            "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce",
+        "partial.report.json": "71a3c1b9481ff9686cf2084494e030a74e8097a2c272e4c53fe25be8a9fd61fa",
+        "partial.candidates.csv":
+            "5c0fb1b6c7a1a8f45ded529972bbff8382fca9e1b9ae50775da3ec63562cd786",
+        "diag.json": "7b8884d1c97f7958ef2194c0d46fc8c75f03fbbd00bedcbe4a579b448284dd62",
+    }
+
+
+def test_dataset_experiment_loads_its_inputs_once(tmp_path, monkeypatch):
+    data, truth = generate(tmp_path)
+    calls = {"load_dataset": 0, "load_truth": 0}
+    for name in calls:
+        real = getattr(model, name)
+
+        def counted(path, name=name, real=real):
+            calls[name] += 1
+            return real(path)
+        monkeypatch.setattr(model, name, counted)
+    exp = {"version": 1, "name": "exp", "dataset": data, "truth": truth,
+           "solver": {"kind": "ilts", "tau": 0.4, "seed": 7},
+           "diagnostics": ["q_separation", "gamma_star"],
+           "repeats": 5, "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
+    assert calls == {"load_dataset": 1, "load_truth": 1}
+    # Recorded when every repeat loaded the inputs again.
+    assert _sha256(tmp_path / "out" / "exp.rows.csv") == (
+        "3f7dfe741e21fe0756d959c9ea4255ddc3f4c93c28392cac8e863bd552b61ed2")
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment", "global"])
+def test_truncated_json_input_names_the_file(tmp_path, capsys, command):
+    data, _ = generate(tmp_path)
+    capsys.readouterr()
+    path = tmp_path / "truncated.json"
+    path.write_text('{"version": 1,\n "name":\n')
+    argv = {"generate": ["generate", "--config", str(path)],
+            "experiment": ["experiment", "--config", str(path)],
+            "global": ["global", data, "--m", "2", "--tau", "0.35", "--budget", "5",
+                       "--seed", "0", "--subspace", str(path),
+                       "--out-prefix", str(tmp_path / "glob")]}[command]
+    assert main(argv) == 1
+    assert f"{path}: not a JSON document" in capsys.readouterr().err
+
+
+def test_fit_theta0_file_with_a_non_number_names_the_file(tmp_path, capsys):
+    data, _ = generate(tmp_path)
+    path = tmp_path / "theta0.txt"
+    path.write_text("0.6 abc 0\n")
+    assert main(["fit", data, "--tau", "0.4", "--theta0-file", str(path)]) == 1
+    assert f"{path}: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+
+def test_dataset_experiment_that_cannot_load_exits_once(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    exp = {"version": 1, "name": "exp", "dataset": missing,
+           "solver": {"kind": "ilts", "tau": 0.4}, "repeats": 3,
+           "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 1
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
