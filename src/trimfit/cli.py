@@ -61,21 +61,19 @@ def _build_config(kind: str, params: dict):
     ignored, so the dataclass defaults are the only defaults. For "global",
     max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol.
     """
+    classes = {"ilts": IltsConfig, "gd-ilts": GdConfig, "global": pipe.GlobalConfig}
+    if kind not in classes:
+        raise ValueError(f"unknown solver kind {kind!r}")
     given = {key: value for key, value in params.items() if value is not None}
-
-    def fields_of(cls) -> dict:
-        names = {field.name for field in dataclasses.fields(cls)}
-        return {key: value for key, value in given.items() if key in names}
-
-    if kind == "ilts":
-        return IltsConfig(**fields_of(IltsConfig))
-    if kind == "gd-ilts":
-        return GdConfig(**fields_of(GdConfig))
     if kind == "global":
         inner = {"max_rounds": "ilts_max_rounds", "tol": "ilts_tol"}
         given = {inner.get(key, key): value for key, value in given.items()}
-        return pipe.GlobalConfig(**fields_of(pipe.GlobalConfig))
-    raise ValueError(f"unknown solver kind {kind!r}")
+    fields = dataclasses.fields(classes[kind])
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in given]
+    if missing:
+        raise ValueError(f"{kind} solver needs {', '.join(missing)}")
+    return classes[kind](**{f.name: given[f.name] for f in fields if f.name in given})
 
 
 def _run_solver(dataset, theta0, config, truth):
@@ -255,25 +253,44 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
-def _run_repeat(doc: dict, repeat: int, inputs) -> dict:
+def _repeat_seed(doc: dict, repeat: int) -> int:
+    base = doc["model"]["seed"] if "model" in doc else doc["solver"].get("seed", 0)
+    return base + repeat
+
+
+def _experiment_solver(doc: dict, inputs):
+    """Solver config and starting point of an experiment, checked once before
+    the first repeat; theta0 is None for a random start per repeat."""
+    solver = doc["solver"]
+    config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)))
+    theta0 = solver.get("theta0", "random")
+    d = doc["model"]["d"] if inputs is None else inputs[0].d
+    theta0 = None if theta0 == "random" else _checked_theta0(theta0, d)
+    if inputs is not None and inputs[1] is None and doc.get("diagnostics"):
+        raise ValueError(f"{doc['diagnostics'][0]} diagnostic needs ground truth")
+    return config, theta0
+
+
+def _run_repeat(doc: dict, repeat: int, inputs, config, theta0) -> dict:
     """One row of an experiment. inputs is the loaded (dataset, truth) in
     dataset mode and None in model mode, where each repeat generates its own
-    instance."""
-    solver = doc["solver"]
-    if inputs is None:
-        seed = doc["model"]["seed"] + repeat
-        dataset, truth = _generate_instance(doc, seed)
-    else:
-        dataset, truth = inputs
-        seed = solver.get("seed", 0) + repeat
-    kind = solver["kind"]
+    instance; config and theta0 come from _experiment_solver."""
+    seed = _repeat_seed(doc, repeat)
+    dataset, truth = _generate_instance(doc, seed) if inputs is None else inputs
     row: dict = {"repeat": repeat, "seed": seed}
-    config = _build_config(kind, dict(solver, seed=seed))
 
-    if kind in ("ilts", "gd-ilts"):
-        theta0 = solver.get("theta0", "random")
-        theta0 = (np.random.default_rng(seed).standard_normal(dataset.d)
-                  if theta0 == "random" else _checked_theta0(theta0, dataset.d))
+    if isinstance(config, pipe.GlobalConfig):
+        report = pipe.global_ilts(dataset, dataclasses.replace(config, seed=seed),
+                                  truth=truth)
+        row["partial"] = int(report.partial)
+        row["recovered"] = sum(report.recovered)
+        row["candidates_total"] = sum(report.candidates_tried)
+        eps = report.epsilon_recovery
+        row["epsilon_recovery"] = (float(eps) if eps is not None
+                                   and math.isfinite(eps) else "")
+    else:
+        if theta0 is None:
+            theta0 = np.random.default_rng(seed).standard_normal(dataset.d)
         trace = _run_solver(dataset, theta0, config, truth)
         row["converged"] = int(trace.converged)
         row["rounds_used"] = trace.rounds_used
@@ -281,18 +298,8 @@ def _run_repeat(doc: dict, repeat: int, inputs) -> dict:
         row["final_trimmed_loss"] = float(trace.trimmed_losses[-1])
         row["final_dist"] = (float(trace.dist_to_nearest[-1])
                              if trace.dist_to_nearest is not None else "")
-    else:  # "global"; _build_config rejected any other kind
-        report = pipe.global_ilts(dataset, config, truth=truth)
-        row["partial"] = int(report.partial)
-        row["recovered"] = sum(report.recovered)
-        row["candidates_total"] = sum(report.candidates_tried)
-        eps = report.epsilon_recovery
-        row["epsilon_recovery"] = (float(eps) if eps is not None
-                                   and math.isfinite(eps) else "")
 
     for quantity in doc.get("diagnostics", []):
-        if truth is None:
-            raise ValueError(f"{quantity} diagnostic needs ground truth")
         if quantity == "q_separation":
             row["q_separation"] = diag.q_separation(truth.theta_star)[0]
         else:  # gamma_star, the only other quantity the schema admits
@@ -324,13 +331,14 @@ def cmd_experiment(args) -> int:
     if ("model" in doc) == ("dataset" in doc):
         raise ValueError("config must carry exactly one of 'model' and 'dataset'")
     inputs = None if "model" in doc else _load_inputs(doc["dataset"], doc.get("truth"))
+    config, theta0 = _experiment_solver(doc, inputs)
     os.makedirs(doc["output_dir"], exist_ok=True)
     repeats = doc["repeats"]
 
     rows: list[dict] = []
     for r in range(repeats):
         try:
-            rows.append(_run_repeat(doc, r, inputs))
+            rows.append(_run_repeat(doc, r, inputs, config, theta0))
         except Exception as exc:  # recorded per repeat, not fatal here
             rows.append({"repeat": r, "seed": "", "error": str(exc)})
 
@@ -345,13 +353,13 @@ def cmd_experiment(args) -> int:
     base = os.path.join(doc["output_dir"], doc["name"])
     rows_path = base + ".rows.csv"
     with open(rows_path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, restval="")
+        writer = csv.DictWriter(fh, fieldnames=columns, restval="", lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
     agg_path = base + ".aggregate.csv"
     with open(agg_path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["metric", "median", "iqr", "count"])
+        writer = csv.DictWriter(fh, ["metric", "median", "iqr", "count"], lineterminator="\n")
         writer.writeheader()
         writer.writerows(_aggregate_rows(rows))
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ilts import IltsConfig, RankDeficientError, ilts_run
 from .model import Dataset, GroundTruth
@@ -244,9 +243,20 @@ def _distance_matrix(theta_hat: np.ndarray, theta_star: np.ndarray) -> np.ndarra
 
 
 def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    blocked = (~allowed).astype(float)
-    rows, cols = linear_sum_assignment(blocked)
-    return not blocked[rows, cols].any()
+    """Whether a square boolean matrix has a perfect matching: each column takes
+    an allowed row that is free or whose column can re-match elsewhere (Kuhn 1955)."""
+    owner: dict = {}  # row -> the column matched to it
+
+    def augment(col: int, seen: set) -> bool:
+        for row in np.flatnonzero(allowed[:, col]):
+            if row not in seen:
+                seen.add(row)
+                if row not in owner or augment(owner[row], seen):
+                    owner[row] = col
+                    return True
+        return False
+
+    return all(augment(col, set()) for col in range(allowed.shape[1]))
 
 
 def _bottleneck_matching(dist: np.ndarray):

@@ -6,11 +6,13 @@ Commands run in-process through main(argv), which returns the exit code.
 import csv
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +259,15 @@ def test_console_script_installed():
     assert "generate" in proc.stdout
 
 
+def test_importing_trimfit_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, trimfit, trimfit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout == "[]\n"
+
+
 def generate_variant(tmp_path, name, **model):
     doc = json.loads(json.dumps(GEN_CONFIG))
     doc["name"] = name
@@ -415,9 +426,10 @@ def test_dataset_experiment_loads_its_inputs_once(tmp_path, monkeypatch):
            "repeats": 5, "output_dir": str(tmp_path / "out")}
     assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
     assert calls == {"load_dataset": 1, "load_truth": 1}
-    # Recorded when every repeat loaded the inputs again.
+    # Recorded when every repeat loaded the inputs again, with the CRLF line
+    # ends of that time turned into LF.
     assert _sha256(tmp_path / "out" / "exp.rows.csv") == (
-        "3f7dfe741e21fe0756d959c9ea4255ddc3f4c93c28392cac8e863bd552b61ed2")
+        "73bd6f3ae75ceb795c2c3161fbf31212f84014d8f5375be9ed9e194319c36f94")
 
 
 @pytest.mark.parametrize("command", ["generate", "experiment", "global"])
@@ -451,3 +463,50 @@ def test_dataset_experiment_that_cannot_load_exits_once(tmp_path, capsys):
     assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 1
     assert missing in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"kind": "ilts", "tau": 0.4, "theta0": [1.0, 2.0]}, "theta0 has 2 entries, expected d = 3"),
+    ({"kind": "gd-ilts", "tau": 0.0}, "tau must lie in (0, 1]"),
+    ({"kind": "ilts"}, "ilts solver needs tau"),
+], ids=["theta0-length", "tau-zero", "tau-missing"])
+def test_experiment_config_error_fails_once(tmp_path, capsys, solver, message):
+    exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"], "solver": solver,
+           "repeats": 3, "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_experiment_diagnostic_without_truth_fails_once(tmp_path, capsys):
+    data, _ = generate(tmp_path)
+    exp = {"version": 1, "name": "exp", "dataset": data,
+           "solver": {"kind": "ilts", "tau": 0.4}, "diagnostics": ["gamma_star"],
+           "repeats": 3, "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 1
+    assert "error: gamma_star diagnostic needs ground truth" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_solver_failure_is_an_error_row_per_repeat(tmp_path):
+    # x2 is zero on every row, so every trimmed refit is rank deficient.
+    data = tmp_path / "flat.csv"
+    data.write_text("y,x1,x2\n" + "".join(f"{i},{i},0\n" for i in range(1, 11)))
+    exp = {"version": 1, "name": "exp", "dataset": str(data),
+           "solver": {"kind": "ilts", "tau": 0.5}, "repeats": 2,
+           "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 1
+    with open(tmp_path / "out" / "exp.rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["repeat"] for row in rows] == ["0", "1"]
+    assert all(row["seed"] == "" and "rank" in row["error"] for row in rows)
+
+
+def test_experiment_csvs_end_lines_in_lf(tmp_path):
+    exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"],
+           "solver": {"kind": "ilts", "tau": 0.4}, "repeats": 2,
+           "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
+    for name in ("exp.rows.csv", "exp.aggregate.csv"):
+        assert b"\r" not in (tmp_path / "out" / name).read_bytes()

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.pipeline import (GlobalConfig, SubspaceEstimate, _bottleneck_matching,
-                              accept_component, default_radius, epsilon_recovery,
-                              estimate_subspace, generate_candidates, global_ilts,
-                              report_to_dict, subspace_distance)
+                              _has_perfect_matching, accept_component, default_radius,
+                              epsilon_recovery, estimate_subspace, generate_candidates,
+                              global_ilts, report_to_dict, subspace_distance)
 
 
 def basis_at_angle(alpha):
@@ -163,6 +164,28 @@ def test_bottleneck_matching_agrees_with_exhaustive():
         value, perm = _bottleneck_matching(dist)
         assert (value, list(perm)) == exhaustive_matching(dist)
     assert list(_bottleneck_matching(np.full((4, 4), np.inf))[1]) == [0, 1, 2, 3]
+
+
+def lsap_has_perfect_matching(allowed):
+    """Oracle: a perfect matching exists exactly when the optimal assignment
+    on the 0/1 cost of blocked entries costs nothing."""
+    blocked = (~allowed).astype(float)
+    rows, cols = linear_sum_assignment(blocked)
+    return not blocked[rows, cols].any()
+
+
+def test_perfect_matching_agrees_with_assignment_solver():
+    cases = [np.zeros((0, 0), dtype=bool)]
+    for m in range(1, 4):
+        cases += [np.array(bits).reshape(m, m)
+                  for bits in itertools.product([False, True], repeat=m * m)]
+    rng = np.random.default_rng(45)
+    for _ in range(500):
+        m = int(rng.integers(1, 31))
+        cases += [rng.random((m, m)) < density for density in (0.1, 0.3, 0.6, 0.9)]
+    outcomes = [_has_perfect_matching(allowed) for allowed in cases]
+    assert outcomes == [lsap_has_perfect_matching(allowed) for allowed in cases]
+    assert outcomes[0] and 0 < sum(outcomes) < len(cases)
 
 
 def test_epsilon_recovery_large_m_uses_matching():
