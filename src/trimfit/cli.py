@@ -23,7 +23,7 @@ from . import model as model_mod
 from . import pipeline as pipe
 from .gd import SCHEDULES, DivergenceError, GdConfig, gd_ilts_run
 from .ilts import (RANK_POLICIES, IltsConfig, RankDeficientError, ilts_run,
-                   trace_summary, write_trace_csv)
+                   selection_size, trace_summary, write_trace_csv)
 from .schemas import (EXPERIMENT_CONFIG_SCHEMA, GENERATE_CONFIG_SCHEMA,
                       SUBSPACE_FILE_SCHEMA, validate_document)
 
@@ -263,8 +263,10 @@ def _experiment_solver(doc: dict, inputs):
     the first repeat; theta0 is None for a random start per repeat."""
     solver = doc["solver"]
     config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)))
+    n, d = (doc["model"]["n"], doc["model"]["d"]) if inputs is None else inputs[0].X.shape
+    if isinstance(config, IltsConfig):
+        selection_size(config, n, d)
     theta0 = solver.get("theta0", "random")
-    d = doc["model"]["d"] if inputs is None else inputs[0].d
     theta0 = None if theta0 == "random" else _checked_theta0(theta0, d)
     if inputs is not None and inputs[1] is None and doc.get("diagnostics"):
         raise ValueError(f"{doc['diagnostics'][0]} diagnostic needs ground truth")

@@ -178,13 +178,19 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
     )
 
 
+def selection_size(config: IltsConfig, n: int, d: int) -> int:
+    """floor(tau * n), rejected in [1, d) under rank_policy='fail' as rank deficient."""
+    k = floor_count(config.tau * n)
+    if config.rank_policy == "fail" and 1 <= k < d:
+        raise ValueError(
+            f"floor(tau * n) = {k} < d = {d} cannot be solved under rank_policy='fail'")
+    return k
+
+
 def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
              truth: GroundTruth | None = None) -> SolverTrace:
     """Run the trimmed alternation from theta0 with exact least-squares refits."""
-    k = floor_count(config.tau * dataset.n)
-    if config.rank_policy == "fail" and 1 <= k < dataset.d:
-        raise ValueError(
-            f"floor(tau * n) = {k} < d = {dataset.d} cannot be solved under rank_policy='fail'")
+    k = selection_size(config, dataset.n, dataset.d)
 
     def refit(theta, subset):
         return least_squares(dataset, subset, config.rank_policy)

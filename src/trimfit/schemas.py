@@ -8,8 +8,6 @@ them alone; README.md lists their fields.
 
 from __future__ import annotations
 
-import jsonschema
-
 from .gd import SCHEDULES
 from .ilts import RANK_POLICIES
 from .model import ADVERSARIES
@@ -118,10 +116,49 @@ EXPERIMENT_CONFIG_SCHEMA = {
 }
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": (int, float), "null": type(None)}
+
+
+def _first_error(value, schema: dict, path: tuple) -> tuple[str, tuple] | None:
+    """First way value breaks schema, as (message, path), or None. No type
+    admits a bool, and unlike JSON Schema an integral float such as 300.0 is
+    not an integer. A failed anyOf names a fault inside an option, if any."""
+    kind = schema.get("type")
+    if kind and (not isinstance(value, _TYPES[kind]) or isinstance(value, bool)):
+        return f"{value!r} is not of type {kind!r}", path
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{value!r} is not one of {schema['enum']!r}", path
+    if "const" in schema and value != schema["const"]:
+        return f"{schema['const']!r} was expected", path
+    errors = [_first_error(value, option, path) for option in schema.get("anyOf", ())]
+    if errors and all(errors):
+        deeper = [error for error in errors if len(error[1]) > len(path)]
+        return deeper[0] if deeper else (f"{value!r} matches none of its options", path)
+    if "minimum" in schema and value < schema["minimum"]:
+        return f"{value!r} is less than the minimum of {schema['minimum']!r}", path
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        return f"{value!r} is not greater than {schema['exclusiveMinimum']!r}", path
+    if "minLength" in schema and len(value) < schema["minLength"]:
+        return f"{value!r} is shorter than {schema['minLength']} characters", path
+    children = ()
+    if kind == "object":
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{key!r} is a required property", path
+        unknown = [key for key in value if key not in properties]
+        if unknown and schema.get("additionalProperties") is False:
+            return f"unexpected property {unknown[0]!r}", path
+        children = ((value[key], properties[key], key) for key in properties if key in value)
+    elif kind == "array":
+        children = ((item, schema.get("items", {}), i) for i, item in enumerate(value))
+    return next(filter(None, (_first_error(v, s, path + (k,)) for v, s, k in children)), None)
+
+
 def validate_document(doc: dict, schema: dict, label: str) -> None:
     """Validate doc against schema, raising ValueError naming the document."""
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValueError(f"{label}: {exc.message} (at {location})") from None
+    error = _first_error(doc, schema, ())
+    if error:
+        location = "/".join(str(p) for p in error[1]) or "<root>"
+        raise ValueError(f"{label}: {error[0]} (at {location})")

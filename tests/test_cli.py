@@ -259,10 +259,11 @@ def test_console_script_installed():
     assert "generate" in proc.stdout
 
 
-def test_importing_trimfit_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+def test_importing_trimfit_does_not_load(package):
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, trimfit, trimfit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout == "[]\n"
@@ -469,7 +470,8 @@ def test_dataset_experiment_that_cannot_load_exits_once(tmp_path, capsys):
     ({"kind": "ilts", "tau": 0.4, "theta0": [1.0, 2.0]}, "theta0 has 2 entries, expected d = 3"),
     ({"kind": "gd-ilts", "tau": 0.0}, "tau must lie in (0, 1]"),
     ({"kind": "ilts"}, "ilts solver needs tau"),
-], ids=["theta0-length", "tau-zero", "tau-missing"])
+    ({"kind": "ilts", "tau": 0.005}, "floor(tau * n) = 1 < d = 3"),
+], ids=["theta0-length", "tau-zero", "tau-missing", "tau-below-d"])
 def test_experiment_config_error_fails_once(tmp_path, capsys, solver, message):
     exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"], "solver": solver,
            "repeats": 3, "output_dir": str(tmp_path / "out")}
@@ -510,3 +512,27 @@ def test_experiment_csvs_end_lines_in_lf(tmp_path):
     assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
     for name in ("exp.rows.csv", "exp.aggregate.csv"):
         assert b"\r" not in (tmp_path / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, path, value", [
+    ("generate", ("model", "n"), 300.0),
+    ("generate", ("model", "seed"), 21.0),
+    ("experiment", ("repeats",), 2.0),
+    ("experiment", ("solver", "max_rounds"), 5.0),
+], ids=["generate-n", "generate-seed", "experiment-repeats", "experiment-max-rounds"])
+def test_integral_float_in_an_integer_field_fails_once(tmp_path, capsys, command, path, value):
+    out = tmp_path / "out"
+    doc = json.loads(json.dumps(
+        GEN_CONFIG if command == "generate" else
+        {"version": 1, "name": "exp", "model": GEN_CONFIG["model"],
+         "solver": {"kind": "ilts", "tau": 0.4}, "repeats": 2, "output_dir": str(out)}))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg = write_config(tmp_path, doc, "config.json")
+    argv = ["--config", cfg] + (["--output-dir", str(out)] if command == "generate" else [])
+    assert main([command] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and cfg in err and f"(at {'/'.join(path)})" in err
+    assert not out.exists()

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from trimfit.ilts import (IltsConfig, RankDeficientError, contraction_ratio,
+from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, contraction_ratio,
                           ilts_run, least_squares, select_trimmed_set,
                           tau_grid, trimmed_loss, write_trace_csv)
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
@@ -68,6 +68,39 @@ def test_least_squares_rank_policies():
     theta = least_squares(ds, np.arange(3), rank_policy="min-norm")
     # minimum-norm solution splits the unit slope across both columns
     assert np.allclose(theta, [0.5, 0.5], atol=1e-10)
+
+
+def test_refit_matches_pseudoinverse_on_rank_deficient_selections():
+    rng = np.random.default_rng(11)
+    outcomes = {"full": 0, "deficient": 0}
+    while min(outcomes.values()) < 100:
+        n, d = int(rng.integers(2, 10)), int(rng.integers(2, 6))
+        X = rng.standard_normal((n, d))
+        for j in range(1, d):  # exact, zero or scaled copies of earlier columns
+            kind, source = rng.integers(4), rng.integers(j)
+            if kind == 1:
+                X[:, j] = X[:, source]
+            elif kind == 2:
+                X[:, j] = 0.0
+            elif kind == 3:
+                X[:, j] = rng.choice([-2.0, 0.5, 3.0]) * X[:, source]
+        ds = Dataset(X=X, y=rng.standard_normal(n))
+        subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        X_S, y_S = X[subset], ds.y[subset]
+        s = np.linalg.svd(X_S, compute_uv=False)
+        if s[0] == 0 or np.any((s > 1e-13 * s[0]) & (s < 1e-6 * s[0])):
+            continue  # a borderline singular value: the rank is a matter of cutoff
+        rank = int(np.count_nonzero(s > RANK_RCOND * s[0]))
+        reference = np.linalg.pinv(X_S, rcond=RANK_RCOND) @ y_S
+        theta = least_squares(ds, subset, rank_policy="min-norm")
+        assert np.linalg.norm(theta - reference) <= 1e-9 * (1 + np.linalg.norm(reference))
+        if rank < d:
+            outcomes["deficient"] += 1
+            with pytest.raises(RankDeficientError):
+                least_squares(ds, subset, rank_policy="fail")
+        else:
+            outcomes["full"] += 1
+            assert np.array_equal(least_squares(ds, subset, rank_policy="fail"), theta)
 
 
 def one_dim_instance(n=120, seed=5, gamma=0.0):
