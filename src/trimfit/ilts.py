@@ -79,19 +79,35 @@ class SolverTrace:
         return self.iterates[-1]
 
 
+def _smallest_k(res2: np.ndarray, k: int) -> np.ndarray:
+    """Sorted indices of the k smallest entries: the first k of a stable argsort."""
+    kth = np.partition(res2, k - 1)[k - 1]
+    if np.isnan(kth):
+        # Sorting puts NaN last, but every comparison with NaN is false.
+        keep = ~np.isnan(res2)
+        tied = np.flatnonzero(~keep)
+    else:
+        keep = res2 < kth
+        tied = np.flatnonzero(res2 == kth)
+    keep[tied[:k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 def select_trimmed_set(dataset: Dataset, theta: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest squared residuals, ties toward smaller index.
 
-    Returned indices are sorted ascending.
+    Returned indices are sorted ascending. Selection is exact and O(n): a
+    partition finds the k-th smallest squared residual, every index below it
+    is kept and the indices tied with it fill up to k, smallest index first.
+    Residuals that overflow to inf rank above every finite one; NaN ranks
+    above inf. Both tie among themselves by index.
     """
     n = dataset.n
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
     theta = np.asarray(theta, dtype=float)
     check_finite(theta, "theta")
-    res2 = np.square(dataset.y - dataset.X @ theta)
-    order = np.argsort(res2, kind="stable")
-    return np.sort(order[:k])
+    return _smallest_k(np.square(dataset.y - dataset.X @ theta), k)
 
 
 def trimmed_loss(dataset: Dataset, theta: np.ndarray, subset: np.ndarray) -> float:

@@ -242,21 +242,30 @@ def _distance_matrix(theta_hat: np.ndarray, theta_star: np.ndarray) -> np.ndarra
     return np.where(np.isnan(dist), np.inf, dist)
 
 
+def _augment(allowed: np.ndarray, owner: list, col: int, seen: set) -> bool:
+    """Give col an allowed row outside seen that is free or whose column can
+    re-match elsewhere (Kuhn 1955). owner (row -> column, -1 when free) changes
+    only when the search succeeds."""
+    for row in np.flatnonzero(allowed[:, col]):
+        if row not in seen:
+            seen.add(row)
+            if owner[row] < 0 or _augment(allowed, owner, owner[row], seen):
+                owner[row] = col
+                return True
+    return False
+
+
+def _perfect_matching(allowed: np.ndarray) -> list | None:
+    """A perfect matching of a square boolean matrix as owner (row -> column), or None."""
+    owner = [-1] * allowed.shape[0]
+    if all(_augment(allowed, owner, col, set()) for col in range(allowed.shape[1])):
+        return owner
+    return None
+
+
 def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    """Whether a square boolean matrix has a perfect matching: each column takes
-    an allowed row that is free or whose column can re-match elsewhere (Kuhn 1955)."""
-    owner: dict = {}  # row -> the column matched to it
-
-    def augment(col: int, seen: set) -> bool:
-        for row in np.flatnonzero(allowed[:, col]):
-            if row not in seen:
-                seen.add(row)
-                if row not in owner or augment(owner[row], seen):
-                    owner[row] = col
-                    return True
-        return False
-
-    return all(augment(col, set()) for col in range(allowed.shape[1]))
+    """Whether a square boolean matrix has a perfect matching."""
+    return _perfect_matching(allowed) is not None
 
 
 def _bottleneck_matching(dist: np.ndarray):
@@ -265,6 +274,9 @@ def _bottleneck_matching(dist: np.ndarray):
     Threshold bisection over the distinct entries finds the bottleneck value.
     Truth columns are then matched in order, each to the smallest free
     estimate column that still leaves a perfect matching under that value.
+    One perfect matching is kept throughout: column b moves to a smaller row a
+    exactly when the column displaced from a can re-augment to b's old row
+    without a, so each candidate costs one search, not a fresh matching.
     """
     m = dist.shape[0]
     values = np.unique(dist)
@@ -276,16 +288,21 @@ def _bottleneck_matching(dist: np.ndarray):
         else:
             lo = mid + 1
     allowed = dist <= values[lo]
-    perm: list[int] = []
-    free = list(range(m))
+    owner = _perfect_matching(allowed)
     for b in range(m):
-        # A perfect matching under the bottleneck value survives every step,
-        # so some free column always qualifies.
-        a = next(a for a in free if allowed[a, b] and _has_perfect_matching(
-            allowed[np.ix_([x for x in free if x != a], range(b + 1, m))]))
-        perm.append(a)
-        free.remove(a)
-    return float(values[lo]), np.array(perm, dtype=int)
+        # The row b holds always qualifies. Rows fixed to earlier columns are
+        # blocked from b onward, so every allowed row below it is free.
+        held = owner.index(b)
+        for a in np.flatnonzero(allowed[:held, b]):
+            displaced = owner[a]
+            owner[a], owner[held] = b, -1
+            if _augment(allowed, owner, displaced, {a}):
+                break
+            owner[a], owner[held] = displaced, b
+        allowed[owner.index(b), b + 1:] = False
+    perm = np.empty(m, dtype=int)
+    perm[owner] = np.arange(m)
+    return float(values[lo]), perm
 
 
 def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):

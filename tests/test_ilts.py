@@ -1,13 +1,16 @@
 """Trimmed alternation solver tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, contraction_ratio,
-                          ilts_run, least_squares, select_trimmed_set,
-                          tau_grid, trimmed_loss, write_trace_csv)
+from trimfit import ilts
+from trimfit.gd import GdConfig, gd_ilts_run
+from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, SolverTrace,
+                          _smallest_k, contraction_ratio, ilts_run, least_squares,
+                          select_trimmed_set, tau_grid, trimmed_loss, write_trace_csv)
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 
 
@@ -38,6 +41,71 @@ def test_selection_rejects_bad_k():
         select_trimmed_set(ds, np.array([0.0]), 0)
     with pytest.raises(ValueError):
         select_trimmed_set(ds, np.array([0.0]), 4)
+
+
+def stable_argsort_select(res2, k):
+    """Reference selection: the first k of a stable argsort, in index order."""
+    order = np.argsort(res2, kind="stable")
+    return np.sort(order[:k])
+
+
+def assert_selects_like_argsort(sel, res2, k):
+    assert len(sel) == k
+    assert np.all(np.diff(sel) > 0)  # sorted, hence k distinct indices
+    assert np.array_equal(sel, stable_argsort_select(res2, k))
+
+
+def test_selection_matches_stable_argsort_on_tied_data():
+    instances = 0
+    for ds, theta, _ in tied_integer_instances(300, seed=63):
+        res2 = np.square(ds.y - ds.X @ theta)
+        for k in range(1, ds.n + 1):
+            assert_selects_like_argsort(select_trimmed_set(ds, theta, k), res2, k)
+        instances += 1
+    assert instances == 300
+
+
+def test_selection_matches_stable_argsort_at_extreme_magnitudes():
+    # Rows scaled near 1e+-300 make squared residuals overflow to inf or
+    # underflow to 0, so both values tie across many rows.
+    rng = np.random.default_rng(64)
+    overflowed = underflowed = 0
+    for _ in range(150):
+        n = int(rng.integers(5, 25))
+        d = int(rng.integers(1, 3))
+        scale = 10.0 ** rng.choice([-300, -170, 0, 160, 300, 307], size=n)
+        ds = Dataset(X=rng.integers(-2, 3, size=(n, d)) * scale[:, None],
+                     y=rng.integers(-2, 3, size=n) * scale)
+        theta = rng.integers(-2, 3, size=d).astype(float)
+        with np.errstate(over="ignore"):
+            res = ds.y - ds.X @ theta
+            res2 = np.square(res)
+            for k in range(1, n + 1):
+                assert_selects_like_argsort(select_trimmed_set(ds, theta, k), res2, k)
+        overflowed += np.count_nonzero(np.isinf(res2))
+        underflowed += np.count_nonzero((res != 0) & (res2 == 0))
+    assert overflowed >= 100 and underflowed >= 100
+
+
+def test_nan_residuals_rank_after_inf_and_tie_by_index():
+    rng = np.random.default_rng(65)
+    vectors = [np.full(7, np.nan), np.array([np.nan, 1.0, np.inf, np.nan, 0.0, 1.0])]
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        res2 = rng.integers(0, 3, size=n).astype(float)
+        res2[rng.random(n) < 0.15] = np.inf
+        res2[rng.random(n) < rng.random()] = np.nan
+        vectors.append(res2)
+    # where the first NaN sits relative to the k-th smallest position
+    nan_positions = set()
+    for res2 in vectors:
+        numbers = np.count_nonzero(~np.isnan(res2))
+        for k in range(1, len(res2) + 1):
+            assert_selects_like_argsort(_smallest_k(res2, k), res2, k)
+            if numbers < len(res2):
+                nan_positions.add("after" if k <= numbers else
+                                  "at" if k == numbers + 1 else "before")
+    assert nan_positions == {"before", "at", "after"}
 
 
 def test_least_squares_hand_example():
@@ -267,3 +335,53 @@ def test_same_set_stop_is_a_fixed_point():
         assert np.array_equal(theta, trace.final)
         assert np.array_equal(select_trimmed_set(ds, theta, k), sets[-1])
     assert stops >= 100
+
+
+def argsort_select_trimmed_set(dataset, theta, k):
+    return stable_argsort_select(np.square(dataset.y - dataset.X @ theta), k)
+
+
+def same_bytes(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_bytes(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+def boundary_ties(ds, trace):
+    """Iterates whose k-th and (k+1)-th smallest squared residuals tie."""
+    ties = 0
+    for theta, subset in zip(trace.iterates, trace.selected_sets):
+        res2 = np.sort(np.square(ds.y - ds.X @ theta))
+        k = len(subset)
+        ties += k < ds.n and res2[k - 1] == res2[k]
+    return ties
+
+
+def test_whole_traces_match_stable_argsort_selection(monkeypatch):
+    rng = np.random.default_rng(2)
+    tied = Dataset(X=rng.integers(-2, 3, size=(40, 2)).astype(float),
+                   y=rng.integers(-3, 4, size=40).astype(float))
+    tied_theta0 = rng.integers(-2, 3, size=2).astype(float)
+    spec = MixtureSpec(d=3, m=2, components=[[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]],
+                       weights=[0.5, 0.5])
+    mixed, truth = generate_mlrc(spec, CorruptionSpec(0.1, "oblivious-random", 2.0),
+                                 n=400, seed=9)
+    runs = [
+        (ilts_run, tied, tied_theta0, IltsConfig(tau=0.5, rank_policy="min-norm"), None),
+        (gd_ilts_run, tied, tied_theta0, GdConfig(tau=0.5, m_steps=5, max_rounds=10), None),
+        (ilts_run, mixed, np.array([0.6, 0.2, 0.2]), IltsConfig(tau=0.4), truth),
+        (gd_ilts_run, mixed, np.array([0.6, 0.2, 0.2]),
+         GdConfig(tau=0.4, m_steps=20, max_rounds=20), truth),
+    ]
+    for run, ds, theta0, cfg, tr in runs:
+        trace = run(ds, theta0, cfg, truth=tr)
+        with monkeypatch.context() as patch:
+            patch.setattr(ilts, "select_trimmed_set", argsort_select_trimmed_set)
+            reference = run(ds, theta0, cfg, truth=tr)
+        assert trace.rounds_used >= 2
+        assert ds is mixed or boundary_ties(ds, trace) >= 1  # ties decide the selection
+        for field in dataclasses.fields(SolverTrace):
+            assert same_bytes(getattr(trace, field.name), getattr(reference, field.name)), \
+                (run.__name__, field.name)

@@ -166,6 +166,35 @@ def test_bottleneck_matching_agrees_with_exhaustive():
     assert list(_bottleneck_matching(np.full((4, 4), np.inf))[1]) == [0, 1, 2, 3]
 
 
+def fresh_matching_bottleneck(dist):
+    """Reference: the lexicographic pass that checks each candidate row with a
+    perfect matching of the remaining rows and columns built from scratch."""
+    m = dist.shape[0]
+    values = np.unique(dist)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(dist <= values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    allowed = dist <= values[lo]
+    perm = []
+    free = list(range(m))
+    for b in range(m):
+        a = next(a for a in free if allowed[a, b] and _has_perfect_matching(
+            allowed[np.ix_([x for x in free if x != a], range(b + 1, m))]))
+        perm.append(a)
+        free.remove(a)
+    return float(values[lo]), perm
+
+
+def test_bottleneck_matching_agrees_with_fresh_matchings_at_m_100():
+    dist = np.random.default_rng(46).uniform(0, 10, size=(100, 100))
+    value, perm = _bottleneck_matching(dist)
+    assert (value, list(perm)) == fresh_matching_bottleneck(dist)
+
+
 def lsap_has_perfect_matching(allowed):
     """Oracle: a perfect matching exists exactly when the optimal assignment
     on the 0/1 cost of blocked entries costs nothing."""
