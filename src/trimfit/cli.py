@@ -296,7 +296,7 @@ def _run_repeat(doc: dict, repeat: int, inputs, config, theta0) -> dict:
         trace = _run_solver(dataset, theta0, config, truth)
         row["converged"] = int(trace.converged)
         row["rounds_used"] = trace.rounds_used
-        row["final_step_norm"] = float(trace.step_norms[-1]) if trace.rounds_used else ""
+        row["final_step_norm"] = float(trace.step_norms[-1])
         row["final_trimmed_loss"] = float(trace.trimmed_losses[-1])
         row["final_dist"] = (float(trace.dist_to_nearest[-1])
                              if trace.dist_to_nearest is not None else "")
@@ -317,7 +317,7 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
         for key, value in row.items():
             if key in ("repeat", "seed", "error"):
                 continue
-            if isinstance(value, (int, float)) and value != "":
+            if isinstance(value, (int, float)):
                 numeric.setdefault(key, []).append(float(value))
     out = []
     for key in sorted(numeric):

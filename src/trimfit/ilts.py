@@ -56,23 +56,26 @@ class IltsConfig:
 class SolverTrace:
     """Complete record of one solver run.
 
-    iterates has rounds_used + 1 rows (theta_0 through the final iterate).
-    selected_sets[t] and trimmed_losses[t] describe the trimmed selection at
-    iterate t, including the final iterate, so both have rounds_used + 1
-    entries while step_norms has rounds_used. dist_to_nearest (distance from
-    each iterate to the nearest true component) is present only when ground
-    truth was supplied. inner_steps is present only for gradient-descent runs
-    and holds the inner step count that produced each post-start iterate.
+    iterates has rounds_used + 1 rows (theta_0 through the final iterate) and
+    trimmed_losses[t] is the trimmed loss at iterate t, while step_norms has
+    rounds_used entries. The selected set at iterate t is not stored: it is
+    select_trimmed_set(dataset, iterates[t], k) with k = floor(tau * n).
+    dist_to_nearest (distance from each iterate to the nearest true
+    component) is present only when ground truth was supplied. inner_steps is
+    present only for gradient-descent runs and holds the inner step count
+    that produced each post-start iterate.
     """
 
     iterates: np.ndarray
-    selected_sets: tuple
     trimmed_losses: np.ndarray
     step_norms: np.ndarray
-    rounds_used: int
     converged: bool
     dist_to_nearest: np.ndarray | None = None
     inner_steps: tuple | None = None
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.step_norms)
 
     @property
     def final(self) -> np.ndarray:
@@ -139,10 +142,6 @@ def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail
     return theta
 
 
-def _dist_to_nearest(theta: np.ndarray, theta_star: np.ndarray) -> float:
-    return float(np.min(np.linalg.norm(theta_star - theta[:, None], axis=0)))
-
-
 def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
                stop_on_same_set: bool, truth: GroundTruth | None = None) -> SolverTrace:
     """The trimmed alternation shared by the exact and gradient variants.
@@ -158,12 +157,9 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
         raise ValueError(f"theta0 must be a length-{dataset.d} vector")
     check_finite(theta, "theta0")
 
-    theta_star = truth.theta_star if truth is not None else None
     iterates = [theta.copy()]
     subset = select_trimmed_set(dataset, theta, k)
-    selected = [subset]
     losses = [trimmed_loss(dataset, theta, subset)]
-    dists = [_dist_to_nearest(theta, theta_star)] if theta_star is not None else None
     steps: list[float] = []
     converged = False
 
@@ -172,25 +168,24 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
         step = float(np.linalg.norm(theta_next - theta))
         subset_next = select_trimmed_set(dataset, theta_next, k)
         iterates.append(theta_next)
-        selected.append(subset_next)
         losses.append(trimmed_loss(dataset, theta_next, subset_next))
         steps.append(step)
-        if dists is not None:
-            dists.append(_dist_to_nearest(theta_next, theta_star))
         same_set = stop_on_same_set and np.array_equal(subset_next, subset)
         theta, subset = theta_next, subset_next
         if step <= config.tol or same_set:
             converged = True
             break
 
+    iterates = np.array(iterates)
+    dists = None
+    if truth is not None:
+        dists = np.min(np.linalg.norm(truth.theta_star - iterates[:, :, None], axis=1), axis=1)
     return SolverTrace(
-        iterates=np.array(iterates),
-        selected_sets=tuple(selected),
+        iterates=iterates,
         trimmed_losses=np.array(losses),
         step_norms=np.array(steps),
-        rounds_used=len(steps),
         converged=converged,
-        dist_to_nearest=None if dists is None else np.array(dists),
+        dist_to_nearest=dists,
     )
 
 
@@ -276,7 +271,7 @@ def trace_summary(trace: SolverTrace, config) -> dict:
         "final_theta": [float(v) for v in trace.final],
         "rounds_used": trace.rounds_used,
         "converged": trace.converged,
-        "final_step_norm": float(trace.step_norms[-1]) if trace.rounds_used else None,
+        "final_step_norm": float(trace.step_norms[-1]),
         "final_trimmed_loss": float(trace.trimmed_losses[-1]),
         "config": asdict(config),
     }

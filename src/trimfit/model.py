@@ -153,15 +153,15 @@ class GroundTruth:
     """Generator-side truth for a dataset.
 
     tau_star[j] is the realized fraction of uncorrupted samples carrying
-    label j, so it shrinks when corruption lands on component j. seed and
-    generator record how the instance was produced.
+    label j, so it shrinks when corruption lands on component j. It is
+    derived from partition and corrupted, never stored. seed and generator
+    record how the instance was produced.
     """
 
     theta_star: np.ndarray
     partition: np.ndarray
     corrupted: np.ndarray
     r: np.ndarray
-    tau_star: tuple
     seed: int | None = None
     generator: str = field(default=_GENERATOR_NAME)
     generator_version: str = field(default_factory=_generator_version)
@@ -179,14 +179,10 @@ class GroundTruth:
         m = theta.shape[1]
         if part.size and (part.min() < 0 or part.max() >= m):
             raise ValueError("partition labels must lie in [0, m)")
-        tau = tuple(float(t) for t in self.tau_star)
-        if len(tau) != m:
-            raise ValueError("tau_star must have one entry per component")
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "partition", part)
         object.__setattr__(self, "corrupted", corr)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "tau_star", tau)
 
     @property
     def n(self) -> int:
@@ -196,11 +192,11 @@ class GroundTruth:
     def m(self) -> int:
         return self.theta_star.shape[1]
 
-
-def _realized_tau(partition: np.ndarray, corrupted: np.ndarray, m: int) -> tuple:
-    n = partition.shape[0]
-    clean = ~corrupted
-    return tuple(float(np.count_nonzero((partition == j) & clean)) / n for j in range(m))
+    @property
+    def tau_star(self) -> tuple:
+        clean = ~self.corrupted
+        return tuple(float(np.count_nonzero((self.partition == j) & clean)) / self.n
+                     for j in range(self.m))
 
 
 def realized_gamma_star(truth: GroundTruth) -> float:
@@ -291,7 +287,7 @@ def inject_corruptions(dataset: Dataset, truth: GroundTruth,
         return dataset, truth
     return Dataset(X=dataset.X, y=y), GroundTruth(
         theta_star=truth.theta_star, partition=truth.partition, corrupted=corrupted,
-        r=r, tau_star=_realized_tau(truth.partition, corrupted, truth.m), seed=seed,
+        r=r, seed=seed,
         generator=truth.generator, generator_version=truth.generator_version)
 
 
@@ -327,8 +323,7 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
     y, r, corrupted = _corrupt(X, y, labels, spec.m, float(counts.min()) / n, corruption,
                                np.random.default_rng(corrupt_ss))
     return Dataset(X=X, y=y), GroundTruth(
-        theta_star=theta, partition=labels, corrupted=corrupted, r=r,
-        tau_star=_realized_tau(labels, corrupted, spec.m), seed=seed)
+        theta_star=theta, partition=labels, corrupted=corrupted, r=r, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +415,6 @@ def load_truth(path: str) -> GroundTruth:
             partition=np.asarray(doc["partition"], dtype=np.int64),
             corrupted=np.asarray(doc["corrupted"], dtype=bool),
             r=np.asarray(doc["r"], dtype=float),
-            tau_star=tuple(doc["tau_star"]),
             seed=doc.get("seed"),
             generator=doc.get("generator", _GENERATOR_NAME),
             generator_version=doc.get("generator_version", _generator_version()),

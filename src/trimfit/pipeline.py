@@ -353,12 +353,12 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
 
     for j in range(config.m):
         tau_j = config.tau_list[j]
+        if working.size == 0 or floor_count(tau_j * working.size) < d:
+            continue  # not enough rows left to fit this slot
         min_count = floor_count(tau_j * n)
         seed_j = int(component_seeds[j].generate_state(1)[0])
         candidates = generate_candidates(subspace, radius, epsilon,
                                          config.candidate_budget, seed_j)
-        if working.size == 0 or floor_count(tau_j * working.size) < d:
-            continue  # not enough rows left to fit this slot
         sub = Dataset(X=dataset.X[working], y=dataset.y[working])
         inner = IltsConfig(tau=tau_j, max_rounds=config.ilts_max_rounds,
                            tol=config.ilts_tol, rank_policy="fail")

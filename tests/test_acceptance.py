@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 import trimfit as tf
-from trimfit.ilts import trimmed_loss, write_trace_csv
+from trimfit.ilts import select_trimmed_set, trimmed_loss, write_trace_csv
 
 SEEDS = range(10)
 
@@ -107,7 +107,7 @@ def run_tiny_oracle():
                             tf.IltsConfig(tau=tau, max_rounds=80, tol=1e-13),
                             truth=truth)
         theta_f = trace.final
-        s_f = trace.selected_sets[-1]
+        s_f = select_trimmed_set(ds, theta_f, k)
         loss_f = trimmed_loss(ds, theta_f, s_f)
         # selection half-step: no size-k subset beats the selected one
         best = min(trimmed_loss(ds, theta_f, np.array(c))

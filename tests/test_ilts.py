@@ -12,6 +12,7 @@ from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, SolverTrac
                           _smallest_k, contraction_ratio, ilts_run, least_squares,
                           select_trimmed_set, tau_grid, trimmed_loss, write_trace_csv)
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
+from trimfit.util import floor_count
 
 
 def test_selection_breaks_ties_toward_smaller_index():
@@ -222,7 +223,7 @@ def test_final_iterate_is_coordinatewise_local_minimum():
     ds, _ = one_dim_instance(n=60, seed=12, gamma=0.1)
     cfg = IltsConfig(tau=0.4, max_rounds=50, tol=1e-13)
     trace = ilts_run(ds, np.array([0.45]), cfg)
-    k = len(trace.selected_sets[-1])
+    k = floor_count(cfg.tau * ds.n)
 
     def best_loss(theta):
         return trimmed_loss(ds, theta, select_trimmed_set(ds, theta, k))
@@ -254,7 +255,6 @@ def test_trace_shapes_and_distances():
     trace = ilts_run(ds, np.array([0.6]), cfg, truth=truth)
     r = trace.rounds_used
     assert trace.iterates.shape == (r + 1, 1)
-    assert len(trace.selected_sets) == r + 1
     assert trace.trimmed_losses.shape == (r + 1,)
     assert trace.step_norms.shape == (r,)
     assert trace.dist_to_nearest.shape == (r + 1,)
@@ -326,15 +326,43 @@ def test_same_set_stop_is_a_fixed_point():
     stops = 0
     for ds, theta0, cfg in tied_integer_instances(300, seed=62):
         trace = ilts_run(ds, theta0, cfg)
-        sets = trace.selected_sets
-        if trace.rounds_used == 0 or not np.array_equal(sets[-1], sets[-2]):
+        k = floor_count(cfg.tau * ds.n)
+        last = select_trimmed_set(ds, trace.final, k)
+        if not np.array_equal(last, select_trimmed_set(ds, trace.iterates[-2], k)):
             continue
         stops += 1
-        k = len(sets[-1])
-        theta = least_squares(ds, sets[-1], cfg.rank_policy)
+        theta = least_squares(ds, last, cfg.rank_policy)
         assert np.array_equal(theta, trace.final)
-        assert np.array_equal(select_trimmed_set(ds, theta, k), sets[-1])
+        assert np.array_equal(select_trimmed_set(ds, theta, k), last)
     assert stops >= 100
+
+
+def test_every_round_records_the_loss_of_its_recomputed_selection():
+    # A trace keeps no selected sets: S_t is select_trimmed_set at iterates[t]
+    rng = np.random.default_rng(4)
+    tied = Dataset(X=rng.integers(-2, 3, size=(40, 2)).astype(float),
+                   y=rng.integers(-3, 4, size=40).astype(float))
+    spec = MixtureSpec(d=3, m=2, components=[[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]],
+                       weights=[0.5, 0.5])
+    mixed, truth = generate_mlrc(spec, CorruptionSpec(0.1, "oblivious-random", 2.0),
+                                 n=400, seed=10)
+    runs = [
+        (ilts_run, tied, IltsConfig(tau=0.5, rank_policy="min-norm"), None),
+        (gd_ilts_run, tied, GdConfig(tau=0.5, m_steps=5, max_rounds=10), None),
+        (ilts_run, mixed, IltsConfig(tau=0.4), truth),
+        (gd_ilts_run, mixed, GdConfig(tau=0.4, m_steps=20, max_rounds=20), truth),
+    ]
+    for run, ds, cfg, tr in runs:
+        trace = run(ds, rng.integers(-2, 3, size=ds.d).astype(float), cfg, truth=tr)
+        assert trace.rounds_used == len(trace.step_norms) == len(trace.iterates) - 1 >= 2
+        k = floor_count(cfg.tau * ds.n)
+        losses = np.array([trimmed_loss(ds, theta, select_trimmed_set(ds, theta, k))
+                           for theta in trace.iterates])
+        assert same_bytes(trace.trimmed_losses, losses), run.__name__
+        if tr is not None:
+            dists = np.array([np.min(np.linalg.norm(tr.theta_star - theta[:, None], axis=0))
+                              for theta in trace.iterates])
+            assert same_bytes(trace.dist_to_nearest, dists), run.__name__
 
 
 def argsort_select_trimmed_set(dataset, theta, k):
@@ -349,12 +377,11 @@ def same_bytes(a, b):
     return type(a) is type(b) and a == b
 
 
-def boundary_ties(ds, trace):
+def boundary_ties(ds, trace, k):
     """Iterates whose k-th and (k+1)-th smallest squared residuals tie."""
     ties = 0
-    for theta, subset in zip(trace.iterates, trace.selected_sets):
+    for theta in trace.iterates:
         res2 = np.sort(np.square(ds.y - ds.X @ theta))
-        k = len(subset)
         ties += k < ds.n and res2[k - 1] == res2[k]
     return ties
 
@@ -381,7 +408,11 @@ def test_whole_traces_match_stable_argsort_selection(monkeypatch):
             patch.setattr(ilts, "select_trimmed_set", argsort_select_trimmed_set)
             reference = run(ds, theta0, cfg, truth=tr)
         assert trace.rounds_used >= 2
-        assert ds is mixed or boundary_ties(ds, trace) >= 1  # ties decide the selection
+        k = floor_count(cfg.tau * ds.n)
+        assert ds is mixed or boundary_ties(ds, trace, k) >= 1  # ties decide the selection
+        for theta in trace.iterates:
+            assert same_bytes(select_trimmed_set(ds, theta, k),
+                              argsort_select_trimmed_set(ds, theta, k))
         for field in dataclasses.fields(SolverTrace):
             assert same_bytes(getattr(trace, field.name), getattr(reference, field.name)), \
                 (run.__name__, field.name)

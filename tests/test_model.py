@@ -151,6 +151,26 @@ def test_tau_star_shrinks_where_corruption_lands():
     assert realized_gamma_star(truth) == pytest.approx(15 / (200 * 0.175))
 
 
+def test_truth_sidecar_tau_star_is_recomputed_on_load(tmp_path):
+    spec = MixtureSpec(d=2, m=2, components=[[1.0, 0.0], [0.0, 1.0]],
+                       weights=[0.75, 0.25])
+    corr = CorruptionSpec(gamma_star=0.3, adversary="component-targeted", magnitude=2.0)
+    _, truth = generate_mlrc(spec, corr, n=200, seed=23)
+    path = tmp_path / "inst.truth.json"
+    save_truth(truth, str(path))
+    doc = json.loads(path.read_text())
+    assert doc["tau_star"] == [0.75, 0.175]  # still written for readers
+    for tau_star in (None, [0.5, 0.5], [1.0]):
+        if tau_star is None:
+            del doc["tau_star"]
+        else:
+            doc["tau_star"] = tau_star
+        path.write_text(json.dumps(doc))
+        loaded = load_truth(str(path))
+        assert loaded.tau_star == truth.tau_star == (0.75, 0.175)
+        assert realized_gamma_star(loaded) == realized_gamma_star(truth)
+
+
 def test_generation_is_deterministic():
     spec = two_component_spec()
     corr = CorruptionSpec(gamma_star=0.1, adversary="oblivious-random", magnitude=2.0)
@@ -236,8 +256,7 @@ def test_generate_rejects_undersized_n():
 def test_ground_truth_label_range_checked():
     with pytest.raises(ValueError, match="labels"):
         GroundTruth(theta_star=np.eye(2), partition=np.array([0, 2]),
-                    corrupted=np.zeros(2, dtype=bool), r=np.zeros(2),
-                    tau_star=(0.5, 0.5))
+                    corrupted=np.zeros(2, dtype=bool), r=np.zeros(2))
 
 
 def test_dataset_rejects_nonfinite():
