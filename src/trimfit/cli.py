@@ -21,9 +21,9 @@ import numpy as np
 from . import diagnostics as diag
 from . import model as model_mod
 from . import pipeline as pipe
-from .gd import SCHEDULES, DivergenceError, GdConfig, gd_ilts_run
-from .ilts import (RANK_POLICIES, IltsConfig, RankDeficientError, ilts_run,
-                   selection_size, trace_summary, write_trace_csv)
+from .gd import SCHEDULES, GdConfig, gd_ilts_run
+from .ilts import (RANK_POLICIES, IltsConfig, ilts_run, selection_size, trace_summary,
+                   write_trace_csv)
 from .schemas import (EXPERIMENT_CONFIG_SCHEMA, GENERATE_CONFIG_SCHEMA,
                       SUBSPACE_FILE_SCHEMA, validate_document)
 
@@ -54,12 +54,14 @@ def _generate_instance(doc: dict, seed: int):
     return model_mod.generate_mlrc(spec, corruption, n=model["n"], seed=seed)
 
 
-def _build_config(kind: str, params: dict):
+def _build_config(kind: str, params: dict, source: str | None = None):
     """Solver config of the given kind ("ilts", "gd-ilts" or "global").
 
-    Keys of params that name no field of the config, or hold None, are
-    ignored, so the dataclass defaults are the only defaults. For "global",
+    Keys of params that name no solver setting, or hold None, are ignored,
+    so the dataclass defaults are the only defaults. For "global",
     max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol.
+    A setting of another kind only fails, naming the flag, or the key and
+    the config file source; seed is exempt, as experiments read it.
     """
     classes = {"ilts": IltsConfig, "gd-ilts": GdConfig, "global": pipe.GlobalConfig}
     if kind not in classes:
@@ -69,6 +71,12 @@ def _build_config(kind: str, params: dict):
         inner = {"max_rounds": "ilts_max_rounds", "tol": "ilts_tol"}
         given = {inner.get(key, key): value for key, value in given.items()}
     fields = dataclasses.fields(classes[kind])
+    foreign = ({f.name for cls in classes.values() for f in dataclasses.fields(cls)}
+               - {f.name for f in fields} - {"seed"}).intersection(given)
+    if foreign:
+        key = min(foreign)
+        name = f"--{key.replace('_', '-')}" if source is None else f"{source}: solver key {key!r}"
+        raise ValueError(f"{name} is not a setting of the {kind} solver")
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and f.name not in given]
     if missing:
@@ -183,7 +191,7 @@ def _load_subspace(path: str) -> pipe.SubspaceEstimate:
 
 def cmd_global(args) -> int:
     dataset, truth = _load_inputs(args.dataset, args.truth)
-    taus = _parse_floats(args.tau, "--tau")
+    taus = _parse_floats(args.tau_list, "--tau")
     if len(taus) == 1:
         taus = taus * args.m
     subspace = _load_subspace(args.subspace) if args.subspace else None
@@ -258,11 +266,11 @@ def _repeat_seed(doc: dict, repeat: int) -> int:
     return base + repeat
 
 
-def _experiment_solver(doc: dict, inputs):
-    """Solver config and starting point of an experiment, checked once before
-    the first repeat; theta0 is None for a random start per repeat."""
+def _experiment_solver(doc: dict, inputs, path: str):
+    """Solver config and start of the experiment config at path, checked once
+    before the first repeat; theta0 is None for a random start per repeat."""
     solver = doc["solver"]
-    config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)))
+    config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)), path)
     n, d = (doc["model"]["n"], doc["model"]["d"]) if inputs is None else inputs[0].X.shape
     if isinstance(config, IltsConfig):
         selection_size(config, n, d)
@@ -315,9 +323,7 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
         if row.get("error"):
             continue
         for key, value in row.items():
-            if key in ("repeat", "seed", "error"):
-                continue
-            if isinstance(value, (int, float)):
+            if key not in ("repeat", "seed") and isinstance(value, (int, float)):
                 numeric.setdefault(key, []).append(float(value))
     out = []
     for key in sorted(numeric):
@@ -333,7 +339,7 @@ def cmd_experiment(args) -> int:
     if ("model" in doc) == ("dataset" in doc):
         raise ValueError("config must carry exactly one of 'model' and 'dataset'")
     inputs = None if "model" in doc else _load_inputs(doc["dataset"], doc.get("truth"))
-    config, theta0 = _experiment_solver(doc, inputs)
+    config, theta0 = _experiment_solver(doc, inputs, args.config)
     os.makedirs(doc["output_dir"], exist_ok=True)
     repeats = doc["repeats"]
 
@@ -344,13 +350,7 @@ def cmd_experiment(args) -> int:
         except Exception as exc:  # recorded per repeat, not fatal here
             rows.append({"repeat": r, "seed": "", "error": str(exc)})
 
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    if "error" not in columns:
-        columns.append("error")
+    columns = list(dict.fromkeys([key for row in rows for key in row] + ["error"]))
 
     base = os.path.join(doc["output_dir"], doc["name"])
     rows_path = base + ".rows.csv"
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("global", help="recover all components")
     p.add_argument("dataset", help="dataset CSV")
     p.add_argument("--m", type=int, required=True, help="number of components")
-    p.add_argument("--tau", required=True,
+    p.add_argument("--tau", dest="tau_list", required=True,
                    help="per-component fractions (single value broadcasts)")
     p.add_argument("--budget", type=int, required=True, help="candidates per component")
     p.add_argument("--seed", type=int, required=True)
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", type=int, default=0)
     p.add_argument("--delta-grid", default="0.05,0.1,0.2,0.4")
     p.add_argument("--tau-fraction", type=float, default=0.8,
-                   help="tau_j as a fraction of the realized tau_star_j")
+                   help="tau_j = fraction * n_j / n, n_j counting corrupted rows too")
     p.add_argument("--directions", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -455,8 +455,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, RankDeficientError, DivergenceError,
-            RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -236,6 +236,7 @@ def accept_component(dataset: Dataset, theta: np.ndarray, tau_j: float, delta: f
 def _distance_matrix(theta_hat: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
     m = theta_hat.shape[1]
     dist = np.empty((m, m))
+    # One norm per pair, like per_component_errors; a broadcast norm differs in the last bit.
     for a in range(m):
         for b in range(m):
             dist[a, b] = np.linalg.norm(theta_hat[:, a] - theta_star[:, b])
@@ -255,40 +256,37 @@ def _augment(allowed: np.ndarray, owner: list, col: int, seen: set) -> bool:
     return False
 
 
-def _perfect_matching(allowed: np.ndarray) -> list | None:
-    """A perfect matching of a square boolean matrix as owner (row -> column), or None."""
-    owner = [-1] * allowed.shape[0]
-    if all(_augment(allowed, owner, col, set()) for col in range(allowed.shape[1])):
-        return owner
-    return None
-
-
-def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    """Whether a square boolean matrix has a perfect matching."""
-    return _perfect_matching(allowed) is not None
-
-
 def _bottleneck_matching(dist: np.ndarray):
     """Lexicographically first permutation minimizing the largest matched distance.
 
-    Threshold bisection over the distinct entries finds the bottleneck value.
-    Truth columns are then matched in order, each to the smallest free
-    estimate column that still leaves a perfect matching under that value.
-    One perfect matching is kept throughout: column b moves to a smaller row a
-    exactly when the column displaced from a can re-augment to b's old row
-    without a, so each candidate costs one search, not a fresh matching.
+    One matching grows column by column, each column joining at the smallest distinct
+    entry, no lower than its predecessor's, under which it augments. Truth columns are
+    then matched in order, each to the smallest free estimate column that still leaves a
+    perfect matching under that entry: column b moves to a smaller row a exactly when the
+    column displaced from a can re-augment to b's old row without a, one search each.
     """
     m = dist.shape[0]
     values = np.unique(dist)
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_perfect_matching(dist <= values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
+    top, lo, owner = len(values) - 1, 0, [-1] * m
+    for col in range(m):
+        # With columns 0..col-1 matched, a failed search for col proves that no matching
+        # covers 0..col under that entry (Berge), so no perfect one does: the last entry
+        # reached is the bottleneck value. Success is monotone in the entry, so step up in
+        # doubling strides, then bisect, probing on copies; the top entry admits every pair.
+        if _augment(dist <= values[lo], owner, col, set()):
+            continue  # a failed search leaves owner as it was
+        failed, hi, step = lo, min(lo + 1, top), 2
+        while not _augment(dist <= values[hi], list(owner), col, set()):
+            failed, hi, step = hi, min(lo + step, top), 2 * step
+        while hi - failed > 1:
+            mid = (failed + hi) // 2
+            if _augment(dist <= values[mid], list(owner), col, set()):
+                hi = mid
+            else:
+                failed = mid
+        lo = hi
+        _augment(dist <= values[lo], owner, col, set())
     allowed = dist <= values[lo]
-    owner = _perfect_matching(allowed)
     for b in range(m):
         # The row b holds always qualifies. Rows fixed to earlier columns are
         # blocked from b onward, so every allowed row below it is free.
@@ -353,7 +351,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
 
     for j in range(config.m):
         tau_j = config.tau_list[j]
-        if working.size == 0 or floor_count(tau_j * working.size) < d:
+        if floor_count(tau_j * working.size) < d:
             continue  # not enough rows left to fit this slot
         min_count = floor_count(tau_j * n)
         seed_j = int(component_seeds[j].generate_state(1)[0])

@@ -140,6 +140,29 @@ def test_fit_bad_theta0_length(tmp_path, capsys):
     assert "expected d = 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--m-steps", "5"], "--m-steps is not a setting of the ilts solver"),
+    (["--gd", "--rank-policy", "min-norm"], "--rank-policy is not a setting of the gd-ilts solver"),
+], ids=["m-steps-without-gd", "rank-policy-with-gd"])
+def test_fit_rejects_a_setting_of_the_other_solver(tmp_path, capsys, flags, message):
+    data, _ = generate(tmp_path)
+    prefix = tmp_path / "fit"
+    assert main(["fit", data, "--tau", "0.4", "--out-prefix", str(prefix)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "fit.summary.json").exists()
+
+
+def test_fit_rejects_both_theta0_sources(tmp_path, capsys):
+    data, _ = generate(tmp_path)
+    start = tmp_path / "start.txt"
+    start.write_text("1 0 0\n")
+    code = main(["fit", data, "--tau", "0.4", "--theta0", "1,0,0", "--theta0-file", str(start),
+                 "--out-prefix", str(tmp_path / "fit")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: give only one of --theta0 and --theta0-file\n"
+    assert not (tmp_path / "fit.summary.json").exists()
+
+
 def test_unknown_flag_maps_to_error(tmp_path, capsys):
     assert main(["fit", "nowhere.csv", "--tau", "0.4", "--bogus"]) == 1
 
@@ -171,6 +194,40 @@ def test_global_partial_exit_code(tmp_path):
     assert report["partial"]
 
 
+def test_global_skips_a_slot_with_too_few_rows_left(tmp_path):
+    # y = x1 on ten rows; the first slot takes them and leaves three off the
+    # line, too few for floor(0.5 * 3) = 1 >= d = 2
+    data = tmp_path / "line.csv"
+    data.write_text("y,x1,x2\n" + "".join(f"{i},{i},{i * i % 7 + 1}\n" for i in range(1, 11))
+                    + "".join(f"{i + 50},{i},{i + 1}\n" for i in range(1, 4)))
+    code = main(["global", str(data), "--m", "2", "--tau", "0.5", "--budget", "3",
+                 "--seed", "0", "--delta", "1e-6", "--radius", "1",
+                 "--out-prefix", str(tmp_path / "line")])
+    assert code == 3
+    report = json.loads((tmp_path / "line.report.json").read_text())
+    assert report["recovered"] == [True, False]
+    assert report["candidates_tried"] == [1, 0]
+    assert report["accepted_counts"] == [10, 0]
+    assert (tmp_path / "line.candidates.csv").read_text() == (
+        "component,candidate,rounds,accepted,support\n0,0,1,1,10\n")
+
+
+def test_global_records_a_rank_deficient_candidate(tmp_path):
+    # x2 is zero on every row, so every trimmed refit is rank deficient
+    data = tmp_path / "flat.csv"
+    data.write_text("y,x1,x2\n" + "".join(f"{i},{i},0\n" for i in range(1, 11)))
+    code = main(["global", str(data), "--m", "1", "--tau", "0.5", "--budget", "3",
+                 "--seed", "0", "--delta", "1e-6", "--radius", "1",
+                 "--out-prefix", str(tmp_path / "flat")])
+    assert code == 3
+    report = json.loads((tmp_path / "flat.report.json").read_text())
+    assert report["recovered"] == [False]
+    # a one-dimensional span has only its two poles as candidates
+    assert report["candidates_tried"] == [2]
+    assert (tmp_path / "flat.candidates.csv").read_text() == (
+        "component,candidate,rounds,accepted,support\n0,0,0,0,0\n0,1,0,0,0\n")
+
+
 def test_global_external_subspace(tmp_path):
     data, truth = generate(tmp_path)
     sub = {"basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
@@ -198,6 +255,18 @@ def test_diagnose_report(tmp_path):
     assert doc["feature_regularity"]["k"] == 60
     assert [e["delta"] for e in doc["affine_error"]] == [0.1, 0.2]
     assert doc["affine_error"][0]["value"] <= doc["affine_error"][1]["value"]
+
+
+def test_diagnose_exact_regularity_to_stdout(tmp_path, capsys):
+    # subsets of rows {0, 1}, {0, 2}, {1, 2} have Gram eigenvalues {1, 1}, {0, 5}, {1, 4}
+    data = tmp_path / "rows.csv"
+    data.write_text("y,x1,x2\n0,1,0\n0,0,1\n0,2,0\n")
+    code = main(["diagnose", str(data), "--regularity", "2", "--mode", "exact"])
+    assert code == 0
+    doc = {"format": "trimfit-diagnostics", "format_version": 1, "seed": 0,
+           "feature_regularity": {"k": 2, "psi_plus": 5.0, "psi_minus": 0.0,
+                                  "mode": "exact", "trials": 3}}
+    assert capsys.readouterr().out == json.dumps(doc, indent=1) + "\n"
 
 
 def test_diagnose_q_separation_needs_truth(tmp_path, capsys):
@@ -471,7 +540,14 @@ def test_dataset_experiment_that_cannot_load_exits_once(tmp_path, capsys):
     ({"kind": "gd-ilts", "tau": 0.0}, "tau must lie in (0, 1]"),
     ({"kind": "ilts"}, "ilts solver needs tau"),
     ({"kind": "ilts", "tau": 0.005}, "floor(tau * n) = 1 < d = 3"),
-], ids=["theta0-length", "tau-zero", "tau-missing", "tau-below-d"])
+    ({"kind": "ilts", "tau": 0.4, "m_steps": 5},
+     "exp.json: solver key 'm_steps' is not a setting of the ilts solver"),
+    ({"kind": "gd-ilts", "tau": 0.4, "rank_policy": "min-norm"},
+     "exp.json: solver key 'rank_policy' is not a setting of the gd-ilts solver"),
+    ({"kind": "gd-ilts", "tau": 0.4, "candidate_budget": 10},
+     "exp.json: solver key 'candidate_budget' is not a setting of the gd-ilts solver"),
+], ids=["theta0-length", "tau-zero", "tau-missing", "tau-below-d", "ilts-m-steps",
+        "gd-rank-policy", "gd-candidate-budget"])
 def test_experiment_config_error_fails_once(tmp_path, capsys, solver, message):
     exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"], "solver": solver,
            "repeats": 3, "output_dir": str(tmp_path / "out")}

@@ -8,8 +8,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
-from trimfit.pipeline import (GlobalConfig, SubspaceEstimate, _bottleneck_matching,
-                              _has_perfect_matching, accept_component, default_radius,
+from trimfit.pipeline import (GlobalConfig, SubspaceEstimate, _augment, _bottleneck_matching,
+                              accept_component, default_radius,
                               epsilon_recovery, estimate_subspace, generate_candidates,
                               global_ilts, report_to_dict, subspace_distance)
 
@@ -174,7 +174,7 @@ def fresh_matching_bottleneck(dist):
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(dist <= values[mid]):
+        if lsap_has_perfect_matching(dist <= values[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -182,7 +182,7 @@ def fresh_matching_bottleneck(dist):
     perm = []
     free = list(range(m))
     for b in range(m):
-        a = next(a for a in free if allowed[a, b] and _has_perfect_matching(
+        a = next(a for a in free if allowed[a, b] and lsap_has_perfect_matching(
             allowed[np.ix_([x for x in free if x != a], range(b + 1, m))]))
         perm.append(a)
         free.remove(a)
@@ -190,9 +190,18 @@ def fresh_matching_bottleneck(dist):
 
 
 def test_bottleneck_matching_agrees_with_fresh_matchings_at_m_100():
-    dist = np.random.default_rng(46).uniform(0, 10, size=(100, 100))
-    value, perm = _bottleneck_matching(dist)
-    assert (value, list(perm)) == fresh_matching_bottleneck(dist)
+    rng = np.random.default_rng(46)
+    uniform = rng.uniform(0, 10, size=(100, 100))
+    # a quarter of the estimate columns unrecovered: infinite rows
+    unrecovered = uniform.copy()
+    unrecovered[rng.choice(100, 25, replace=False)] = np.inf
+    # a good estimate: the truth permuted plus small noise
+    truth = rng.standard_normal((5, 100))
+    estimate = truth[:, rng.permutation(100)] + 1e-3 * rng.standard_normal((5, 100))
+    near_identity = np.linalg.norm(estimate[:, :, None] - truth[:, None, :], axis=0)
+    for dist in (uniform, unrecovered, near_identity):
+        value, perm = _bottleneck_matching(dist)
+        assert (value, list(perm)) == fresh_matching_bottleneck(dist)
 
 
 def lsap_has_perfect_matching(allowed):
@@ -201,6 +210,12 @@ def lsap_has_perfect_matching(allowed):
     blocked = (~allowed).astype(float)
     rows, cols = linear_sum_assignment(blocked)
     return not blocked[rows, cols].any()
+
+
+def kuhn_has_perfect_matching(allowed):
+    """Augment every column into one matching from scratch."""
+    owner = [-1] * allowed.shape[0]
+    return all(_augment(allowed, owner, col, set()) for col in range(allowed.shape[1]))
 
 
 def test_perfect_matching_agrees_with_assignment_solver():
@@ -212,7 +227,7 @@ def test_perfect_matching_agrees_with_assignment_solver():
     for _ in range(500):
         m = int(rng.integers(1, 31))
         cases += [rng.random((m, m)) < density for density in (0.1, 0.3, 0.6, 0.9)]
-    outcomes = [_has_perfect_matching(allowed) for allowed in cases]
+    outcomes = [kuhn_has_perfect_matching(allowed) for allowed in cases]
     assert outcomes == [lsap_has_perfect_matching(allowed) for allowed in cases]
     assert outcomes[0] and 0 < sum(outcomes) < len(cases)
 
@@ -265,6 +280,26 @@ def test_global_recovery_partial_on_starved_budget():
     doc = report_to_dict(report)
     assert doc["epsilon_recovery"] is None
     assert doc["theta_hat"][0] is None
+
+
+def test_epsilon_recovery_is_bit_equal_to_the_largest_component_error():
+    ds, truth = three_component_instance(seed=19)
+    delta = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
+    # fully recovered, then partial: tau 0.9 exceeds the last component's share
+    for taus, budget in (((0.3, 0.3, 0.3), 2000), ((0.3, 0.3, 0.9), 20)):
+        cfg = GlobalConfig(m=3, tau_list=taus, delta=delta, candidate_budget=budget,
+                           epsilon_net=0.2, seed=4, radius=1.0)
+        report = global_ilts(ds, cfg, truth=truth)
+        assert report.partial == (taus[2] == 0.9)
+        assert report.epsilon_recovery == max(report.per_component_errors)
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        d, m = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        theta_star = rng.standard_normal((d, m)) * 10.0 ** rng.uniform(-3, 3)
+        theta_hat = theta_star[:, rng.permutation(m)] + rng.standard_normal((d, m))
+        value, perm = epsilon_recovery(theta_hat, theta_star)
+        assert value == max(float(np.linalg.norm(theta_hat[:, perm[b]] - theta_star[:, b]))
+                            for b in range(m))
 
 
 def test_global_default_radius_flagged():
