@@ -10,7 +10,8 @@ from .diagnostics import (AffineErrorEstimate, RegularityEstimate,
                           affine_error_estimate, contraction_bound,
                           contraction_bound_trace, feature_regularity_exact,
                           feature_regularity_sampled, q_separation)
-from .gd import DivergenceError, GdConfig, gd_ilts_run, largest_curvature, stopping_steps
+from .gd import (DivergenceError, GdConfig, gd_ilts_run, largest_curvature,
+                 normal_system, stopping_steps)
 from .ilts import (IltsConfig, RankDeficientError, SolverTrace,
                    contraction_ratio, ilts_run, least_squares,
                    select_trimmed_set, tau_grid, trimmed_loss)
@@ -35,7 +36,7 @@ __all__ = [
     "estimate_subspace", "feature_regularity_exact",
     "feature_regularity_sampled", "gd_ilts_run", "generate_candidates",
     "generate_mlrc", "global_ilts", "inject_corruptions", "largest_curvature",
-    "least_squares", "load_dataset", "load_truth", "q_separation",
+    "least_squares", "load_dataset", "load_truth", "normal_system", "q_separation",
     "realized_gamma_star", "reconstruction_error", "save_dataset",
     "save_truth", "select_trimmed_set", "stopping_steps", "subspace_distance",
     "tau_grid", "trimmed_loss", "__version__",

@@ -5,12 +5,15 @@ least-squares solve with a fixed number of plain gradient steps on the mean
 squared loss of the selected rows. The per-round step count either stays
 constant or follows an adaptive rule that takes more inner steps as the
 outer iterate stops moving.
+
+A round gathers its k selected rows once into the mean normal system
+G = X_S^T X_S / |S|, b = X_S^T y_S / |S|, at O(k d^2); power iteration and
+each step theta - eta (G theta - b) then cost O(d^2), whatever k is.
 """
 
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,16 +53,15 @@ class GdConfig:
 
     def __post_init__(self):
         _check_alternation(self)
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive when given")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
-        if self.schedule == "fixed" and self.m_steps < 1:
+        if self.schedule == "fixed" and not self.m_steps >= 1:
             raise ValueError("m_steps must be at least 1")
-        if self.w <= 0:
-            raise ValueError("w must be positive")
-        if self.c_u <= 0:
-            raise ValueError("c_u must be positive")
+        # Negated range tests, so that NaN fails them too.
+        for name in ("eta", "w", "c_u"):
+            value = getattr(self, name)
+            if not (value is None and name == "eta" or 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
@@ -70,58 +72,55 @@ def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
     """
     if not 0 < lam < 1:
         raise ValueError("lam must lie strictly in (0, 1)")
-    if w <= 0:
-        raise ValueError("w must be positive")
-    if c_u <= 0:
-        raise ValueError("c_u must be positive")
+    if not (w > 0 and c_u > 0):
+        raise ValueError("w and c_u must be positive")
     inner = w / (lam * math.log(1.0 / lam))
     return max(1, math.ceil(c_u * math.log(inner)))
 
 
-def largest_curvature(dataset: Dataset, subset: np.ndarray,
-                      iterations: int = POWER_ITERATIONS) -> float:
-    """Power-iteration estimate of the top eigenvalue of X_S^T X_S / |S|."""
-    X_S = dataset.X[np.asarray(subset)]
-    size = X_S.shape[0]
-    if size == 0:
+def normal_system(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean normal system (X_S^T X_S / |S|, X_S^T y_S / |S|) of the selected rows."""
+    if len(subset) == 0:
         raise ValueError("empty selection")
-    v = np.ones(dataset.d) / math.sqrt(dataset.d)
+    X_S = dataset.X[subset]
+    return X_S.T @ X_S / len(subset), X_S.T @ dataset.y[subset] / len(subset)
+
+
+def largest_curvature(gram: np.ndarray, iterations: int = POWER_ITERATIONS) -> float:
+    """Power-iteration estimate of the top eigenvalue of a mean Gram matrix G."""
+    # Dividing G v by a power of two near G's largest entry is exact, and keeps its
+    # norm from overflowing while G is finite.
+    scale = math.ldexp(1.0, int(np.frexp(np.abs(gram).max())[1]) - 1)
+    v = np.ones(gram.shape[0]) / math.sqrt(gram.shape[0])
     est = 0.0
     for _ in range(iterations):
-        w = X_S.T @ (X_S @ v) / size
+        w = gram @ v / scale
         est = float(np.linalg.norm(w))
+        # v has no zero entry, so an inf or NaN anywhere in G shows here at once.
+        if not math.isfinite(est * scale):
+            raise ValueError("curvature estimate overflowed; rescale the features")
         if est == 0.0:
             raise ValueError("selected rows are all zero; curvature undefined")
         v = w / est
-    return est
+    return est * scale
 
 
-def gd_inner_loop(dataset: Dataset, subset: np.ndarray, theta_start: np.ndarray,
+def gd_inner_loop(gram: np.ndarray, rhs: np.ndarray, theta_start: np.ndarray,
                   eta: float, m_steps: int) -> np.ndarray:
-    """Run m_steps gradient steps on the mean squared loss of the subset.
-
-    Each step moves by eta * X_S^T (X_S theta - y_S) / |S|. The loop aborts
-    with DivergenceError once the iterate norm exceeds
-    1e8 * (1 + ||theta_start||).
-    """
+    """Run m_steps gradient steps theta - eta (G theta - b) on the mean squared loss whose
+    normal system (G, b) = (gram, rhs) comes from normal_system. DivergenceError ends the
+    loop once the iterate norm exceeds 1e8 * (1 + ||theta_start||) or is NaN."""
     if m_steps < 1:
         raise ValueError("m_steps must be at least 1")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    subset = np.asarray(subset)
-    if subset.size == 0:
-        raise ValueError("empty selection")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     theta = np.asarray(theta_start, dtype=float).copy()
     check_finite(theta, "theta_start")
-    X_S = dataset.X[subset]
-    y_S = dataset.y[subset]
-    size = subset.size
     limit = 1e8 * (1.0 + float(np.linalg.norm(theta)))
     for _ in range(m_steps):
-        theta = theta - eta * (X_S.T @ (X_S @ theta - y_S)) / size
-        if np.linalg.norm(theta) > limit:
-            raise DivergenceError(
-                f"iterate norm exceeded {limit:.3e}; reduce eta")
+        theta = theta - eta * (gram @ theta - rhs)
+        if not np.linalg.norm(theta) <= limit:
+            raise DivergenceError(f"iterate norm exceeded {limit:.3e}; reduce eta")
     return theta
 
 
@@ -161,8 +160,9 @@ def gd_ilts_run(dataset: Dataset, theta0: np.ndarray, config: GdConfig,
         else:
             lam = _adaptive_lambda(theta, theta_prev, n)
             m_t = stopping_steps(lam, config.w, config.c_u)
-        eta_t = config.eta if config.eta is not None else 1.0 / largest_curvature(dataset, subset)
-        theta_next = gd_inner_loop(dataset, subset, theta, eta_t, m_t)
+        gram, rhs = normal_system(dataset, subset)
+        eta_t = config.eta if config.eta is not None else 1.0 / largest_curvature(gram)
+        theta_next = gd_inner_loop(gram, rhs, theta, eta_t, m_t)
         inner_counts.append(m_t)
         theta_prev = theta
         return theta_next

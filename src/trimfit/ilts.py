@@ -31,11 +31,12 @@ class RankDeficientError(RuntimeError):
 
 def _check_alternation(config) -> None:
     """Validate the tau, max_rounds and tol fields every solver config shares."""
+    # Negated range tests, so that NaN fails them too.
     if not 0 < config.tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
-    if config.max_rounds < 1:
+    if not config.max_rounds >= 1:
         raise ValueError("max_rounds must be at least 1")
-    if config.tol < 0:
+    if not config.tol >= 0:
         raise ValueError("tol must be nonnegative")
 
 

@@ -89,17 +89,18 @@ class GlobalConfig:
             raise ValueError("tau_list must carry one fraction per component")
         if any(not 0 < t <= 1 for t in taus):
             raise ValueError("every tau must lie in (0, 1]")
-        if self.delta <= 0:
+        # Negated range tests, so that NaN fails them too.
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.candidate_budget < 1:
             raise ValueError("candidate_budget must be at least 1")
-        if self.epsilon_net is not None and self.epsilon_net <= 0:
+        if self.epsilon_net is not None and not self.epsilon_net > 0:
             raise ValueError("epsilon_net must be positive when given")
-        if self.radius is not None and self.radius <= 0:
+        if self.radius is not None and not self.radius > 0:
             raise ValueError("radius must be positive when given")
         if self.ilts_max_rounds < 1:
             raise ValueError("ilts_max_rounds must be at least 1")
-        if self.ilts_tol < 0:
+        if not self.ilts_tol >= 0:
             raise ValueError("ilts_tol must be nonnegative")
         object.__setattr__(self, "tau_list", taus)
 
@@ -256,51 +257,95 @@ def _augment(allowed: np.ndarray, owner: list, col: int, seen: set) -> bool:
     return False
 
 
-def _bottleneck_matching(dist: np.ndarray):
-    """Lexicographically first permutation minimizing the largest matched distance.
+def _regrow(allowed: np.ndarray, owner: list, b: int, seen: set) -> bool:
+    """Augment owner once from some unmatched column after b, avoiding the rows in seen.
 
-    One matching grows column by column, each column joining at the smallest distinct
-    entry, no lower than its predecessor's, under which it augments. Truth columns are
-    then matched in order, each to the smallest free estimate column that still leaves a
-    perfect matching under that entry: column b moves to a smaller row a exactly when the
-    column displaced from a can re-augment to b's old row without a, one search each.
+    One search over every such column with a shared seen set is a reachability test,
+    so it fails only when no unmatched column after b has an augmenting path."""
+    taken = set(owner)
+    return any(_augment(allowed, owner, c, seen) for c in range(b + 1, len(owner))
+               if c not in taken)
+
+
+def _bottleneck_matching(dist: np.ndarray):
+    """Lexicographically first permutation holding the most finite pairs and, among
+    those, the smallest largest finite pair.
+
+    r, the most finite pairs a permutation can hold, comes from one Kuhn pass. Padding
+    the matrix with m - r dummy rows and columns, which pair below any entry with every
+    real column and row but never with each other, turns a perfect matching of the
+    padded square into an r-pair matching of finite entries plus leftovers, so the
+    padded bottleneck value is the one sought. One matching of the padded square grows
+    column by column, each column joining at the smallest distinct entry, no lower than
+    its predecessor's, under which it augments. Truth columns are then matched in
+    order, each to the smallest free estimate column that still leaves an optimal
+    permutation. The value returned is the largest matched distance: infinite when
+    r < m.
     """
     m = dist.shape[0]
-    values = np.unique(dist)
-    top, lo, owner = len(values) - 1, 0, [-1] * m
-    for col in range(m):
+    finite = np.isfinite(dist)
+    # Kuhn's pass starts from the finite diagonal pairs: with every entry finite, no search.
+    owner = [row if finite[row, row] else -1 for row in range(m)]
+    pad = m - sum(col in owner or _augment(finite, owner, col, set()) for col in range(m))
+    padded = np.block([[dist, np.full((m, pad), -np.inf)],
+                       [np.full((pad, m), -np.inf), np.full((pad, pad), np.inf)]])
+    values = np.unique(padded)
+    top, lo, owner = len(values) - 1, 0, [-1] * (m + pad)
+    for col in range(m + pad):
         # With columns 0..col-1 matched, a failed search for col proves that no matching
         # covers 0..col under that entry (Berge), so no perfect one does: the last entry
         # reached is the bottleneck value. Success is monotone in the entry, so step up in
         # doubling strides, then bisect, probing on copies; the top entry admits every pair.
-        if _augment(dist <= values[lo], owner, col, set()):
+        if _augment(padded <= values[lo], owner, col, set()):
             continue  # a failed search leaves owner as it was
         failed, hi, step = lo, min(lo + 1, top), 2
-        while not _augment(dist <= values[hi], list(owner), col, set()):
+        while not _augment(padded <= values[hi], list(owner), col, set()):
             failed, hi, step = hi, min(lo + step, top), 2 * step
         while hi - failed > 1:
             mid = (failed + hi) // 2
-            if _augment(dist <= values[mid], list(owner), col, set()):
+            if _augment(padded <= values[mid], list(owner), col, set()):
                 hi = mid
             else:
                 failed = mid
         lo = hi
-        _augment(dist <= values[lo], owner, col, set())
+        _augment(padded <= values[lo], owner, col, set())
     allowed = dist <= values[lo]
+    # Leftover rows and columns pair only through infinite entries: a finite one among
+    # them would make r + 1 finite pairs.
+    pairable = allowed | ~finite
+    owner = [col if col < m else -1 for col in owner[:m]]
     for b in range(m):
-        # The row b holds always qualifies. Rows fixed to earlier columns are
-        # blocked from b onward, so every allowed row below it is free.
-        held = owner.index(b)
-        for a in np.flatnonzero(allowed[:held, b]):
-            displaced = owner[a]
-            owner[a], owner[held] = b, -1
-            if _augment(allowed, owner, displaced, {a}):
+        # Among rows and columns not yet fixed, owner holds a maximum matching of allowed
+        # pairs, with as many pairs as keep the total at r. Rows fixed to earlier columns
+        # are blocked from b onward. Column b may take a row a below its own: through an
+        # allowed pair when the column displaced from a re-augments without a (or b held
+        # no row), through an infinite pair when b and then a can both leave the matching
+        # without shrinking it. spare is that matching with b left out, if there is one.
+        held = owner.index(b) if b in owner else m
+        spare = list(owner)
+        if held < m:
+            spare[held] = -1
+            if not _regrow(allowed, spare, b, set()):
+                spare = None
+        for a in np.flatnonzero(pairable[:held, b]):
+            if allowed[a, b]:
+                trial = list(owner)
+                if held < m:
+                    trial[held] = -1
+            elif spare is not None:
+                trial = list(spare)
+            else:
+                continue
+            displaced, trial[a] = trial[a], b
+            if (held == m and allowed[a, b]) or displaced < 0 or _regrow(
+                    allowed, trial, b, {a}):
+                owner = trial
                 break
-            owner[a], owner[held] = displaced, b
-        allowed[owner.index(b), b + 1:] = False
+        row = owner.index(b)
+        allowed[row, b + 1:] = pairable[row, b + 1:] = False
     perm = np.empty(m, dtype=int)
     perm[owner] = np.arange(m)
-    return float(values[lo]), perm
+    return (float(values[lo]) if pad == 0 else math.inf), perm
 
 
 def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):
@@ -308,8 +353,11 @@ def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):
 
     Returns (value, perm) where perm[b] names the estimate column matched to
     truth column b and value = max_b ||theta_hat[:, perm[b]] - theta_star[:, b]||.
-    Among the permutations attaining the value, perm is the lexicographically
-    first; with every distance infinite it is the identity.
+    perm pairs as many columns at finite distance as any permutation does (a
+    partial recovery leaves the unrecovered estimate columns infinitely far),
+    keeps the largest of those finite distances smallest, and is the
+    lexicographically first such permutation; with every distance infinite it
+    is the identity.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)

@@ -152,6 +152,21 @@ def test_fit_rejects_a_setting_of_the_other_solver(tmp_path, capsys, flags, mess
     assert not (tmp_path / "fit.summary.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--gd", "--eta", "nan"], "eta must be positive and finite"),
+    (["--gd", "--eta", "inf"], "eta must be positive and finite"),
+    (["--gd", "--schedule", "adaptive", "--w", "nan"], "w must be positive and finite"),
+    (["--gd", "--schedule", "adaptive", "--c-u", "inf"], "c_u must be positive and finite"),
+    (["--tol", "nan"], "tol must be nonnegative"),
+], ids=["eta-nan", "eta-inf", "w-nan", "c-u-inf", "tol-nan"])
+def test_fit_rejects_non_finite_settings(tmp_path, capsys, flags, message):
+    data, _ = generate(tmp_path)
+    prefix = tmp_path / "fit"
+    assert main(["fit", data, "--tau", "0.4", "--out-prefix", str(prefix)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "fit.summary.json").exists()
+
+
 def test_fit_rejects_both_theta0_sources(tmp_path, capsys):
     data, _ = generate(tmp_path)
     start = tmp_path / "start.txt"
@@ -464,8 +479,8 @@ def test_every_output_file_is_pinned(tmp_path):
         "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
         "fit.summary.json": "111ae0b1d3c918a0224b5786b940bf2994d4aa4f6ff6eefe3ccb149ae07d2a1e",
         "fit.trace.csv": "32d79a95a99b1f11c5590374f202b055c244af65724aaea2b7b372682050209b",
-        "gd.summary.json": "bab98ad4975666fb65495545b337088d7bdfdc846207c6d09e89b3e3009d20f2",
-        "gd.trace.csv": "403596cc75606c7f273b302eb2cccd0fc90356428aca3ad72747b4dc206fc3bb",
+        "gd.summary.json": "a8aa9ab1e0ae2ead87605c3a8f5eb1951a5b07583266948b01523060b407f0da",
+        "gd.trace.csv": "40890ed0123a722828c875a4b6d40d3ad5b6a315d3e456fa74719cc316bd82d5",
         "fit-no-truth.summary.json":
             "f5837040ef1c2c0206d71cc81d0e8c8ee59a646fe2536690420357f1b6e9ffa5",
         "fit-no-truth.trace.csv":
@@ -546,8 +561,10 @@ def test_dataset_experiment_that_cannot_load_exits_once(tmp_path, capsys):
      "exp.json: solver key 'rank_policy' is not a setting of the gd-ilts solver"),
     ({"kind": "gd-ilts", "tau": 0.4, "candidate_budget": 10},
      "exp.json: solver key 'candidate_budget' is not a setting of the gd-ilts solver"),
+    ({"kind": "gd-ilts", "tau": 0.4, "eta": float("nan")}, "eta must be positive and finite"),
+    ({"kind": "ilts", "tau": 0.4, "tol": float("nan")}, "tol must be nonnegative"),
 ], ids=["theta0-length", "tau-zero", "tau-missing", "tau-below-d", "ilts-m-steps",
-        "gd-rank-policy", "gd-candidate-budget"])
+        "gd-rank-policy", "gd-candidate-budget", "gd-eta-nan", "ilts-tol-nan"])
 def test_experiment_config_error_fails_once(tmp_path, capsys, solver, message):
     exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"], "solver": solver,
            "repeats": 3, "output_dir": str(tmp_path / "out")}

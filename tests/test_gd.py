@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trimfit.gd import (DivergenceError, GdConfig, gd_ilts_run, gd_inner_loop,
-                        largest_curvature, stopping_steps)
+                        largest_curvature, normal_system, stopping_steps)
 from trimfit.ilts import IltsConfig, ilts_run, least_squares
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 
@@ -48,7 +48,7 @@ def test_single_gradient_step_hand_example():
     # X = (1, 1)^T, y = (1, 1), theta = 0, eta = 0.5: the mean gradient is
     # -1, so one step lands on 0.5
     ds = Dataset(X=np.array([[1.0], [1.0]]), y=np.array([1.0, 1.0]))
-    theta = gd_inner_loop(ds, np.arange(2), np.array([0.0]), eta=0.5, m_steps=1)
+    theta = gd_inner_loop(*normal_system(ds, np.arange(2)), np.array([0.0]), eta=0.5, m_steps=1)
     assert theta[0] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -57,7 +57,7 @@ def test_inner_loop_fixed_at_least_squares_solution():
     ds = Dataset(X=rng.standard_normal((30, 3)), y=rng.standard_normal(30))
     subset = np.arange(30)
     star = least_squares(ds, subset)
-    moved = gd_inner_loop(ds, subset, star, eta=0.1, m_steps=50)
+    moved = gd_inner_loop(*normal_system(ds, subset), star, eta=0.1, m_steps=50)
     assert np.linalg.norm(moved - star) <= 1e-12
 
 
@@ -65,7 +65,7 @@ def test_inner_loop_descends_at_safe_step_size():
     rng = np.random.default_rng(7)
     ds = Dataset(X=rng.standard_normal((50, 4)), y=rng.standard_normal(50))
     subset = np.arange(50)
-    eta = 1.0 / largest_curvature(ds, subset)
+    eta = 1.0 / largest_curvature(normal_system(ds, subset)[0])
 
     def mean_loss(theta):
         res = ds.y - ds.X @ theta
@@ -74,7 +74,7 @@ def test_inner_loop_descends_at_safe_step_size():
     theta = rng.standard_normal(4)
     prev = mean_loss(theta)
     for _ in range(20):
-        theta = gd_inner_loop(ds, subset, theta, eta=eta, m_steps=1)
+        theta = gd_inner_loop(*normal_system(ds, subset), theta, eta=eta, m_steps=1)
         cur = mean_loss(theta)
         assert cur <= prev + 1e-12
         prev = cur
@@ -83,14 +83,14 @@ def test_inner_loop_descends_at_safe_step_size():
 def test_inner_loop_divergence_guard():
     ds = Dataset(X=np.array([[10.0], [10.0]]), y=np.array([1.0, 1.0]))
     with pytest.raises(DivergenceError):
-        gd_inner_loop(ds, np.arange(2), np.array([1.0]), eta=10.0, m_steps=200)
+        gd_inner_loop(*normal_system(ds, np.arange(2)), np.array([1.0]), eta=10.0, m_steps=200)
 
 
 def test_largest_curvature_matches_eigenvalue():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((80, 5))
     ds = Dataset(X=X, y=np.zeros(80))
-    est = largest_curvature(ds, np.arange(80), iterations=200)
+    est = largest_curvature(normal_system(ds, np.arange(80))[0], iterations=200)
     exact = float(np.linalg.eigvalsh(X.T @ X / 80).max())
     assert est == pytest.approx(exact, rel=1e-6)
 

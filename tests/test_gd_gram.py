@@ -1,0 +1,176 @@
+"""Gram-form GD kernels against the matvec form they replaced, and non-finite inputs."""
+
+import math
+
+import numpy as np
+import pytest
+
+import trimfit.gd as gd
+from trimfit.gd import (POWER_ITERATIONS, DivergenceError, GdConfig, gd_ilts_run,
+                        gd_inner_loop, largest_curvature, normal_system)
+from trimfit.ilts import IltsConfig
+from trimfit.model import Dataset
+
+
+def matvec_largest_curvature(X_S, iterations=POWER_ITERATIONS):
+    """Oracle: power iteration through two matvecs over the selected rows, with
+    each norm taken on the vector over its largest entry so it cannot overflow."""
+    size, d = X_S.shape
+    v = np.ones(d) / math.sqrt(d)
+    est = 0.0
+    for _ in range(iterations):
+        w = X_S.T @ (X_S @ v) / size
+        peak = np.abs(w).max()
+        est = peak * float(np.linalg.norm(w / peak))
+        v = w / est
+    return est
+
+
+def matvec_inner_loop(X_S, y_S, theta, eta, m_steps):
+    """Oracle: gradient steps through two matvecs over the selected rows."""
+    for _ in range(m_steps):
+        theta = theta - eta * (X_S.T @ (X_S @ theta - y_S)) / X_S.shape[0]
+    return theta
+
+
+def matvec_run(monkeypatch, dataset, theta0, config):
+    """gd_ilts_run with the matvec kernels: normal_system hands over the rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gd, "normal_system", lambda ds, subset: (ds.X[subset], ds.y[subset]))
+        patch.setattr(gd, "largest_curvature", matvec_largest_curvature)
+        patch.setattr(gd, "gd_inner_loop", matvec_inner_loop)
+        return gd_ilts_run(dataset, theta0, config)
+
+
+def random_rows(rng):
+    X = rng.standard_normal((240, 5))
+    return X, X @ rng.standard_normal(5) + 0.1 * rng.standard_normal(240)
+
+
+def tied_integer_rows(rng):
+    # Few distinct values and many repeated rows, so residuals tie often.
+    X = rng.integers(-2, 3, size=(240, 4)).astype(float)
+    return X, X @ np.array([1.0, -1.0, 2.0, 0.0]) + rng.integers(-1, 2, size=240)
+
+
+def rank_deficient_rows(rng):
+    # The last column repeats the first, so every selection's G is singular.
+    X = rng.standard_normal((240, 4))
+    X[:, 3] = X[:, 0]
+    return X, X @ np.array([1.0, 2.0, -1.0, 1.0]) + 0.1 * rng.standard_normal(240)
+
+
+def extreme_scale_rows(rng):
+    # Each row, response included, scaled by 10^s with s uniform in [-100, 100].
+    X, y = random_rows(rng)
+    scale = 10.0 ** rng.uniform(-100, 100, size=240)
+    return X * scale[:, None], y * scale
+
+
+# Relative bound on the distance between the two forms' iterates. Both forms
+# round differently in the last bits only, and each run below stays at a
+# condition number where that gap does not grow past it.
+RELATIVE_GAP = 1e-12
+
+ROWS = [random_rows, tied_integer_rows, rank_deficient_rows, extreme_scale_rows]
+
+
+@pytest.mark.parametrize("rows", ROWS, ids=lambda f: f.__name__)
+def test_kernels_match_the_matvec_form(rows):
+    rng = np.random.default_rng(61)
+    X, y = rows(rng)
+    ds = Dataset(X=X, y=y)
+    for _ in range(5):
+        subset = np.sort(rng.choice(ds.n, 96, replace=False))
+        gram, rhs = normal_system(ds, subset)
+        est = largest_curvature(gram)
+        assert abs(est - matvec_largest_curvature(X[subset])) <= RELATIVE_GAP * est
+        theta = rng.standard_normal(ds.d)
+        got = gd_inner_loop(gram, rhs, theta, 1.0 / est, 20)
+        want = matvec_inner_loop(X[subset], y[subset], theta, 1.0 / est, 20)
+        assert np.linalg.norm(got - want) <= RELATIVE_GAP * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("rows", ROWS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("schedule", ["fixed", "adaptive"])
+def test_whole_runs_match_the_matvec_form(monkeypatch, rows, schedule):
+    rng = np.random.default_rng(62)
+    X, y = rows(rng)
+    ds = Dataset(X=X, y=y)
+    config = GdConfig(tau=0.6, schedule=schedule, m_steps=30, max_rounds=8, tol=0.0)
+    theta0 = rng.standard_normal(ds.d)
+    got = gd_ilts_run(ds, theta0, config)
+    want = matvec_run(monkeypatch, ds, theta0, config)
+    assert got.inner_steps == want.inner_steps and got.rounds_used == want.rounds_used
+    gaps = np.linalg.norm(got.iterates - want.iterates, axis=1)
+    assert np.all(gaps <= RELATIVE_GAP * np.linalg.norm(want.iterates, axis=1))
+
+
+def test_normal_system_is_built_once_per_round(monkeypatch):
+    rng = np.random.default_rng(63)
+    ds = Dataset(*random_rows(rng))
+    calls = []
+
+    def counting(dataset, subset):
+        calls.append(len(subset))
+        return normal_system(dataset, subset)
+
+    monkeypatch.setattr(gd, "normal_system", counting)
+    for eta in (None, 0.1):
+        calls.clear()
+        trace = gd_ilts_run(ds, np.zeros(ds.d), GdConfig(tau=0.5, eta=eta, m_steps=5,
+                                                         max_rounds=6, tol=0.0))
+        assert calls == [120] * trace.rounds_used == [120] * 6
+
+
+def test_normal_system_rejects_an_empty_selection():
+    with pytest.raises(ValueError, match="empty selection"):
+        normal_system(Dataset(*random_rows(np.random.default_rng(64))), np.array([], dtype=int))
+
+
+def test_curvature_names_the_overflow():
+    # 1e160 squared overflows, so G is infinite.
+    X = 1e160 * np.random.default_rng(65).standard_normal((20, 2))
+    ds = Dataset(X=X, y=np.ones(20))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflowed"):
+            largest_curvature(normal_system(ds, np.arange(20))[0])
+        with pytest.raises(ValueError, match="overflowed"):
+            gd_ilts_run(ds, np.zeros(2), GdConfig(tau=0.5))
+
+
+def test_inner_loop_rejects_a_non_finite_step_size():
+    gram, rhs = np.eye(2), np.ones(2)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            gd_inner_loop(gram, rhs, np.zeros(2), eta, 5)
+
+
+def test_divergence_guard_catches_a_nan_iterate():
+    # G = x x^T with x = (1e160, -1e160) is [[inf, -inf], [-inf, inf]], so the
+    # first step from (1, 1) computes inf - inf: every entry of the iterate is NaN.
+    ds = Dataset(X=np.array([[1e160, -1e160]]), y=np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        gd_inner_loop(*normal_system(ds, np.arange(1)), np.ones(2), 0.5, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: GdConfig(tau=0.5, eta=v),
+    lambda v: GdConfig(tau=0.5, w=v),
+    lambda v: GdConfig(tau=0.5, c_u=v),
+    lambda v: GdConfig(tau=0.5, tol=v),
+    lambda v: GdConfig(tau=v),
+    lambda v: IltsConfig(tau=0.5, tol=v),
+    lambda v: IltsConfig(tau=0.5, max_rounds=v),
+    lambda v: IltsConfig(tau=v),
+], ids=["gd-eta", "gd-w", "gd-c_u", "gd-tol", "gd-tau", "ilts-tol", "ilts-max_rounds",
+        "ilts-tau"])
+def test_configs_reject_nan(make):
+    with pytest.raises(ValueError):
+        make(math.nan)
+
+
+@pytest.mark.parametrize("field", ["eta", "w", "c_u"])
+def test_gd_config_rejects_infinite_scales(field):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        GdConfig(tau=0.5, **{field: math.inf})

@@ -138,17 +138,17 @@ def test_epsilon_recovery_shape_mismatch():
 
 
 def exhaustive_matching(dist):
-    """Oracle: the first permutation, in itertools order, with the smallest
-    largest matched distance; perm[b] is the row matched to column b."""
+    """Oracle: the first permutation, in itertools order, with the most finite
+    matched distances and then the smallest largest finite one; perm[b] is the
+    row matched to column b. The value is the largest matched distance."""
     m = dist.shape[0]
-    best_val = np.inf
-    best_perm = tuple(range(m))
-    for perm in itertools.permutations(range(m)):
-        val = max(dist[perm[b], b] for b in range(m))
-        if val < best_val:
-            best_val = val
-            best_perm = perm
-    return float(best_val), list(best_perm)
+    perms = np.array(list(itertools.permutations(range(m))))
+    pairs = dist[perms, np.arange(m)]
+    finite = np.isfinite(pairs)
+    # lexsort is stable, so the first of the best keys keeps itertools order
+    best = perms[np.lexsort((np.where(finite, pairs, -np.inf).max(axis=1),
+                             -finite.sum(axis=1)))[0]]
+    return float(dist[best, np.arange(m)].max()), best.tolist()
 
 
 def test_bottleneck_matching_agrees_with_exhaustive():
@@ -167,26 +167,36 @@ def test_bottleneck_matching_agrees_with_exhaustive():
 
 
 def fresh_matching_bottleneck(dist):
-    """Reference: the lexicographic pass that checks each candidate row with a
-    perfect matching of the remaining rows and columns built from scratch."""
+    """Reference: the threshold found by bisection, then the lexicographic pass
+    that checks each candidate row with a maximum matching of the remaining
+    rows and columns built from scratch."""
     m = dist.shape[0]
-    values = np.unique(dist)
+    need = lsap_matching_size(np.isfinite(dist))
+    values = np.unique(dist[np.isfinite(dist)])
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if lsap_has_perfect_matching(dist <= values[mid]):
+        if lsap_matching_size(dist <= values[mid]) == need:
             hi = mid
         else:
             lo = mid + 1
-    allowed = dist <= values[lo]
+    allowed = dist <= (values[lo] if values.size else -np.inf)
+    value = float(values[lo]) if need == m else np.inf
     perm = []
     free = list(range(m))
+
+    def fits(a, b):
+        # a finite pair must be allowed, and the rest must still hold the finite pairs due
+        rest = allowed[np.ix_([x for x in free if x != a], range(b + 1, m))]
+        return ((allowed[a, b] or np.isinf(dist[a, b]))
+                and lsap_matching_size(rest) == need - allowed[a, b])
+
     for b in range(m):
-        a = next(a for a in free if allowed[a, b] and lsap_has_perfect_matching(
-            allowed[np.ix_([x for x in free if x != a], range(b + 1, m))]))
+        a = next(a for a in free if fits(a, b))
+        need -= int(allowed[a, b])
         perm.append(a)
         free.remove(a)
-    return float(values[lo]), perm
+    return value, perm
 
 
 def test_bottleneck_matching_agrees_with_fresh_matchings_at_m_100():
@@ -202,6 +212,13 @@ def test_bottleneck_matching_agrees_with_fresh_matchings_at_m_100():
     for dist in (uniform, unrecovered, near_identity):
         value, perm = _bottleneck_matching(dist)
         assert (value, list(perm)) == fresh_matching_bottleneck(dist)
+
+
+def lsap_matching_size(allowed):
+    """Oracle: the size of a maximum matching is the optimal assignment's count
+    of allowed pairs."""
+    rows, cols = linear_sum_assignment(allowed, maximize=True)
+    return int(allowed[rows, cols].sum())
 
 
 def lsap_has_perfect_matching(allowed):
@@ -300,6 +317,29 @@ def test_epsilon_recovery_is_bit_equal_to_the_largest_component_error():
         value, perm = epsilon_recovery(theta_hat, theta_star)
         assert value == max(float(np.linalg.norm(theta_hat[:, perm[b]] - theta_star[:, b]))
                             for b in range(m))
+
+
+def test_partial_recovery_matches_the_recovered_slots_first():
+    # slot 0 recovers truth column 2 and slot 1 column 1; slot 2 starves. Every
+    # permutation then has an infinite pair, but the matching must still pair the
+    # recovered slots with the columns they recovered.
+    ds, truth = three_component_instance(seed=19)
+    delta = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
+    cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.9), delta=delta, candidate_budget=20,
+                       epsilon_net=0.2, seed=4, radius=1.0)
+    report = global_ilts(ds, cfg, truth=truth)
+    assert report.recovered == (True, True, False)
+    assert report.matching == (2, 1, 0)
+    assert math.isinf(report.per_component_errors[0])
+    assert max(report.per_component_errors[1:]) <= 1e-12
+    assert math.isinf(report.epsilon_recovery)
+
+
+@pytest.mark.parametrize("field", ["delta", "epsilon_net", "radius", "ilts_tol"])
+def test_global_config_rejects_nan(field):
+    settings = dict(m=2, tau_list=(0.3, 0.3), delta=0.1, candidate_budget=5, seed=0)
+    with pytest.raises(ValueError, match=field):
+        GlobalConfig(**dict(settings, **{field: math.nan}))
 
 
 def test_global_default_radius_flagged():
