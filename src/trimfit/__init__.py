@@ -35,7 +35,7 @@ __all__ = [
     "contraction_ratio", "default_radius", "epsilon_recovery",
     "estimate_subspace", "feature_regularity_exact",
     "feature_regularity_sampled", "gd_ilts_run", "generate_candidates",
-    "generate_mlrc", "global_ilts", "inject_corruptions", "largest_curvature",
+    "generate_mlrc", "global_ilts", "ilts_run", "inject_corruptions", "largest_curvature",
     "least_squares", "load_dataset", "load_truth", "normal_system", "q_separation",
     "realized_gamma_star", "reconstruction_error", "save_dataset",
     "save_truth", "select_trimmed_set", "stopping_steps", "subspace_distance",

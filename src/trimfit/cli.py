@@ -8,6 +8,7 @@ its rounds without meeting tol, and 3 for a partial recovery.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -22,8 +23,8 @@ from . import diagnostics as diag
 from . import model as model_mod
 from . import pipeline as pipe
 from .gd import SCHEDULES, GdConfig, gd_ilts_run
-from .ilts import (RANK_POLICIES, IltsConfig, ilts_run, selection_size, trace_summary,
-                   write_trace_csv)
+from .ilts import (RANK_POLICIES, IltsConfig, ilts_run, selection_size, start_vector,
+                   trace_summary, write_trace_csv)
 from .schemas import (EXPERIMENT_CONFIG_SCHEMA, GENERATE_CONFIG_SCHEMA,
                       SUBSPACE_FILE_SCHEMA, validate_document)
 
@@ -44,28 +45,34 @@ def _load_document(path: str, schema: dict) -> dict:
     return doc
 
 
-def _generate_instance(doc: dict, seed: int):
-    """Dataset and truth from a config's "model" and optional "corruption"."""
+@contextlib.contextmanager
+def _config_errors(path: str):
+    """Put the config file path in front of any ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _mixture_specs(doc: dict):
+    """MixtureSpec and CorruptionSpec of a config's "model" and optional "corruption"."""
     model = doc["model"]
     spec = model_mod.MixtureSpec(d=model["d"], m=model["m"], components=model["components"],
                                  weights=model["weights"], covariance=model.get("covariance"))
     # The schema admits only CorruptionSpec's fields, so its defaults apply.
-    corruption = model_mod.CorruptionSpec(**doc.get("corruption", {}))
-    return model_mod.generate_mlrc(spec, corruption, n=model["n"], seed=seed)
+    return spec, model_mod.CorruptionSpec(**doc.get("corruption", {}))
 
 
-def _build_config(kind: str, params: dict, source: str | None = None):
+def _build_config(kind: str, params: dict, from_config: bool = False):
     """Solver config of the given kind ("ilts", "gd-ilts" or "global").
 
     Keys of params that name no solver setting, or hold None, are ignored,
     so the dataclass defaults are the only defaults. For "global",
     max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol.
-    A setting of another kind only fails, naming the flag, or the key and
-    the config file source; seed is exempt, as experiments read it.
+    A setting of another kind only fails, naming the flag, or the solver key
+    from_config; seed is exempt, as experiments read it.
     """
     classes = {"ilts": IltsConfig, "gd-ilts": GdConfig, "global": pipe.GlobalConfig}
-    if kind not in classes:
-        raise ValueError(f"unknown solver kind {kind!r}")
     given = {key: value for key, value in params.items() if value is not None}
     if kind == "global":
         inner = {"max_rounds": "ilts_max_rounds", "tol": "ilts_tol"}
@@ -75,7 +82,7 @@ def _build_config(kind: str, params: dict, source: str | None = None):
                - {f.name for f in fields} - {"seed"}).intersection(given)
     if foreign:
         key = min(foreign)
-        name = f"--{key.replace('_', '-')}" if source is None else f"{source}: solver key {key!r}"
+        name = f"solver key {key!r}" if from_config else f"--{key.replace('_', '-')}"
         raise ValueError(f"{name} is not a setting of the {kind} solver")
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and f.name not in given]
@@ -120,21 +127,14 @@ def _parse_floats(text: str, source: str) -> list[float]:
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _checked_theta0(values, d: int) -> np.ndarray:
-    theta0 = np.asarray(values, dtype=float)
-    if theta0.shape != (d,):
-        raise ValueError(f"theta0 has {theta0.size} entries, expected d = {d}")
-    return theta0
-
-
 def _theta0_from_args(args, d: int) -> np.ndarray:
     if args.theta0 is not None and args.theta0_file is not None:
         raise ValueError("give only one of --theta0 and --theta0-file")
     if args.theta0 is not None:
-        return _checked_theta0(_parse_floats(args.theta0, "--theta0"), d)
+        return start_vector(_parse_floats(args.theta0, "--theta0"), d)
     if args.theta0_file is not None:
         with open(args.theta0_file, "r", encoding="ascii") as fh:
-            return _checked_theta0(_parse_floats(fh.read(), args.theta0_file), d)
+            return start_vector(_parse_floats(fh.read(), args.theta0_file), d)
     return np.zeros(d)
 
 
@@ -143,7 +143,9 @@ def _theta0_from_args(args, d: int) -> np.ndarray:
 
 def cmd_generate(args) -> int:
     doc = _load_document(args.config, GENERATE_CONFIG_SCHEMA)
-    dataset, truth = _generate_instance(doc, doc["model"]["seed"])
+    with _config_errors(args.config):
+        dataset, truth = model_mod.generate_mlrc(
+            *_mixture_specs(doc), n=doc["model"]["n"], seed=doc["model"]["seed"])
     out_dir = args.output_dir or doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -198,7 +200,7 @@ def cmd_global(args) -> int:
 
     delta = args.delta
     if delta is None:
-        delta = 10.0 * args.target_accuracy * math.sqrt(math.log(dataset.n))
+        delta = 10.0 * 1e-6 * math.sqrt(math.log(dataset.n))
 
     config = _build_config("global", dict(
         vars(args), tau_list=tuple(taus), delta=delta,
@@ -266,27 +268,29 @@ def _repeat_seed(doc: dict, repeat: int) -> int:
     return base + repeat
 
 
-def _experiment_solver(doc: dict, inputs, path: str):
-    """Solver config and start of the experiment config at path, checked once
-    before the first repeat; theta0 is None for a random start per repeat."""
+def _experiment_setup(doc: dict, inputs):
+    """Objects of an experiment config, each checked once before the first
+    repeat: the mixture specs (None in dataset mode), the solver config and
+    theta0 (None for a random start per repeat)."""
+    specs = _mixture_specs(doc) if inputs is None else None
     solver = doc["solver"]
-    config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)), path)
+    config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)), True)
     n, d = (doc["model"]["n"], doc["model"]["d"]) if inputs is None else inputs[0].X.shape
     if isinstance(config, IltsConfig):
         selection_size(config, n, d)
     theta0 = solver.get("theta0", "random")
-    theta0 = None if theta0 == "random" else _checked_theta0(theta0, d)
+    theta0 = None if theta0 == "random" else start_vector(theta0, d)
     if inputs is not None and inputs[1] is None and doc.get("diagnostics"):
         raise ValueError(f"{doc['diagnostics'][0]} diagnostic needs ground truth")
-    return config, theta0
+    return specs, config, theta0
 
 
-def _run_repeat(doc: dict, repeat: int, inputs, config, theta0) -> dict:
+def _run_repeat(doc: dict, repeat: int, inputs, specs, config, theta0) -> dict:
     """One row of an experiment. inputs is the loaded (dataset, truth) in
     dataset mode and None in model mode, where each repeat generates its own
-    instance; config and theta0 come from _experiment_solver."""
+    instance from specs; specs, config and theta0 come from _experiment_setup."""
     seed = _repeat_seed(doc, repeat)
-    dataset, truth = _generate_instance(doc, seed) if inputs is None else inputs
+    dataset, truth = inputs or model_mod.generate_mlrc(*specs, n=doc["model"]["n"], seed=seed)
     row: dict = {"repeat": repeat, "seed": seed}
 
     if isinstance(config, pipe.GlobalConfig):
@@ -337,16 +341,17 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
 def cmd_experiment(args) -> int:
     doc = _load_document(args.config, EXPERIMENT_CONFIG_SCHEMA)
     if ("model" in doc) == ("dataset" in doc):
-        raise ValueError("config must carry exactly one of 'model' and 'dataset'")
+        raise ValueError(f"{args.config}: config must carry exactly one of 'model' and 'dataset'")
     inputs = None if "model" in doc else _load_inputs(doc["dataset"], doc.get("truth"))
-    config, theta0 = _experiment_solver(doc, inputs, args.config)
+    with _config_errors(args.config):
+        specs, config, theta0 = _experiment_setup(doc, inputs)
     os.makedirs(doc["output_dir"], exist_ok=True)
     repeats = doc["repeats"]
 
     rows: list[dict] = []
     for r in range(repeats):
         try:
-            rows.append(_run_repeat(doc, r, inputs, config, theta0))
+            rows.append(_run_repeat(doc, r, inputs, specs, config, theta0))
         except Exception as exc:  # recorded per repeat, not fatal here
             rows.append({"repeat": r, "seed": "", "error": str(exc)})
 
@@ -410,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-component fractions (single value broadcasts)")
     p.add_argument("--budget", type=int, required=True, help="candidates per component")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--delta", type=float, help="acceptance residual threshold")
-    p.add_argument("--target-accuracy", type=float, default=1e-6,
-                   help="sets delta = 10 * accuracy * sqrt(log n) when --delta absent")
+    p.add_argument("--delta", type=float,
+                   help="acceptance residual threshold (default 10 * 1e-6 * sqrt(log n))")
     p.add_argument("--radius", type=float, help="candidate sphere radius")
     p.add_argument("--epsilon", type=float, help="net granularity (default 0.2 * radius)")
     p.add_argument("--truth", help="truth sidecar JSON for recovery metrics")

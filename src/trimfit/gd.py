@@ -55,9 +55,9 @@ class GdConfig:
         _check_alternation(self)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
-        if self.schedule == "fixed" and not self.m_steps >= 1:
-            raise ValueError("m_steps must be at least 1")
         # Negated range tests, so that NaN fails them too.
+        if not self.m_steps >= 1:
+            raise ValueError("m_steps must be at least 1")
         for name in ("eta", "w", "c_u"):
             value = getattr(self, name)
             if not (value is None and name == "eta" or 0 < value < math.inf):

@@ -143,6 +143,15 @@ def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail
     return theta
 
 
+def start_vector(theta0, d: int) -> np.ndarray:
+    """theta0 as a float array, checked to hold d finite entries."""
+    theta = np.asarray(theta0, dtype=float)
+    if theta.shape != (d,):
+        raise ValueError(f"theta0 has {theta.size} entries, expected d = {d}")
+    check_finite(theta, "theta0")
+    return theta
+
+
 def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
                stop_on_same_set: bool, truth: GroundTruth | None = None) -> SolverTrace:
     """The trimmed alternation shared by the exact and gradient variants.
@@ -153,10 +162,7 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
     """
     if k < 1:
         raise ValueError(f"floor(tau * n) = {k}; no samples would be selected")
-    theta = np.asarray(theta0, dtype=float)
-    if theta.shape != (dataset.d,):
-        raise ValueError(f"theta0 must be a length-{dataset.d} vector")
-    check_finite(theta, "theta0")
+    theta = start_vector(theta0, dataset.d)
 
     iterates = [theta.copy()]
     subset = select_trimmed_set(dataset, theta, k)

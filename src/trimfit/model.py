@@ -52,9 +52,9 @@ class MixtureSpec:
     covariance: tuple | None = None
 
     def __post_init__(self):
-        if self.d < 1:
+        if not self.d >= 1:
             raise ValueError("d must be a positive integer")
-        if self.m < 1:
+        if not self.m >= 1:
             raise ValueError("m must be a positive integer")
         comps = tuple(as_readonly(np.asarray(c, dtype=float)) for c in self.components)
         if len(comps) != self.m:
@@ -66,9 +66,9 @@ class MixtureSpec:
         w = tuple(float(x) for x in self.weights)
         if len(w) != self.m:
             raise ValueError(f"expected {self.m} weights, got {len(w)}")
-        if any(x <= 0 for x in w):
-            raise ValueError("weights must be strictly positive")
-        if abs(sum(w) - 1.0) > 1e-9:
+        if not all(0 < x < math.inf for x in w):
+            raise ValueError("weights must be strictly positive and finite")
+        if not abs(sum(w) - 1.0) <= 1e-9:
             raise ValueError("weights must sum to 1 so every sample index is assigned")
         cov = self.covariance
         if cov is not None:
@@ -80,6 +80,7 @@ class MixtureSpec:
                     continue
                 if c.shape != (self.d, self.d):
                     raise ValueError(f"covariance {j} must be {self.d} x {self.d}")
+                check_finite(c, f"covariance {j}")
                 if not np.allclose(c, c.T, atol=1e-10):
                     raise ValueError(f"covariance {j} is not symmetric")
                 try:
@@ -112,12 +113,13 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.adversary not in ADVERSARIES:
             raise ValueError(f"unknown adversary {self.adversary!r}; expected one of {ADVERSARIES}")
-        if self.gamma_star < 0:
-            raise ValueError("gamma_star must be nonnegative")
+        # Negated range tests, so that NaN fails them too.
+        if not 0 <= self.gamma_star < math.inf:
+            raise ValueError("gamma_star must be nonnegative and finite")
         if self.adversary == "none" and self.gamma_star != 0:
             raise ValueError("adversary 'none' requires gamma_star = 0")
-        if self.magnitude <= 0:
-            raise ValueError("magnitude must be positive")
+        if not 0 < self.magnitude < math.inf:
+            raise ValueError("magnitude must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,8 @@ class GroundTruth:
         m = theta.shape[1]
         if part.size and (part.min() < 0 or part.max() >= m):
             raise ValueError("partition labels must lie in [0, m)")
+        check_finite(theta, "theta_star")
+        check_finite(r, "r")
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "partition", part)
         object.__setattr__(self, "corrupted", corr)

@@ -82,23 +82,23 @@ class GlobalConfig:
     ilts_tol: float = 1e-11
 
     def __post_init__(self):
-        if self.m < 1:
+        # Negated range tests, so that NaN fails them too.
+        if not self.m >= 1:
             raise ValueError("m must be at least 1")
         taus = tuple(float(t) for t in self.tau_list)
         if len(taus) != self.m:
             raise ValueError("tau_list must carry one fraction per component")
         if any(not 0 < t <= 1 for t in taus):
             raise ValueError("every tau must lie in (0, 1]")
-        # Negated range tests, so that NaN fails them too.
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.candidate_budget < 1:
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not self.candidate_budget >= 1:
             raise ValueError("candidate_budget must be at least 1")
         if self.epsilon_net is not None and not self.epsilon_net > 0:
             raise ValueError("epsilon_net must be positive when given")
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError("radius must be positive when given")
-        if self.ilts_max_rounds < 1:
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite when given")
+        if not self.ilts_max_rounds >= 1:
             raise ValueError("ilts_max_rounds must be at least 1")
         if not self.ilts_tol >= 0:
             raise ValueError("ilts_tol must be nonnegative")

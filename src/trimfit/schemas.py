@@ -2,8 +2,11 @@
 
 Input files (generate and experiment configs, subspace bases) are validated
 on load, so missing or mistyped fields fail with the file and the field
-named. The documents the package writes are defined by the code that builds
-them alone; README.md lists their fields.
+named. The schemas check shape: types, required and unknown keys, enums,
+and bounds only on the fields no class owns (version, name, repeats, model n).
+Ranges are checked by the classes a config builds, under the file's name.
+The documents the package writes are defined by the code that builds them
+alone; README.md lists their fields.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ MODEL_SCHEMA = {
     "type": "object",
     "required": ["d", "m", "components", "weights", "n", "seed"],
     "properties": {
-        "d": {"type": "integer", "minimum": 1},
-        "m": {"type": "integer", "minimum": 1},
+        "d": {"type": "integer"},
+        "m": {"type": "integer"},
         "components": {"type": "array", "items": _NUMBER_ARRAY},
         "weights": _NUMBER_ARRAY,
         "covariance": {
@@ -40,9 +43,9 @@ MODEL_SCHEMA = {
 CORRUPTION_SCHEMA = {
     "type": "object",
     "properties": {
-        "gamma_star": {"type": "number", "minimum": 0},
+        "gamma_star": {"type": "number"},
         "adversary": {"enum": list(ADVERSARIES)},
-        "magnitude": {"type": "number", "exclusiveMinimum": 0},
+        "magnitude": {"type": "number"},
     },
     "additionalProperties": False,
 }
@@ -76,19 +79,19 @@ SOLVER_SCHEMA = {
     "properties": {
         "kind": {"enum": ["ilts", "gd-ilts", "global"]},
         "tau": {"type": "number"},
-        "max_rounds": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "minimum": 0},
+        "max_rounds": {"type": "integer"},
+        "tol": {"type": "number"},
         "rank_policy": {"enum": list(RANK_POLICIES)},
         "theta0": {"anyOf": [_NUMBER_ARRAY, {"const": "random"}]},
         "eta": {"anyOf": [{"type": "number"}, {"type": "null"}]},
         "schedule": {"enum": list(SCHEDULES)},
-        "m_steps": {"type": "integer", "minimum": 1},
+        "m_steps": {"type": "integer"},
         "w": {"type": "number"},
         "c_u": {"type": "number"},
-        "m": {"type": "integer", "minimum": 1},
+        "m": {"type": "integer"},
         "tau_list": _NUMBER_ARRAY,
         "delta": {"type": "number"},
-        "candidate_budget": {"type": "integer", "minimum": 1},
+        "candidate_budget": {"type": "integer"},
         "epsilon_net": {"type": "number"},
         "radius": {"anyOf": [{"type": "number"}, {"type": "null"}]},
         "seed": {"type": "integer"},
@@ -137,8 +140,6 @@ def _first_error(value, schema: dict, path: tuple) -> tuple[str, tuple] | None:
         return deeper[0] if deeper else (f"{value!r} matches none of its options", path)
     if "minimum" in schema and value < schema["minimum"]:
         return f"{value!r} is less than the minimum of {schema['minimum']!r}", path
-    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        return f"{value!r} is not greater than {schema['exclusiveMinimum']!r}", path
     if "minLength" in schema and len(value) < schema["minLength"]:
         return f"{value!r} is shorter than {schema['minLength']} characters", path
     children = ()

@@ -3,6 +3,7 @@
 Commands run in-process through main(argv), which returns the exit code.
 """
 
+import ast
 import csv
 import hashlib
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trimfit
 from trimfit import model, pipeline
 from trimfit.cli import main
 from trimfit.gd import GdConfig
@@ -353,6 +355,15 @@ def test_importing_trimfit_does_not_load(package):
     assert proc.stdout == "[]\n"
 
 
+def test_every_public_name_of_the_package_is_exported():
+    tree = ast.parse(Path(trimfit.__file__).read_text())
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in bound if not name.startswith("_")}
+    assert public <= set(trimfit.__all__)
+    assert all(hasattr(trimfit, name) for name in trimfit.__all__)
+
+
 def generate_variant(tmp_path, name, **model):
     doc = json.loads(json.dumps(GEN_CONFIG))
     doc["name"] = name
@@ -579,8 +590,9 @@ def test_dataset_experiment_diagnostic_without_truth_fails_once(tmp_path, capsys
     exp = {"version": 1, "name": "exp", "dataset": data,
            "solver": {"kind": "ilts", "tau": 0.4}, "diagnostics": ["gamma_star"],
            "repeats": 3, "output_dir": str(tmp_path / "out")}
-    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 1
-    assert "error: gamma_star diagnostic needs ground truth" in capsys.readouterr().err
+    cfg = write_config(tmp_path, exp, "exp.json")
+    assert main(["experiment", "--config", cfg]) == 1
+    assert f"error: {cfg}: gamma_star diagnostic needs ground truth" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -629,3 +641,60 @@ def test_integral_float_in_an_integer_field_fails_once(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and cfg in err and f"(at {'/'.join(path)})" in err
     assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+COVARIANCE_WITH_NAN = [None, [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]]
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("generate", ("corruption", "magnitude"), NAN, "magnitude must be positive and finite"),
+    ("generate", ("corruption", "gamma_star"), NAN,
+     "gamma_star must be nonnegative and finite"),
+    ("generate", ("corruption", "gamma_star"), INF,
+     "gamma_star must be nonnegative and finite"),
+    ("generate", ("model", "weights", 0), NAN,
+     "weights must be strictly positive and finite"),
+    ("generate", ("model", "covariance"), COVARIANCE_WITH_NAN,
+     "covariance 1 contains non-finite entries"),
+    ("generate", ("model", "d"), 0, "d must be a positive integer"),
+    ("experiment", ("solver", "max_rounds"), 0, "max_rounds must be at least 1"),
+    ("experiment", ("solver",),
+     {"kind": "gd-ilts", "tau": 0.4, "schedule": "adaptive", "m_steps": 0},
+     "m_steps must be at least 1"),
+    ("experiment", ("solver", "theta0"), [NAN, 0.0, 0.0],
+     "theta0 contains non-finite entries"),
+], ids=["magnitude-nan", "gamma-star-nan", "gamma-star-inf", "weight-nan",
+        "covariance-nan", "d-zero", "max-rounds-zero", "adaptive-m-steps-zero",
+        "theta0-nan"])
+def test_bad_config_value_fails_once_naming_file_and_field(tmp_path, capsys, command, path,
+                                                           value, message):
+    out = tmp_path / "out"
+    doc = json.loads(json.dumps(
+        GEN_CONFIG if command == "generate" else
+        {"version": 1, "name": "exp", "model": GEN_CONFIG["model"],
+         "corruption": GEN_CONFIG["corruption"],
+         "solver": {"kind": "ilts", "tau": 0.4}, "repeats": 2, "output_dir": str(out)}))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg = write_config(tmp_path, doc, "config.json")
+    argv = ["--config", cfg] + (["--output-dir", str(out)] if command == "generate" else [])
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["theta_star", "r"])
+def test_non_finite_truth_names_the_file_and_field(tmp_path, capsys, field):
+    data, truth = generate(tmp_path)
+    doc = json.loads(Path(truth).read_text())
+    (doc["theta_star"][0] if field == "theta_star" else doc["r"])[0] = NAN
+    Path(truth).write_text(json.dumps(doc))
+    capsys.readouterr()
+    prefix = tmp_path / "fit"
+    assert main(["fit", data, "--tau", "0.4", "--truth", truth,
+                 "--out-prefix", str(prefix)]) == 1
+    assert capsys.readouterr().err == f"error: {truth}: {field} contains non-finite entries\n"
+    assert not (tmp_path / "fit.summary.json").exists()

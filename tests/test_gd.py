@@ -144,5 +144,7 @@ def test_gd_config_validation():
         GdConfig(tau=0.4, schedule="linear")
     with pytest.raises(ValueError):
         GdConfig(tau=0.4, m_steps=0)
+    with pytest.raises(ValueError, match="m_steps"):
+        GdConfig(tau=0.4, schedule="adaptive", m_steps=0)
     with pytest.raises(ValueError):
         GdConfig(tau=1.5)

@@ -241,7 +241,7 @@ def test_solver_validates_inputs():
     with pytest.raises(ValueError, match="max_rounds"):
         IltsConfig(tau=0.5, max_rounds=0)
     cfg = IltsConfig(tau=0.5)
-    with pytest.raises(ValueError, match="length-1"):
+    with pytest.raises(ValueError, match="theta0 has 2 entries, expected d = 1"):
         ilts_run(ds, np.zeros(2), cfg)
     # selection smaller than d cannot be solved exactly under 'fail'
     wide = Dataset(X=np.eye(6), y=np.zeros(6))

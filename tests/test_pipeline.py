@@ -342,6 +342,13 @@ def test_global_config_rejects_nan(field):
         GlobalConfig(**dict(settings, **{field: math.nan}))
 
 
+@pytest.mark.parametrize("field", ["delta", "radius"])
+def test_global_config_rejects_inf(field):
+    settings = dict(m=2, tau_list=(0.3, 0.3), delta=0.1, candidate_budget=5, seed=0)
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        GlobalConfig(**dict(settings, **{field: math.inf}))
+
+
 def test_global_default_radius_flagged():
     ds, _ = three_component_instance(seed=29)
     cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.3), delta=1e-5,
