@@ -11,9 +11,9 @@ from .diagnostics import (AffineErrorEstimate, RegularityEstimate,
                           contraction_bound_trace, feature_regularity_exact,
                           feature_regularity_sampled, q_separation)
 from .gd import (DivergenceError, GdConfig, gd_ilts_run, largest_curvature,
-                 normal_system, stopping_steps)
+                 stopping_steps)
 from .ilts import (IltsConfig, RankDeficientError, SolverTrace,
-                   contraction_ratio, ilts_run, least_squares,
+                   contraction_ratio, ilts_run, least_squares, normal_system,
                    select_trimmed_set, tau_grid, trimmed_loss)
 from .model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                     generate_mlrc, inject_corruptions, load_dataset,

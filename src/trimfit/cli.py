@@ -68,15 +68,15 @@ def _build_config(kind: str, params: dict, from_config: bool = False):
 
     Keys of params that name no solver setting, or hold None, are ignored,
     so the dataclass defaults are the only defaults. For "global",
-    max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol.
+    max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol,
+    and their range errors name the config key from_config, else the flag.
     A setting of another kind only fails, naming the flag, or the solver key
     from_config; seed is exempt, as experiments read it.
     """
     classes = {"ilts": IltsConfig, "gd-ilts": GdConfig, "global": pipe.GlobalConfig}
     given = {key: value for key, value in params.items() if value is not None}
-    if kind == "global":
-        inner = {"max_rounds": "ilts_max_rounds", "tol": "ilts_tol"}
-        given = {inner.get(key, key): value for key, value in given.items()}
+    inner = {"max_rounds": "ilts_max_rounds", "tol": "ilts_tol"} if kind == "global" else {}
+    given = {inner.get(key, key): value for key, value in given.items()}
     fields = dataclasses.fields(classes[kind])
     foreign = ({f.name for cls in classes.values() for f in dataclasses.fields(cls)}
                - {f.name for f in fields} - {"seed"}).intersection(given)
@@ -88,7 +88,16 @@ def _build_config(kind: str, params: dict, from_config: bool = False):
                if f.default is dataclasses.MISSING and f.name not in given]
     if missing:
         raise ValueError(f"{kind} solver needs {', '.join(missing)}")
-    return classes[kind](**{f.name: given[f.name] for f in fields if f.name in given})
+    try:
+        return classes[kind](**{f.name: given[f.name] for f in fields if f.name in given})
+    except ValueError as exc:
+        # A range error on a renamed setting names it as the user wrote it.
+        message = str(exc)
+        for key, field in inner.items():
+            if message.startswith(field + " "):
+                name = key if from_config else f"--{key.replace('_', '-')}"
+                raise ValueError(name + message[len(field):]) from None
+        raise
 
 
 def _run_solver(dataset, theta0, config, truth):
@@ -187,8 +196,9 @@ def cmd_fit(args) -> int:
 
 def _load_subspace(path: str) -> pipe.SubspaceEstimate:
     doc = _load_document(path, SUBSPACE_FILE_SCHEMA)
-    basis = np.column_stack([np.asarray(c, dtype=float) for c in doc["basis"]])
-    return pipe.SubspaceEstimate(basis=basis, provenance="external")
+    with _config_errors(path):
+        basis = np.column_stack([np.asarray(c, dtype=float) for c in doc["basis"]])
+        return pipe.SubspaceEstimate(basis=basis, provenance="external")
 
 
 def cmd_global(args) -> int:
@@ -270,9 +280,12 @@ def _repeat_seed(doc: dict, repeat: int) -> int:
 
 def _experiment_setup(doc: dict, inputs):
     """Objects of an experiment config, each checked once before the first
-    repeat: the mixture specs (None in dataset mode), the solver config and
-    theta0 (None for a random start per repeat)."""
+    repeat: the mixture specs (None in dataset mode, else checked to fit n
+    samples), the solver config and theta0 (None for a random start per
+    repeat)."""
     specs = _mixture_specs(doc) if inputs is None else None
+    if specs is not None:
+        model_mod.component_counts(specs[0], doc["model"]["n"])
     solver = doc["solver"]
     config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)), True)
     n, d = (doc["model"]["n"], doc["model"]["d"]) if inputs is None else inputs[0].X.shape

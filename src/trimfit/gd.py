@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ilts import SolverTrace, _alternate, _check_alternation
+from .ilts import SolverTrace, _alternate, _check_alternation, normal_system
 from .model import Dataset, GroundTruth
 from .util import check_finite, floor_count
 
@@ -76,14 +76,6 @@ def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
         raise ValueError("w and c_u must be positive")
     inner = w / (lam * math.log(1.0 / lam))
     return max(1, math.ceil(c_u * math.log(inner)))
-
-
-def normal_system(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean normal system (X_S^T X_S / |S|, X_S^T y_S / |S|) of the selected rows."""
-    if len(subset) == 0:
-        raise ValueError("empty selection")
-    X_S = dataset.X[subset]
-    return X_S.T @ X_S / len(subset), X_S.T @ dataset.y[subset] / len(subset)
 
 
 def largest_curvature(gram: np.ndarray, iterations: int = POWER_ITERATIONS) -> float:

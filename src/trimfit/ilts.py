@@ -7,6 +7,12 @@ squares on the selected set. The trimmed loss a(theta, S), the sum of squared
 residuals over S, never increases across the alternation, and the iteration
 stops when the step norm falls to tol or the selected set repeats (a repeated
 set makes the next iterate identical, hence a fixed point).
+
+Both refits, exact and gradient, start from the selected rows' normal system
+G = X_S^T X_S, b = X_S^T y_S, built in O(k d^2) for k selected rows. The
+exact refit solves G theta = b and refines once when G is well conditioned,
+and otherwise solves X_S theta = y_S through an orthogonal factorization
+(see least_squares).
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ from .util import check_finite, floor_count, fmt17
 # Relative cutoff under which singular values count as zero when deciding
 # rank deficiency.
 RANK_RCOND = 1e-10
+
+# least_squares solves the normal equations only when the smallest eigenvalue
+# of G = X_S^T X_S exceeds this fraction of the largest, i.e. when
+# kappa(X_S)^2 * eps stays below about 1e-8.
+GRAM_RCOND = 1e-8
 
 RANK_POLICIES = ("fail", "min-norm")
 
@@ -121,21 +132,45 @@ def trimmed_loss(dataset: Dataset, theta: np.ndarray, subset: np.ndarray) -> flo
     return float(res @ res)
 
 
+def _gather(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The selected rows (X_S, y_S); an empty selection is an error."""
+    if len(subset) == 0:
+        raise ValueError("empty selection")
+    return dataset.X[subset], dataset.y[subset]
+
+
+def normal_system(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean normal system (X_S^T X_S / |S|, X_S^T y_S / |S|) of the selected rows."""
+    X_S, y_S = _gather(dataset, subset)
+    return X_S.T @ X_S / len(y_S), X_S.T @ y_S / len(y_S)
+
+
 def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail") -> np.ndarray:
     """Exact least squares on the selected rows.
 
-    Solved through an orthogonal factorization, never the normal equations.
-    Under rank_policy='fail' a rank-deficient selection raises; under
-    'min-norm' the minimum-norm solution is returned, with singular values
-    below RANK_RCOND times the largest treated as zero.
+    When the normal system G = X_S^T X_S, b = X_S^T y_S is finite and G's
+    eigenvalues satisfy lambda_min > GRAM_RCOND * lambda_max, G theta = b is
+    solved and refined once, theta += G^-1 X_S^T (y_S - X_S theta). One
+    refinement step recovers the accuracy of an orthogonal solve while
+    kappa(X_S)^2 * eps << 1 (Bjorck 1996, sec. 2.9). The rule implies
+    sigma_min / sigma_max > 1e-4, so no selection it admits is rank deficient.
+
+    Every other selection (rank deficient, ill conditioned, overflowing or
+    all zero) is solved through an orthogonal factorization: under
+    rank_policy='fail' a rank-deficient one raises, and under 'min-norm' the
+    minimum-norm solution is returned, with singular values below RANK_RCOND
+    times the largest treated as zero.
     """
     if rank_policy not in RANK_POLICIES:
         raise ValueError(f"rank_policy must be one of {RANK_POLICIES}")
-    subset = np.asarray(subset)
-    if subset.size == 0:
-        raise ValueError("empty selection")
-    X_S = dataset.X[subset]
-    y_S = dataset.y[subset]
+    X_S, y_S = _gather(dataset, subset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, rhs = X_S.T @ X_S, X_S.T @ y_S
+    if np.isfinite(gram).all() and np.isfinite(rhs).all():
+        eig = np.linalg.eigvalsh(gram)
+        if eig[0] > GRAM_RCOND * eig[-1]:
+            theta = np.linalg.solve(gram, rhs)
+            return theta + np.linalg.solve(gram, X_S.T @ (y_S - X_S @ theta))
     theta, _, rank, _ = np.linalg.lstsq(X_S, y_S, rcond=RANK_RCOND)
     if rank < dataset.d and rank_policy == "fail":
         raise RankDeficientError(

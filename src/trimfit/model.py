@@ -295,13 +295,10 @@ def inject_corruptions(dataset: Dataset, truth: GroundTruth,
         generator=truth.generator, generator_version=truth.generator_version)
 
 
-def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: int):
-    """Generate a corrupted mixture instance.
+def component_counts(spec: MixtureSpec, n: int) -> np.ndarray:
+    """Exact per-component sample counts of an n-sample instance of spec.
 
-    Labels are assigned by exact per-component counts and a seeded shuffle,
-    features are Gaussian with the component's covariance, responses are
-    exact inner products, and the adversary then overwrites its quota of
-    responses. Equal arguments produce bit-identical output.
+    Fails unless n is at least d and m and gives every component a row.
     """
     if n < spec.d:
         raise ValueError(f"n = {n} must be at least d = {spec.d}")
@@ -310,6 +307,18 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
     counts = _allocate_counts(spec.weights, n)
     if np.any(counts == 0):
         raise ValueError("some component receives zero samples at this n")
+    return counts
+
+
+def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: int):
+    """Generate a corrupted mixture instance.
+
+    Labels are assigned by exact per-component counts and a seeded shuffle,
+    features are Gaussian with the component's covariance, responses are
+    exact inner products, and the adversary then overwrites its quota of
+    responses. Equal arguments produce bit-identical output.
+    """
+    counts = component_counts(spec, n)
     clean_ss, corrupt_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(clean_ss)
     labels = np.repeat(np.arange(spec.m, dtype=np.int64), counts)[rng.permutation(n)]

@@ -258,6 +258,29 @@ def test_global_external_subspace(tmp_path):
     assert report["epsilon_recovery"] <= 1e-6
 
 
+def test_bad_external_subspace_names_the_file(tmp_path, capsys):
+    data, _ = generate(tmp_path)
+    sub_path = tmp_path / "basis.json"
+    sub_path.write_text(json.dumps({"basis": [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]}))
+    capsys.readouterr()
+    assert main(["global", data, "--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0",
+                 "--subspace", str(sub_path), "--out-prefix", str(tmp_path / "ext")]) == 1
+    assert capsys.readouterr().err == f"error: {sub_path}: basis columns are not orthonormal\n"
+    assert not (tmp_path / "ext.report.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-rounds", "0", "--max-rounds must be at least 1"),
+    ("--tol", "-1", "--tol must be nonnegative"),
+])
+def test_global_inner_setting_errors_name_the_flag(tmp_path, capsys, flag, value, message):
+    data, _ = generate(tmp_path)
+    capsys.readouterr()
+    assert main(["global", data, "--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0",
+                 flag, value, "--out-prefix", str(tmp_path / "glob")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_diagnose_report(tmp_path):
     data, truth = generate(tmp_path)
     out = tmp_path / "diag.json"
@@ -434,10 +457,11 @@ def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
     assert main(["global", data, "--m", "2", "--tau", "0.35", "--budget", "400",
                  "--seed", "5", "--truth", truth, "--out-prefix", str(prefix)]) == 0
     assert len(calls) == 1
-    # Output hashes recorded when the CLI still derived epsilon = 0.2 * radius itself.
+    # Output hashes recorded when the CLI still derived epsilon = 0.2 * radius itself,
+    # then re-recorded when exact refits moved to the refined normal equations.
     digests = [hashlib.sha256((tmp_path / f"glob.{suffix}").read_bytes()).hexdigest()
                for suffix in ("report.json", "candidates.csv")]
-    assert digests == ["b312c93efa7251792b2ccd7386e8de55d8f109c637b38b69f8e7d925d5668787",
+    assert digests == ["0426833fe7efb1cd31245b601c34520ed24703db89ffb7626adc0e47beef2b37",
                        "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce"]
 
 
@@ -484,19 +508,21 @@ def test_every_output_file_is_pinned(tmp_path):
                  "--directions", "50", "--seed", "3", "--out", str(tmp_path / "diag.json")]) == 0
     digests["diag.json"] = _sha256(tmp_path / "diag.json")
     # Recorded when every JSON document was also checked against a JSON schema
-    # before it was written.
+    # before it was written. The exact fit and global outputs were re-recorded
+    # when exact refits moved to the refined normal equations: their rounds and
+    # flags kept, their iterates moved in the last bits.
     assert digests == {
         "truth.json": "147ac25b3ddb567c3173886f6d7da8ed7bfd0d4b8c2ef150ee6267bd626a4348",
         "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
-        "fit.summary.json": "111ae0b1d3c918a0224b5786b940bf2994d4aa4f6ff6eefe3ccb149ae07d2a1e",
-        "fit.trace.csv": "32d79a95a99b1f11c5590374f202b055c244af65724aaea2b7b372682050209b",
+        "fit.summary.json": "30244f407847a28720a89639b001a0c25cafc70a9c3ab55b3a42b243f64f0a94",
+        "fit.trace.csv": "ff79a9db21043c6dece98d82e73baf14be8c393253c30e9cacc7f488592b72c9",
         "gd.summary.json": "a8aa9ab1e0ae2ead87605c3a8f5eb1951a5b07583266948b01523060b407f0da",
         "gd.trace.csv": "40890ed0123a722828c875a4b6d40d3ad5b6a315d3e456fa74719cc316bd82d5",
         "fit-no-truth.summary.json":
-            "f5837040ef1c2c0206d71cc81d0e8c8ee59a646fe2536690420357f1b6e9ffa5",
+            "2435d3b0ee120abcd006954941c4197fccb6549c04fdb427a297afcc31e39d55",
         "fit-no-truth.trace.csv":
-            "895c18fef8e4556027a82384a2f1caffad512c208a49c5c07fbd5becc95716ee",
-        "global.report.json": "b312c93efa7251792b2ccd7386e8de55d8f109c637b38b69f8e7d925d5668787",
+            "aa324d472d661cd236badb8cdf36257a538372c85af0bd57c8ac3783e7b0b3ef",
+        "global.report.json": "0426833fe7efb1cd31245b601c34520ed24703db89ffb7626adc0e47beef2b37",
         "global.candidates.csv":
             "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce",
         "partial.report.json": "71a3c1b9481ff9686cf2084494e030a74e8097a2c272e4c53fe25be8a9fd61fa",
@@ -523,9 +549,10 @@ def test_dataset_experiment_loads_its_inputs_once(tmp_path, monkeypatch):
     assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
     assert calls == {"load_dataset": 1, "load_truth": 1}
     # Recorded when every repeat loaded the inputs again, with the CRLF line
-    # ends of that time turned into LF.
+    # ends of that time turned into LF, and re-recorded when exact refits moved
+    # to the refined normal equations.
     assert _sha256(tmp_path / "out" / "exp.rows.csv") == (
-        "73bd6f3ae75ceb795c2c3161fbf31212f84014d8f5375be9ed9e194319c36f94")
+        "dbd8390109e646979b2610aaf752251c4250200e202d0c53ddc61c2381bae68f")
 
 
 @pytest.mark.parametrize("command", ["generate", "experiment", "global"])
@@ -664,9 +691,20 @@ COVARIANCE_WITH_NAN = [None, [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]
      "m_steps must be at least 1"),
     ("experiment", ("solver", "theta0"), [NAN, 0.0, 0.0],
      "theta0 contains non-finite entries"),
+    # Instance sizes depend on the spec and n alone, so they fail before any repeat.
+    ("experiment", ("model", "n"), 2, "n = 2 must be at least d = 3"),
+    ("experiment", ("model", "weights"), [0.999, 0.001],
+     "some component receives zero samples at this n"),
+    ("experiment", ("solver",),
+     {"kind": "global", "m": 2, "tau_list": [0.35, 0.35], "delta": 1e-4,
+      "candidate_budget": 5, "max_rounds": 0}, "max_rounds must be at least 1"),
+    ("experiment", ("solver",),
+     {"kind": "global", "m": 2, "tau_list": [0.35, 0.35], "delta": 1e-4,
+      "candidate_budget": 5, "tol": -1.0}, "tol must be nonnegative"),
 ], ids=["magnitude-nan", "gamma-star-nan", "gamma-star-inf", "weight-nan",
         "covariance-nan", "d-zero", "max-rounds-zero", "adaptive-m-steps-zero",
-        "theta0-nan"])
+        "theta0-nan", "n-below-d", "component-without-rows", "global-max-rounds-zero",
+        "global-tol-negative"])
 def test_bad_config_value_fails_once_naming_file_and_field(tmp_path, capsys, command, path,
                                                            value, message):
     out = tmp_path / "out"

@@ -172,6 +172,100 @@ def test_refit_matches_pseudoinverse_on_rank_deficient_selections():
             assert np.array_equal(least_squares(ds, subset, rank_policy="fail"), theta)
 
 
+def counting_lstsq(monkeypatch):
+    """Patch np.linalg.lstsq to count its calls; returns the count list."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def oracle_rows(rng):
+    """(name, X, y) designs for the lstsq oracle: tie-heavy integers, exact,
+    zero or scaled column copies, rows scaled by 10^U(-100, 100) and whole
+    designs scaled by one such factor."""
+    X = rng.integers(-2, 3, size=(60, 4)).astype(float)
+    yield "tied", X, X @ np.array([1.0, -1.0, 2.0, 0.0]) + rng.integers(-1, 2, size=60)
+    X = rng.standard_normal((60, 5))
+    j = int(rng.integers(1, 5))
+    X[:, j] = rng.choice([0.0, 1.0, -2.0, 0.5]) * X[:, int(rng.integers(j))]
+    yield "deficient", X, rng.standard_normal(60)
+    X = rng.standard_normal((60, 5))
+    y = X @ rng.standard_normal(5) + 0.1 * rng.standard_normal(60)
+    rows = 10.0 ** rng.uniform(-100, 100, size=60)
+    yield "scaled-rows", X * rows[:, None], y * rows
+    scale = 10.0 ** rng.uniform(-100, 100)
+    yield "scaled", X * scale, y * scale
+
+
+def test_least_squares_matches_the_lstsq_oracle(monkeypatch):
+    rng = np.random.default_rng(12)
+    calls = counting_lstsq(monkeypatch)
+    fast = {}
+    for _ in range(100):
+        for name, X, y in oracle_rows(rng):
+            ds = Dataset(X=X, y=y)
+            subset = np.sort(rng.choice(ds.n, int(rng.integers(ds.d, ds.n + 1)), replace=False))
+            reference, _, rank, _ = np.linalg.lstsq(X[subset], y[subset], rcond=RANK_RCOND)
+            before = len(calls)
+            theta = least_squares(ds, subset, rank_policy="min-norm")
+            fast[name] = fast.get(name, 0) + (len(calls) == before)
+            assert np.linalg.norm(theta - reference) <= 1e-12 * np.linalg.norm(reference), name
+            if rank < ds.d:
+                with pytest.raises(RankDeficientError):
+                    least_squares(ds, subset, rank_policy="fail")
+    # Both solves are exercised: tied and whole-scaled designs are well
+    # conditioned, column copies never are, and row scales spread over 10^200
+    # rarely are.
+    assert fast["tied"] == fast["scaled"] == 100 and fast["deficient"] == 0
+
+
+def conditioned_rows(ratio, rng):
+    """Rows whose Gram matrix has eigenvalues 1 and ratio, in a random basis."""
+    left = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+    right = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    return left @ np.diag([1.0, np.sqrt(ratio)]) @ right.T
+
+
+@pytest.mark.parametrize("rows, y_value, fallback", [
+    (lambda rng: conditioned_rows(2e-8, rng), 1.0, False),
+    (lambda rng: conditioned_rows(0.5e-8, rng), 1.0, True),
+    (lambda rng: 1e160 * rng.standard_normal((6, 2)), 1.0, True),
+    # Six positive products of at least 1e308 overflow X^T y, not X^T X.
+    (lambda rng: 1.0 + np.abs(rng.standard_normal((6, 2))), 1e308, True),
+    (lambda rng: np.zeros((6, 2)), 1.0, True),
+    (lambda rng: rng.standard_normal((1, 2)), 1.0, True),
+], ids=["ratio-2e-8", "ratio-0.5e-8", "overflowing-gram", "overflowing-rhs",
+        "all-zero-rows", "fewer-rows-than-d"])
+def test_fallback_is_taken_exactly_when_the_system_is_ill_conditioned(
+        monkeypatch, rows, y_value, fallback):
+    X = rows(np.random.default_rng(13))
+    calls = counting_lstsq(monkeypatch)
+    theta = least_squares(Dataset(X=X, y=np.full(len(X), y_value)), np.arange(len(X)),
+                          rank_policy="min-norm")
+    assert len(calls) == int(fallback)
+    assert np.all(np.isfinite(theta))
+
+
+def test_a_fit_wide_run_never_falls_back(monkeypatch):
+    # The fit-wide benchmark's shape: n x d = 30000 x 100, two orthonormal
+    # components, 5% oblivious-random corruption, tau = 0.4.
+    rng = np.random.default_rng(14)
+    comps = np.linalg.qr(rng.standard_normal((100, 2)))[0].T
+    spec = MixtureSpec(d=100, m=2, components=comps, weights=[0.5, 0.5])
+    ds, truth = generate_mlrc(spec, CorruptionSpec(0.05, "oblivious-random", 2.0),
+                              n=30_000, seed=0)
+    calls = counting_lstsq(monkeypatch)
+    trace = ilts_run(ds, comps[0] + 0.03 * rng.standard_normal(100),
+                     IltsConfig(tau=0.4, max_rounds=30, tol=1e-11), truth=truth)
+    assert trace.converged and trace.dist_to_nearest[-1] <= 1e-12
+    assert trace.rounds_used >= 2 and calls == []
+
+
 def one_dim_instance(n=120, seed=5, gamma=0.0):
     spec = MixtureSpec(d=1, m=2, components=[[1.0], [-1.0]], weights=[0.5, 0.5])
     corr = (CorruptionSpec() if gamma == 0 else
