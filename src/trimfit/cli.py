@@ -23,8 +23,7 @@ from . import diagnostics as diag
 from . import model as model_mod
 from . import pipeline as pipe
 from .gd import SCHEDULES, GdConfig, gd_ilts_run
-from .ilts import (RANK_POLICIES, IltsConfig, ilts_run, selection_size, start_vector,
-                   trace_summary, write_trace_csv)
+from .ilts import RANK_POLICIES, IltsConfig, SolverTrace, ilts_run, selection_size, start_vector
 from .schemas import (EXPERIMENT_CONFIG_SCHEMA, GENERATE_CONFIG_SCHEMA,
                       SUBSPACE_FILE_SCHEMA, validate_document)
 
@@ -63,15 +62,15 @@ def _mixture_specs(doc: dict):
     return spec, model_mod.CorruptionSpec(**doc.get("corruption", {}))
 
 
-def _build_config(kind: str, params: dict, from_config: bool = False):
+def _build_config(kind: str, params: dict, flags: dict | None = None):
     """Solver config of the given kind ("ilts", "gd-ilts" or "global").
 
     Keys of params that name no solver setting, or hold None, are ignored,
     so the dataclass defaults are the only defaults. For "global",
-    max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol,
-    and their range errors name the config key from_config, else the flag.
-    A setting of another kind only fails, naming the flag, or the solver key
-    from_config; seed is exempt, as experiments read it.
+    max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol.
+    Errors name a setting as the user wrote it: by the flag that flags maps
+    its key to, or by its config key when flags is None. A setting of another
+    kind fails; seed is exempt, as experiments read it.
     """
     classes = {"ilts": IltsConfig, "gd-ilts": GdConfig, "global": pipe.GlobalConfig}
     given = {key: value for key, value in params.items() if value is not None}
@@ -82,7 +81,7 @@ def _build_config(kind: str, params: dict, from_config: bool = False):
                - {f.name for f in fields} - {"seed"}).intersection(given)
     if foreign:
         key = min(foreign)
-        name = f"solver key {key!r}" if from_config else f"--{key.replace('_', '-')}"
+        name = flags[key] if flags else f"solver key {key!r}"
         raise ValueError(f"{name} is not a setting of the {kind} solver")
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and f.name not in given]
@@ -91,12 +90,13 @@ def _build_config(kind: str, params: dict, from_config: bool = False):
     try:
         return classes[kind](**{f.name: given[f.name] for f in fields if f.name in given})
     except ValueError as exc:
-        # A range error on a renamed setting names it as the user wrote it.
+        # A range error starts with the name of the field it rejects.
         message = str(exc)
-        for key, field in inner.items():
+        keys = {field: key for key, field in inner.items()}
+        for field in {f.name for f in fields}.intersection(given):
             if message.startswith(field + " "):
-                name = key if from_config else f"--{key.replace('_', '-')}"
-                raise ValueError(name + message[len(field):]) from None
+                key = keys.get(field, field)
+                raise ValueError((flags[key] if flags else key) + message[len(field):]) from None
         raise
 
 
@@ -118,14 +118,26 @@ def _load_inputs(dataset_path: str, truth_path: str | None):
     return dataset, truth
 
 
-def _write_document(doc: dict, path: str | None) -> None:
-    """Write a document as indented JSON, to stdout when path is None."""
-    text = json.dumps(doc, indent=1) + "\n"
+def _write_text(lines: list[str], path: str | None) -> None:
+    """Write lines, each ended by LF, to path, or to stdout when path is None."""
+    text = "".join(line + "\n" for line in lines)
     if path is None:
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
+
+
+def _write_document(doc: dict, path: str | None) -> None:
+    _write_text([json.dumps(doc, indent=1)], path)
+
+
+def _write_csv(rows: list[dict], columns: list[str], path: str) -> None:
+    """Rows as CSV, quoting wherever a value needs it (error text may)."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _parse_floats(text: str, source: str) -> list[float]:
@@ -175,10 +187,48 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # fit
 
+def trace_summary(trace: SolverTrace, config) -> dict:
+    """JSON-shaped run summary with the configuration echoed back."""
+    summary = {
+        "final_theta": [float(v) for v in trace.final],
+        "rounds_used": trace.rounds_used,
+        "converged": trace.converged,
+        "final_step_norm": float(trace.step_norms[-1]),
+        "final_trimmed_loss": float(trace.trimmed_losses[-1]),
+        "config": dataclasses.asdict(config),
+    }
+    if trace.dist_to_nearest is not None:
+        summary["final_dist_to_nearest"] = float(trace.dist_to_nearest[-1])
+    if trace.inner_steps is not None:
+        summary["inner_steps"] = [int(v) for v in trace.inner_steps]
+    return summary
+
+
+def write_trace_csv(trace: SolverTrace, path: str) -> None:
+    """Per-round trace table, floats at 17 significant digits (round-trip exact).
+
+    Row t describes iterate t; step_norm is the move into that iterate and is
+    blank on the starting row, as is inner_steps when recorded.
+    """
+    with_inner = trace.inner_steps is not None
+    columns = ["round", "step_norm", "trimmed_loss", "dist_to_nearest"]
+    if with_inner:
+        columns.append("inner_steps")
+    lines = [",".join(columns)]
+    for t in range(trace.rounds_used + 1):
+        row = [str(t), "" if t == 0 else format(trace.step_norms[t - 1], ".17g"),
+               format(trace.trimmed_losses[t], ".17g"),
+               "" if trace.dist_to_nearest is None else format(trace.dist_to_nearest[t], ".17g")]
+        if with_inner:
+            row.append("" if t == 0 else str(trace.inner_steps[t - 1]))
+        lines.append(",".join(row))
+    _write_text(lines, path)
+
+
 def cmd_fit(args) -> int:
     dataset, truth = _load_inputs(args.dataset, args.truth)
     theta0 = _theta0_from_args(args, dataset.d)
-    config = _build_config("gd-ilts" if args.gd else "ilts", vars(args))
+    config = _build_config("gd-ilts" if args.gd else "ilts", vars(args), args.flags)
     trace = _run_solver(dataset, theta0, config, truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
@@ -194,10 +244,42 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 # global
 
-def _load_subspace(path: str) -> pipe.SubspaceEstimate:
+def report_to_dict(report: pipe.RecoveryReport) -> dict:
+    """JSON-shaped report; unrecovered columns and infinite errors are null."""
+    def finite(x):
+        return None if x is None or math.isinf(x) else float(x)
+
+    errors = report.per_component_errors
+    return {
+        "format": "trimfit-recovery",
+        "format_version": 1,
+        "theta_hat": [[float(v) for v in report.theta_hat[:, j]] if recovered else None
+                      for j, recovered in enumerate(report.recovered)],
+        "recovered": list(report.recovered),
+        "accepted_counts": list(report.accepted_counts),
+        "candidates_tried": list(report.candidates_tried),
+        "partial": report.partial,
+        "radius": report.radius,
+        "radius_source": report.radius_source,
+        "matching": None if report.matching is None else list(report.matching),
+        "per_component_errors": None if errors is None else [finite(e) for e in errors],
+        "epsilon_recovery": finite(report.epsilon_recovery),
+    }
+
+
+def write_candidate_csv(report: pipe.RecoveryReport, path: str) -> None:
+    lines = ["component,candidate,rounds,accepted,support"]
+    for comp, cand, rounds, accepted, support in report.candidate_outcomes:
+        lines.append(f"{comp},{cand},{rounds},{int(accepted)},{support}")
+    _write_text(lines, path)
+
+
+def _load_subspace(path: str, d: int) -> pipe.SubspaceEstimate:
     doc = _load_document(path, SUBSPACE_FILE_SCHEMA)
     with _config_errors(path):
         basis = np.column_stack([np.asarray(c, dtype=float) for c in doc["basis"]])
+        if basis.shape[0] != d:
+            raise ValueError(f"basis columns have {basis.shape[0]} entries, expected d = {d}")
         return pipe.SubspaceEstimate(basis=basis, provenance="external")
 
 
@@ -206,20 +288,19 @@ def cmd_global(args) -> int:
     taus = _parse_floats(args.tau_list, "--tau")
     if len(taus) == 1:
         taus = taus * args.m
-    subspace = _load_subspace(args.subspace) if args.subspace else None
+    subspace = _load_subspace(args.subspace, dataset.d) if args.subspace else None
 
     delta = args.delta
     if delta is None:
         delta = 10.0 * 1e-6 * math.sqrt(math.log(dataset.n))
 
-    config = _build_config("global", dict(
-        vars(args), tau_list=tuple(taus), delta=delta,
-        candidate_budget=args.budget, epsilon_net=args.epsilon))
+    config = _build_config("global", dict(vars(args), tau_list=tuple(taus), delta=delta),
+                           args.flags)
     report = pipe.global_ilts(dataset, config, subspace=subspace, truth=truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
-    _write_document(pipe.report_to_dict(report), prefix + ".report.json")
-    pipe.write_candidate_csv(report, prefix + ".candidates.csv")
+    _write_document(report_to_dict(report), prefix + ".report.json")
+    write_candidate_csv(report, prefix + ".candidates.csv")
 
     print(f"report:     {prefix}.report.json")
     print(f"candidates: {prefix}.candidates.csv")
@@ -249,7 +330,7 @@ def cmd_diagnose(args) -> int:
             est = diag.feature_regularity_exact(dataset.X, k)
         else:
             est = diag.feature_regularity_sampled(dataset.X, k, args.trials, args.seed)
-        doc["feature_regularity"] = est.to_dict()
+        doc["feature_regularity"] = dataclasses.asdict(est)
 
     if args.affine_error:
         if truth is None:
@@ -261,7 +342,7 @@ def cmd_diagnose(args) -> int:
             est = diag.affine_error_estimate(
                 dataset.X, truth.partition, tau, args.component, delta,
                 args.directions, args.seed)
-            entries.append(est.to_dict())
+            entries.append(dataclasses.asdict(est))
         doc["affine_error"] = entries
 
     _write_document(doc, args.out)
@@ -287,9 +368,9 @@ def _experiment_setup(doc: dict, inputs):
     if specs is not None:
         model_mod.component_counts(specs[0], doc["model"]["n"])
     solver = doc["solver"]
-    config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)), True)
+    config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)))
     n, d = (doc["model"]["n"], doc["model"]["d"]) if inputs is None else inputs[0].X.shape
-    if isinstance(config, IltsConfig):
+    if not isinstance(config, pipe.GlobalConfig):
         selection_size(config, n, d)
     theta0 = solver.get("theta0", "random")
     theta0 = None if theta0 == "random" else start_vector(theta0, d)
@@ -372,16 +453,9 @@ def cmd_experiment(args) -> int:
 
     base = os.path.join(doc["output_dir"], doc["name"])
     rows_path = base + ".rows.csv"
-    with open(rows_path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, restval="", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
+    _write_csv(rows, columns, rows_path)
     agg_path = base + ".aggregate.csv"
-    with open(agg_path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, ["metric", "median", "iqr", "count"], lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(_aggregate_rows(rows))
+    _write_csv(_aggregate_rows(rows), ["metric", "median", "iqr", "count"], agg_path)
 
     failures = sum(1 for row in rows if row.get("error"))
     print(f"rows:      {rows_path}")
@@ -426,12 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of components")
     p.add_argument("--tau", dest="tau_list", required=True,
                    help="per-component fractions (single value broadcasts)")
-    p.add_argument("--budget", type=int, required=True, help="candidates per component")
+    p.add_argument("--budget", dest="candidate_budget", type=int, required=True,
+                   help="candidates per component")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--delta", type=float,
                    help="acceptance residual threshold (default 10 * 1e-6 * sqrt(log n))")
     p.add_argument("--radius", type=float, help="candidate sphere radius")
-    p.add_argument("--epsilon", type=float, help="net granularity (default 0.2 * radius)")
+    p.add_argument("--epsilon", dest="epsilon_net", type=float,
+                   help="net granularity (default 0.2 * radius)")
     p.add_argument("--truth", help="truth sidecar JSON for recovery metrics")
     p.add_argument("--subspace", help="external subspace basis JSON")
     p.add_argument("--max-rounds", type=int, help="inner solver rounds")
@@ -460,6 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a repeated experiment")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.set_defaults(func=cmd_experiment)
+
+    # Errors name a setting by the flag whose dest is its key.
+    for p in sub.choices.values():
+        p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions
+                              if a.option_strings})
 
     return parser
 

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ilts import SolverTrace
 from .model import Dataset, GroundTruth
-from .util import ceil_count, check_finite, floor_count
+from .util import ceil_count, floor_count
 
 # Exact regularity enumerates at most this many subsets.
 EXACT_SUBSET_BUDGET = 2_000_000
@@ -46,9 +46,6 @@ class RegularityEstimate:
     mode: str       # "exact" | "sampled"
     trials: int     # subsets evaluated
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class AffineErrorEstimate:
@@ -57,9 +54,6 @@ class AffineErrorEstimate:
     value: int
     directions: int  # direction pairs evaluated
     mode: str = "sampled"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def q_separation(theta_star: np.ndarray):

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ilts import SolverTrace, _alternate, _check_alternation, normal_system
+from .ilts import SolverTrace, _alternate, _check_alternation, normal_system, selection_size
 from .model import Dataset, GroundTruth
-from .util import check_finite, floor_count
+from .util import check_finite
 
 SCHEDULES = ("fixed", "adaptive")
 
@@ -159,5 +159,6 @@ def gd_ilts_run(dataset: Dataset, theta0: np.ndarray, config: GdConfig,
         theta_prev = theta
         return theta_next
 
-    trace = _alternate(dataset, theta0, floor_count(config.tau * n), config, refit, False, truth)
+    k = selection_size(config, n, dataset.d)
+    trace = _alternate(dataset, theta0, k, config, refit, False, truth)
     return replace(trace, inner_steps=tuple(inner_counts))

@@ -17,12 +17,12 @@ and otherwise solves X_S theta = y_S through an orthogonal factorization
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Dataset, GroundTruth
-from .util import check_finite, floor_count, fmt17
+from .util import check_finite, floor_count
 
 # Relative cutoff under which singular values count as zero when deciding
 # rank deficiency.
@@ -195,8 +195,6 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
     then reselects the k smallest residuals. The run stops once the step norm
     falls to config.tol or, when stop_on_same_set holds, the selection repeats.
     """
-    if k < 1:
-        raise ValueError(f"floor(tau * n) = {k}; no samples would be selected")
     theta = start_vector(theta0, dataset.d)
 
     iterates = [theta.copy()]
@@ -231,10 +229,13 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
     )
 
 
-def selection_size(config: IltsConfig, n: int, d: int) -> int:
-    """floor(tau * n), rejected in [1, d) under rank_policy='fail' as rank deficient."""
+def selection_size(config, n: int, d: int) -> int:
+    """floor(tau * n) for an exact or gradient config. Zero is rejected, and so is
+    a count below d under rank_policy='fail', as rank deficient."""
     k = floor_count(config.tau * n)
-    if config.rank_policy == "fail" and 1 <= k < d:
+    if k < 1:
+        raise ValueError(f"floor(tau * n) = {k}; no samples would be selected")
+    if getattr(config, "rank_policy", None) == "fail" and k < d:
         raise ValueError(
             f"floor(tau * n) = {k} < d = {d} cannot be solved under rank_policy='fail'")
     return k
@@ -281,44 +282,3 @@ def tau_grid(c: float = 0.9, floor: float = 0.05) -> list[float]:
         v *= c
     return grid
 
-
-def write_trace_csv(trace: SolverTrace, path: str) -> None:
-    """Per-round trace table.
-
-    Row t describes iterate t; step_norm is the move into that iterate and is
-    blank on the starting row, as is inner_steps when recorded.
-    """
-    cols = ["round", "step_norm", "trimmed_loss"]
-    with_dist = trace.dist_to_nearest is not None
-    with_inner = trace.inner_steps is not None
-    cols.append("dist_to_nearest")
-    if with_inner:
-        cols.append("inner_steps")
-    lines = [",".join(cols)]
-    for t in range(trace.rounds_used + 1):
-        row = [str(t)]
-        row.append("" if t == 0 else fmt17(trace.step_norms[t - 1]))
-        row.append(fmt17(trace.trimmed_losses[t]))
-        row.append(fmt17(trace.dist_to_nearest[t]) if with_dist else "")
-        if with_inner:
-            row.append("" if t == 0 else str(trace.inner_steps[t - 1]))
-        lines.append(",".join(row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def trace_summary(trace: SolverTrace, config) -> dict:
-    """JSON-shaped run summary with the configuration echoed back."""
-    summary = {
-        "final_theta": [float(v) for v in trace.final],
-        "rounds_used": trace.rounds_used,
-        "converged": trace.converged,
-        "final_step_norm": float(trace.step_norms[-1]),
-        "final_trimmed_loss": float(trace.trimmed_losses[-1]),
-        "config": asdict(config),
-    }
-    if trace.dist_to_nearest is not None:
-        summary["final_dist_to_nearest"] = float(trace.dist_to_nearest[-1])
-    if trace.inner_steps is not None:
-        summary["inner_steps"] = [int(v) for v in trace.inner_steps]
-    return summary

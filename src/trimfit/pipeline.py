@@ -454,37 +454,3 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         epsilon_recovery=eps_value,
     )
 
-
-def report_to_dict(report: RecoveryReport) -> dict:
-    """JSON-shaped report; unrecovered columns and infinite errors are null."""
-    columns = [[float(v) for v in report.theta_hat[:, j]] if recovered else None
-               for j, recovered in enumerate(report.recovered)]
-    per_errors = None
-    if report.per_component_errors is not None:
-        per_errors = [None if math.isinf(e) else float(e)
-                      for e in report.per_component_errors]
-    eps = report.epsilon_recovery
-    if eps is not None and math.isinf(eps):
-        eps = None
-    return {
-        "format": "trimfit-recovery",
-        "format_version": 1,
-        "theta_hat": columns,
-        "recovered": list(report.recovered),
-        "accepted_counts": list(report.accepted_counts),
-        "candidates_tried": list(report.candidates_tried),
-        "partial": report.partial,
-        "radius": report.radius,
-        "radius_source": report.radius_source,
-        "matching": None if report.matching is None else list(report.matching),
-        "per_component_errors": per_errors,
-        "epsilon_recovery": eps,
-    }
-
-
-def write_candidate_csv(report: RecoveryReport, path: str) -> None:
-    lines = ["component,candidate,rounds,accepted,support"]
-    for comp, cand, rounds, accepted, support in report.candidate_outcomes:
-        lines.append(f"{comp},{cand},{rounds},{int(accepted)},{support}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

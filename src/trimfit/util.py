@@ -21,11 +21,6 @@ def ceil_count(x: float) -> int:
     return int(math.ceil(x - _FLOOR_GUARD))
 
 
-def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (round-trips IEEE doubles)."""
-    return format(float(x), ".17g")
-
-
 def as_readonly(a: np.ndarray) -> np.ndarray:
     """Return a C-contiguous copy flagged read-only."""
     out = np.ascontiguousarray(a)

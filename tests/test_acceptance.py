@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 import trimfit as tf
-from trimfit.ilts import select_trimmed_set, trimmed_loss, write_trace_csv
+from trimfit.cli import write_trace_csv
+from trimfit.ilts import select_trimmed_set, trimmed_loss
 
 SEEDS = range(10)
 

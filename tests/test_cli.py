@@ -155,11 +155,11 @@ def test_fit_rejects_a_setting_of_the_other_solver(tmp_path, capsys, flags, mess
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--gd", "--eta", "nan"], "eta must be positive and finite"),
-    (["--gd", "--eta", "inf"], "eta must be positive and finite"),
-    (["--gd", "--schedule", "adaptive", "--w", "nan"], "w must be positive and finite"),
-    (["--gd", "--schedule", "adaptive", "--c-u", "inf"], "c_u must be positive and finite"),
-    (["--tol", "nan"], "tol must be nonnegative"),
+    (["--gd", "--eta", "nan"], "--eta must be positive and finite"),
+    (["--gd", "--eta", "inf"], "--eta must be positive and finite"),
+    (["--gd", "--schedule", "adaptive", "--w", "nan"], "--w must be positive and finite"),
+    (["--gd", "--schedule", "adaptive", "--c-u", "inf"], "--c-u must be positive and finite"),
+    (["--tol", "nan"], "--tol must be nonnegative"),
 ], ids=["eta-nan", "eta-inf", "w-nan", "c-u-inf", "tol-nan"])
 def test_fit_rejects_non_finite_settings(tmp_path, capsys, flags, message):
     data, _ = generate(tmp_path)
@@ -167,6 +167,33 @@ def test_fit_rejects_non_finite_settings(tmp_path, capsys, flags, message):
     assert main(["fit", data, "--tau", "0.4", "--out-prefix", str(prefix)] + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "fit.summary.json").exists()
+
+
+GLOBAL_ARGS = ["--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--tau", "0"], "--tau must lie in (0, 1]"),
+    (["fit", "--tau", "0.4", "--max-rounds", "0"], "--max-rounds must be at least 1"),
+    (["fit", "--tau", "0.4", "--gd", "--m-steps", "0"], "--m-steps must be at least 1"),
+    (["fit", "--tau", "0.4", "--gd", "--eta", "-1"], "--eta must be positive and finite"),
+    (["global"] + GLOBAL_ARGS + ["--m", "0"], "--m must be at least 1"),
+    (["global"] + GLOBAL_ARGS + ["--tau", "0.3,0.3,0.3"],
+     "--tau must carry one fraction per component"),
+    (["global"] + GLOBAL_ARGS + ["--budget", "0"], "--budget must be at least 1"),
+    (["global"] + GLOBAL_ARGS + ["--epsilon", "-1"], "--epsilon must be positive when given"),
+    (["global"] + GLOBAL_ARGS + ["--delta", "-1"], "--delta must be positive and finite"),
+    (["global"] + GLOBAL_ARGS + ["--radius", "0"],
+     "--radius must be positive and finite when given"),
+], ids=["fit-tau", "fit-max-rounds", "fit-m-steps", "fit-eta", "global-m", "global-tau",
+        "global-budget", "global-epsilon", "global-delta", "global-radius"])
+def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, message):
+    data, _ = generate(tmp_path)
+    capsys.readouterr()
+    prefix = tmp_path / "out"
+    assert main(argv[:1] + [data] + argv[1:] + ["--out-prefix", str(prefix)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out.*"))
 
 
 def test_fit_rejects_both_theta0_sources(tmp_path, capsys):
@@ -261,12 +288,15 @@ def test_global_external_subspace(tmp_path):
 def test_bad_external_subspace_names_the_file(tmp_path, capsys):
     data, _ = generate(tmp_path)
     sub_path = tmp_path / "basis.json"
-    sub_path.write_text(json.dumps({"basis": [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]}))
-    capsys.readouterr()
-    assert main(["global", data, "--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0",
-                 "--subspace", str(sub_path), "--out-prefix", str(tmp_path / "ext")]) == 1
-    assert capsys.readouterr().err == f"error: {sub_path}: basis columns are not orthonormal\n"
-    assert not (tmp_path / "ext.report.json").exists()
+    for basis, message in (
+            ([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], "basis columns are not orthonormal"),
+            ([[1.0, 0.0], [0.0, 1.0]], "basis columns have 2 entries, expected d = 3")):
+        sub_path.write_text(json.dumps({"basis": basis}))
+        capsys.readouterr()
+        assert main(["global", data, "--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0",
+                     "--subspace", str(sub_path), "--out-prefix", str(tmp_path / "ext")]) == 1
+        assert capsys.readouterr().err == f"error: {sub_path}: {message}\n"
+        assert not (tmp_path / "ext.report.json").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -701,10 +731,15 @@ COVARIANCE_WITH_NAN = [None, [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]
     ("experiment", ("solver",),
      {"kind": "global", "m": 2, "tau_list": [0.35, 0.35], "delta": 1e-4,
       "candidate_budget": 5, "tol": -1.0}, "tol must be nonnegative"),
+    # floor(0.001 * 300) = 0 rows would be selected, whatever the solver kind.
+    ("experiment", ("solver", "tau"), 0.001,
+     "floor(tau * n) = 0; no samples would be selected"),
+    ("experiment", ("solver",), {"kind": "gd-ilts", "tau": 0.001},
+     "floor(tau * n) = 0; no samples would be selected"),
 ], ids=["magnitude-nan", "gamma-star-nan", "gamma-star-inf", "weight-nan",
         "covariance-nan", "d-zero", "max-rounds-zero", "adaptive-m-steps-zero",
         "theta0-nan", "n-below-d", "component-without-rows", "global-max-rounds-zero",
-        "global-tol-negative"])
+        "global-tol-negative", "ilts-selects-nothing", "gd-ilts-selects-nothing"])
 def test_bad_config_value_fails_once_naming_file_and_field(tmp_path, capsys, command, path,
                                                            value, message):
     out = tmp_path / "out"

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from trimfit import ilts
+from trimfit.cli import write_trace_csv
 from trimfit.gd import GdConfig, gd_ilts_run
 from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, SolverTrace,
                           _smallest_k, contraction_ratio, ilts_run, least_squares,
-                          select_trimmed_set, tau_grid, trimmed_loss, write_trace_csv)
+                          select_trimmed_set, tau_grid, trimmed_loss)
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.util import floor_count
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from trimfit.cli import report_to_dict
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.pipeline import (GlobalConfig, SubspaceEstimate, _augment, _bottleneck_matching,
                               accept_component, default_radius,
                               epsilon_recovery, estimate_subspace, generate_candidates,
-                              global_ilts, report_to_dict, subspace_distance)
+                              global_ilts, subspace_distance)
 
 
 def basis_at_angle(alpha):
