@@ -53,6 +53,20 @@ def _config_errors(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _named_errors(names: dict):
+    """Give a ValueError whose message starts with a key of names, then a space,
+    that key's value instead: a range error names the setting it rejects."""
+    try:
+        yield
+    except ValueError as exc:
+        message = str(exc)
+        for name, label in names.items():
+            if message.startswith(name + " "):
+                raise ValueError(label + message[len(name):]) from None
+        raise
+
+
 def _mixture_specs(doc: dict):
     """MixtureSpec and CorruptionSpec of a config's "model" and optional "corruption"."""
     model = doc["model"]
@@ -87,17 +101,10 @@ def _build_config(kind: str, params: dict, flags: dict | None = None):
                if f.default is dataclasses.MISSING and f.name not in given]
     if missing:
         raise ValueError(f"{kind} solver needs {', '.join(missing)}")
-    try:
-        return classes[kind](**{f.name: given[f.name] for f in fields if f.name in given})
-    except ValueError as exc:
-        # A range error starts with the name of the field it rejects.
-        message = str(exc)
-        keys = {field: key for key, field in inner.items()}
-        for field in {f.name for f in fields}.intersection(given):
-            if message.startswith(field + " "):
-                key = keys.get(field, field)
-                raise ValueError((flags[key] if flags else key) + message[len(field):]) from None
-        raise
+    written = {field: key for key, field in inner.items()}
+    keys = {f.name: written.get(f.name, f.name) for f in fields if f.name in given}
+    with _named_errors({field: flags[key] if flags else key for field, key in keys.items()}):
+        return classes[kind](**{field: given[field] for field in keys})
 
 
 def _run_solver(dataset, theta0, config, truth):
@@ -155,7 +162,9 @@ def _theta0_from_args(args, d: int) -> np.ndarray:
         return start_vector(_parse_floats(args.theta0, "--theta0"), d)
     if args.theta0_file is not None:
         with open(args.theta0_file, "r", encoding="ascii") as fh:
-            return start_vector(_parse_floats(fh.read(), args.theta0_file), d)
+            theta0 = _parse_floats(fh.read(), args.theta0_file)
+        with _config_errors(args.theta0_file):
+            return start_vector(theta0, d)
     return np.zeros(d)
 
 
@@ -324,26 +333,30 @@ def cmd_diagnose(args) -> int:
         q, per = diag.q_separation(truth.theta_star)
         doc["q_separation"] = {"q": q, "per_component": list(per)}
 
-    if args.regularity is not None:
-        k = args.regularity
-        if args.mode == "exact":
-            est = diag.feature_regularity_exact(dataset.X, k)
-        else:
-            est = diag.feature_regularity_sampled(dataset.X, k, args.trials, args.seed)
-        doc["feature_regularity"] = dataclasses.asdict(est)
+    # The diagnostics' range errors name their parameters; these take flags.
+    flags = {"k": "--regularity", "trials": "--trials", "delta": "--delta-grid",
+             "directions": "--directions"}
+    with _named_errors(flags):
+        if args.regularity is not None:
+            k = args.regularity
+            if args.mode == "exact":
+                est = diag.feature_regularity_exact(dataset.X, k)
+            else:
+                est = diag.feature_regularity_sampled(dataset.X, k, args.trials, args.seed)
+            doc["feature_regularity"] = dataclasses.asdict(est)
 
-    if args.affine_error:
-        if truth is None:
-            raise ValueError("--affine-error needs --truth")
-        counts = [int(np.count_nonzero(truth.partition == j)) for j in range(truth.m)]
-        tau = [args.tau_fraction * c / dataset.n for c in counts]
-        entries = []
-        for delta in _parse_floats(args.delta_grid, "--delta-grid"):
-            est = diag.affine_error_estimate(
-                dataset.X, truth.partition, tau, args.component, delta,
-                args.directions, args.seed)
-            entries.append(dataclasses.asdict(est))
-        doc["affine_error"] = entries
+        if args.affine_error:
+            if truth is None:
+                raise ValueError("--affine-error needs --truth")
+            counts = [int(np.count_nonzero(truth.partition == j)) for j in range(truth.m)]
+            tau = [args.tau_fraction * c / dataset.n for c in counts]
+            entries = []
+            for delta in _parse_floats(args.delta_grid, "--delta-grid"):
+                est = diag.affine_error_estimate(
+                    dataset.X, truth.partition, tau, args.component, delta,
+                    args.directions, args.seed)
+                entries.append(dataclasses.asdict(est))
+            doc["affine_error"] = entries
 
     _write_document(doc, args.out)
     if args.out:
@@ -374,8 +387,13 @@ def _experiment_setup(doc: dict, inputs):
         selection_size(config, n, d)
     theta0 = solver.get("theta0", "random")
     theta0 = None if theta0 == "random" else start_vector(theta0, d)
-    if inputs is not None and inputs[1] is None and doc.get("diagnostics"):
-        raise ValueError(f"{doc['diagnostics'][0]} diagnostic needs ground truth")
+    diagnostics = doc.get("diagnostics", [])
+    if inputs is not None and inputs[1] is None and diagnostics:
+        raise ValueError(f"{diagnostics[0]} diagnostic needs ground truth")
+    if "q_separation" in diagnostics:
+        m = doc["model"]["m"] if inputs is None else inputs[1].m
+        if m < 2:
+            raise ValueError(f"q_separation diagnostic needs at least two components, m = {m}")
     return specs, config, theta0
 
 

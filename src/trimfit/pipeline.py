@@ -89,7 +89,7 @@ class GlobalConfig:
         if len(taus) != self.m:
             raise ValueError("tau_list must carry one fraction per component")
         if any(not 0 < t <= 1 for t in taus):
-            raise ValueError("every tau must lie in (0, 1]")
+            raise ValueError("tau_list entries must lie in (0, 1]")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if not self.candidate_budget >= 1:
@@ -257,16 +257,6 @@ def _augment(allowed: np.ndarray, owner: list, col: int, seen: set) -> bool:
     return False
 
 
-def _regrow(allowed: np.ndarray, owner: list, b: int, seen: set) -> bool:
-    """Augment owner once from some unmatched column after b, avoiding the rows in seen.
-
-    One search over every such column with a shared seen set is a reachability test,
-    so it fails only when no unmatched column after b has an augmenting path."""
-    taken = set(owner)
-    return any(_augment(allowed, owner, c, seen) for c in range(b + 1, len(owner))
-               if c not in taken)
-
-
 def _bottleneck_matching(dist: np.ndarray):
     """Lexicographically first permutation holding the most finite pairs and, among
     those, the smallest largest finite pair.
@@ -277,10 +267,11 @@ def _bottleneck_matching(dist: np.ndarray):
     padded square into an r-pair matching of finite entries plus leftovers, so the
     padded bottleneck value is the one sought. One matching of the padded square grows
     column by column, each column joining at the smallest distinct entry, no lower than
-    its predecessor's, under which it augments. Truth columns are then matched in
-    order, each to the smallest free estimate column that still leaves an optimal
-    permutation. The value returned is the largest matched distance: infinite when
-    r < m.
+    its predecessor's, under which it augments. Truth column b then takes, in order, the
+    smallest free row a whose pair is finite and no larger than that value, or infinite
+    while a dummy row and column are left, provided the rest of the padded matching can
+    still be made perfect. The value returned is the largest matched distance: infinite
+    when r < m.
     """
     m = dist.shape[0]
     finite = np.isfinite(dist)
@@ -309,42 +300,33 @@ def _bottleneck_matching(dist: np.ndarray):
                 failed = mid
         lo = hi
         _augment(padded <= values[lo], owner, col, set())
-    allowed = dist <= values[lo]
-    # Leftover rows and columns pair only through infinite entries: a finite one among
-    # them would make r + 1 finite pairs.
-    pairable = allowed | ~finite
-    owner = [col if col < m else -1 for col in owner[:m]]
+    allowed, infinite = padded <= values[lo], ~finite
+    dummy_rows, dummy_cols = list(range(m, m + pad)), list(range(m, m + pad))
     for b in range(m):
-        # Among rows and columns not yet fixed, owner holds a maximum matching of allowed
-        # pairs, with as many pairs as keep the total at r. Rows fixed to earlier columns
-        # are blocked from b onward. Column b may take a row a below its own: through an
-        # allowed pair when the column displaced from a re-augments without a (or b held
-        # no row), through an infinite pair when b and then a can both leave the matching
-        # without shrinking it. spare is that matching with b left out, if there is one.
-        held = owner.index(b) if b in owner else m
-        spare = list(owner)
-        if held < m:
-            spare[held] = -1
-            if not _regrow(allowed, spare, b, set()):
-                spare = None
-        for a in np.flatnonzero(pairable[:held, b]):
-            if allowed[a, b]:
-                trial = list(owner)
-                if held < m:
-                    trial[held] = -1
-            elif spare is not None:
-                trial = list(spare)
-            else:
-                continue
-            displaced, trial[a] = trial[a], b
-            if (held == m and allowed[a, b]) or displaced < 0 or _regrow(
-                    allowed, trial, b, {a}):
-                owner = trial
+        # Fixing (a, b) deletes row a and column b; an infinite pair also deletes a dummy
+        # row and column, b's and a's own partners when they have one. Rows left holding a
+        # deleted column go free, each column left by a deleted row re-augments around the
+        # deleted rows, and the rest stays perfect exactly when every one succeeds.
+        for a in np.flatnonzero(allowed[:m, b] | infinite[:, b] & bool(dummy_rows)):
+            pairs = [(a, b)]
+            if not allowed[a, b]:
+                partner = owner.index(b)
+                pairs.append((partner if partner >= m else dummy_rows[0],
+                              owner[a] if owner[a] >= m else dummy_cols[0]))
+            rows, cols = {row for row, _ in pairs}, {col for _, col in pairs}
+            trial = [-1 if col in cols else col for col in owner]
+            for row, col in pairs:
+                trial[row] = col
+            if all(_augment(allowed, trial, owner[row], set(rows))
+                   for row in rows if owner[row] not in cols):
                 break
-        row = owner.index(b)
-        allowed[row, b + 1:] = pairable[row, b + 1:] = False
+        owner = trial
+        allowed[list(rows)] = infinite[a] = False
+        for row, col in pairs[1:]:
+            dummy_rows.remove(row)
+            dummy_cols.remove(col)
     perm = np.empty(m, dtype=int)
-    perm[owner] = np.arange(m)
+    perm[owner[:m]] = np.arange(m)
     return (float(values[lo]) if pad == 0 else math.inf), perm
 
 

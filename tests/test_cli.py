@@ -180,13 +180,14 @@ GLOBAL_ARGS = ["--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0"]
     (["global"] + GLOBAL_ARGS + ["--m", "0"], "--m must be at least 1"),
     (["global"] + GLOBAL_ARGS + ["--tau", "0.3,0.3,0.3"],
      "--tau must carry one fraction per component"),
+    (["global"] + GLOBAL_ARGS + ["--tau", "0"], "--tau entries must lie in (0, 1]"),
     (["global"] + GLOBAL_ARGS + ["--budget", "0"], "--budget must be at least 1"),
     (["global"] + GLOBAL_ARGS + ["--epsilon", "-1"], "--epsilon must be positive when given"),
     (["global"] + GLOBAL_ARGS + ["--delta", "-1"], "--delta must be positive and finite"),
     (["global"] + GLOBAL_ARGS + ["--radius", "0"],
      "--radius must be positive and finite when given"),
 ], ids=["fit-tau", "fit-max-rounds", "fit-m-steps", "fit-eta", "global-m", "global-tau",
-        "global-budget", "global-epsilon", "global-delta", "global-radius"])
+        "global-tau-zero", "global-budget", "global-epsilon", "global-delta", "global-radius"])
 def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, message):
     data, _ = generate(tmp_path)
     capsys.readouterr()
@@ -194,6 +195,21 @@ def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, messa
     assert main(argv[:1] + [data] + argv[1:] + ["--out-prefix", str(prefix)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--regularity", "0"], "--regularity = 0 must lie in [1, 300]"),
+    (["--regularity", "10", "--trials", "0"], "--trials must be at least 1"),
+    (["--affine-error", "--directions", "0"], "--directions must be at least 1"),
+    (["--affine-error", "--delta-grid", "0.1,0"], "--delta-grid must lie in (0, 1]"),
+], ids=["regularity", "trials", "directions", "delta-grid"])
+def test_diagnose_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, flags, message):
+    data, truth = generate(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "diag.json"
+    assert main(["diagnose", data, "--truth", truth, "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_fit_rejects_both_theta0_sources(tmp_path, capsys):
@@ -608,6 +624,17 @@ def test_fit_theta0_file_with_a_non_number_names_the_file(tmp_path, capsys):
     assert f"{path}: could not convert string to float: 'abc'" in capsys.readouterr().err
 
 
+def test_fit_theta0_file_of_the_wrong_length_names_the_file(tmp_path, capsys):
+    data, _ = generate(tmp_path)
+    path = tmp_path / "theta0.txt"
+    path.write_text("0.6 0\n")
+    capsys.readouterr()
+    assert main(["fit", data, "--tau", "0.4", "--theta0-file", str(path),
+                 "--out-prefix", str(tmp_path / "fit")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: theta0 has 2 entries, expected d = 3\n"
+    assert not (tmp_path / "fit.summary.json").exists()
+
+
 def test_dataset_experiment_that_cannot_load_exits_once(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     exp = {"version": 1, "name": "exp", "dataset": missing,
@@ -701,6 +728,7 @@ def test_integral_float_in_an_integer_field_fails_once(tmp_path, capsys, command
 
 
 NAN, INF = float("nan"), float("inf")
+ONE_COMPONENT = dict(GEN_CONFIG["model"], m=1, components=[[1.0, 0.0, 0.0]], weights=[1.0])
 COVARIANCE_WITH_NAN = [None, [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]]
 
 
@@ -736,12 +764,19 @@ COVARIANCE_WITH_NAN = [None, [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]
      "floor(tau * n) = 0; no samples would be selected"),
     ("experiment", ("solver",), {"kind": "gd-ilts", "tau": 0.001},
      "floor(tau * n) = 0; no samples would be selected"),
+    # Separation needs two components: the model's m, or the truth's in dataset mode.
+    ("experiment", (), {"model": ONE_COMPONENT, "diagnostics": ["q_separation"]},
+     "q_separation diagnostic needs at least two components, m = 1"),
+    ("experiment", (), {"model": None, "dataset": "one.csv", "truth": "one.truth.json",
+                        "diagnostics": ["gamma_star", "q_separation"]},
+     "q_separation diagnostic needs at least two components, m = 1"),
 ], ids=["magnitude-nan", "gamma-star-nan", "gamma-star-inf", "weight-nan",
         "covariance-nan", "d-zero", "max-rounds-zero", "adaptive-m-steps-zero",
         "theta0-nan", "n-below-d", "component-without-rows", "global-max-rounds-zero",
-        "global-tol-negative", "ilts-selects-nothing", "gd-ilts-selects-nothing"])
-def test_bad_config_value_fails_once_naming_file_and_field(tmp_path, capsys, command, path,
-                                                           value, message):
+        "global-tol-negative", "ilts-selects-nothing", "gd-ilts-selects-nothing",
+        "separation-one-component-model", "separation-one-component-dataset"])
+def test_bad_config_value_fails_once_naming_file_and_field(tmp_path, capsys, monkeypatch,
+                                                           command, path, value, message):
     out = tmp_path / "out"
     doc = json.loads(json.dumps(
         GEN_CONFIG if command == "generate" else
@@ -751,7 +786,15 @@ def test_bad_config_value_fails_once_naming_file_and_field(tmp_path, capsys, com
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if path:
+        parent[path[-1]] = value
+    else:  # top-level keys, None deleting one
+        doc = {key: v for key, v in dict(doc, **value).items() if v is not None}
+    if "dataset" in doc:  # the one-component instance, generated beside the config
+        monkeypatch.chdir(tmp_path)
+        one = write_config(tmp_path, dict(GEN_CONFIG, name="one", model=ONE_COMPONENT))
+        assert main(["generate", "--config", one]) == 0
+        capsys.readouterr()
     cfg = write_config(tmp_path, doc, "config.json")
     argv = ["--config", cfg] + (["--output-dir", str(out)] if command == "generate" else [])
     assert main([command] + argv) == 1

@@ -161,6 +161,15 @@ def test_bottleneck_matching_agrees_with_exhaustive():
         dist = rng.integers(0, 3, size=(m, m)).astype(float)
         dist[rng.random((m, m)) < 0.3] = np.inf
         cases.append(dist)
+    # partial recoveries: tie-heavy, with whole infinite rows, columns or both
+    for i in range(300):
+        m = int(rng.integers(1, 8))
+        dist = rng.integers(0, 3, size=(m, m)).astype(float)
+        if i % 3 != 1:
+            dist[rng.random(m) < 0.35] = np.inf
+        if i % 3 != 0:
+            dist[:, rng.random(m) < 0.35] = np.inf
+        cases.append(dist)
     for dist in cases:
         value, perm = _bottleneck_matching(dist)
         assert (value, list(perm)) == exhaustive_matching(dist)
