@@ -159,7 +159,8 @@ def _theta0_from_args(args, d: int) -> np.ndarray:
     if args.theta0 is not None and args.theta0_file is not None:
         raise ValueError("give only one of --theta0 and --theta0-file")
     if args.theta0 is not None:
-        return start_vector(_parse_floats(args.theta0, "--theta0"), d)
+        with _named_errors({"theta0": "--theta0"}):
+            return start_vector(_parse_floats(args.theta0, "--theta0"), d)
     if args.theta0_file is not None:
         with open(args.theta0_file, "r", encoding="ascii") as fh:
             theta0 = _parse_floats(fh.read(), args.theta0_file)
@@ -333,9 +334,12 @@ def cmd_diagnose(args) -> int:
         q, per = diag.q_separation(truth.theta_star)
         doc["q_separation"] = {"q": q, "per_component": list(per)}
 
-    # The diagnostics' range errors name their parameters; these take flags.
+    # The diagnostics' range errors name their parameters; these take flags. The
+    # component's tau is derived from --tau-fraction, so its error names both.
+    j = args.component
     flags = {"k": "--regularity", "trials": "--trials", "delta": "--delta-grid",
-             "directions": "--directions"}
+             "directions": "--directions",
+             f"tau[{j}]": f"--tau-fraction {args.tau_fraction:g}: tau[{j}]"}
     with _named_errors(flags):
         if args.regularity is not None:
             k = args.regularity

@@ -6,9 +6,15 @@ squared loss of the selected rows. The per-round step count either stays
 constant or follows an adaptive rule that takes more inner steps as the
 outer iterate stops moving.
 
-A round gathers its k selected rows once into the mean normal system
-G = X_S^T X_S / |S|, b = X_S^T y_S / |S|, at O(k d^2); power iteration and
-each step theta - eta (G theta - b) then cost O(d^2), whatever k is.
+A round starts from the mean normal system G = X_S^T X_S / |S|,
+b = X_S^T y_S / |S| of its k selected rows; power iteration and each step
+theta - eta (G theta - b) then cost O(d^2), whatever k is. Below
+ilts.CARRY_MIN_WORK (k d^2 multiply-adds) every round builds it afresh with
+normal_system, at O(k d^2). Above it the run's ilts.NormalCarry updates the
+unscaled system by the rows that swapped since the last round and the round
+divides it by k; the carry builds afresh on the first round, on a large
+churn, when the swapped rows outweigh the selection, and when the result is
+not finite.
 """
 
 from __future__ import annotations
@@ -145,14 +151,17 @@ def gd_ilts_run(dataset: Dataset, theta0: np.ndarray, config: GdConfig,
     inner_counts: list[int] = []
     theta_prev: np.ndarray | None = None
 
-    def refit(theta, subset):
+    def refit(theta, subset, carry):
         nonlocal theta_prev
         if config.schedule == "fixed":
             m_t = config.m_steps
         else:
             lam = _adaptive_lambda(theta, theta_prev, n)
             m_t = stopping_steps(lam, config.w, config.c_u)
-        gram, rhs = normal_system(dataset, subset)
+        if carry is None:
+            gram, rhs = normal_system(dataset, subset)
+        else:
+            gram, rhs = (part / len(subset) for part in carry.system(subset))
         eta_t = config.eta if config.eta is not None else 1.0 / largest_curvature(gram)
         theta_next = gd_inner_loop(gram, rhs, theta, eta_t, m_t)
         inner_counts.append(m_t)

@@ -9,10 +9,18 @@ stops when the step norm falls to tol or the selected set repeats (a repeated
 set makes the next iterate identical, hence a fixed point).
 
 Both refits, exact and gradient, start from the selected rows' normal system
-G = X_S^T X_S, b = X_S^T y_S, built in O(k d^2) for k selected rows. The
-exact refit solves G theta = b and refines once when G is well conditioned,
-and otherwise solves X_S theta = y_S through an orthogonal factorization
-(see least_squares).
+G = X_S^T X_S, b = X_S^T y_S for k selected rows. The exact refit solves
+G theta = b and refines once when G is well conditioned, and otherwise solves
+X_S theta = y_S through an orthogonal factorization (see least_squares).
+
+A build costs O(k d^2), but consecutive selections share most rows. So once a
+build reaches CARRY_MIN_WORK multiply-adds (k d^2), one run carries (G, b)
+from round to round and updates it by the swapped rows,
+G += X_in^T X_in - X_out^T X_out and b likewise (NormalCarry). It builds afresh
+on the first round, when so many rows swap that the update would cost more
+(SWAP_GATHER_COST), when the rows swapped since the last build outweigh the
+new selection, and when the result is not finite. Below the gate every round
+builds afresh.
 """
 
 from __future__ import annotations
@@ -34,6 +42,20 @@ RANK_RCOND = 1e-10
 GRAM_RCOND = 1e-8
 
 RANK_POLICIES = ("fail", "min-norm")
+
+# A run carries its normal system across rounds only when one build costs at
+# least this many multiply-adds, k d^2. Below it the bookkeeping (the row
+# weights, once per run; a mask over the n rows and the weight sums, once per
+# round) eats most of what the updates save. The break-even measurements are
+# in ROADMAP item 1.
+CARRY_MIN_WORK = 1e7
+
+# An update multiplies out |in| + |out| rows where a build multiplies out k, but
+# it must also gather them, and a gathered entry costs about as much as this
+# many multiply-adds. So a round updates only while
+# (|in| + |out|) (d + SWAP_GATHER_COST) <= k d: about a fifth of k swapped at
+# d = 20 and three fifths at d = 100, the measured break-evens.
+SWAP_GATHER_COST = 70
 
 
 class RankDeficientError(RuntimeError):
@@ -145,7 +167,75 @@ def normal_system(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.
     return X_S.T @ X_S / len(y_S), X_S.T @ y_S / len(y_S)
 
 
-def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail") -> np.ndarray:
+class NormalCarry:
+    """The unscaled normal system (X_S^T X_S, X_S^T y_S) of one run's selection.
+
+    system(subset) updates the previous call's system by the rows that entered
+    and left, G += X_in^T X_in - X_out^T X_out and b += X_in^T y_in - X_out^T y_out.
+    It builds afresh, as X_S^T X_S and X_S^T y_S, in four cases:
+
+    - on the first call;
+    - when (|in| + |out|) (d + SWAP_GATHER_COST) > k d, as updating would cost more;
+    - when the rows swapped since the last build outweigh the new selection:
+      their summed ||x_i||^2, which bounds their terms in G, or their summed
+      ||x_i|| |y_i|, which bounds them in b, exceeds the new selection's. An
+      update's rounding error grows with the rows added and removed, so a huge
+      row leaving would otherwise leave its rounding error behind;
+    - when the update is not finite.
+
+    The row weights are computed once, when the carry is made.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+        with np.errstate(over="ignore", invalid="ignore"):
+            x2 = np.einsum("ij,ij->i", dataset.X, dataset.X)
+            self._weights = (x2, np.sqrt(x2) * np.abs(dataset.y))
+        self._subset = self._member = self._system = None
+        self._swapped = (0.0, 0.0)
+
+    def _build(self, X_S: np.ndarray, y_S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return X_S.T @ X_S, X_S.T @ y_S
+
+    def _update(self, subset: np.ndarray, member: np.ndarray):
+        """The previous system updated to subset, whose rows member marks, or None
+        when a build is due."""
+        entering = subset[~self._member[subset]]
+        leaving = self._subset[~member[self._subset]]
+        d = self._dataset.d
+        if (len(entering) + len(leaving)) * (d + SWAP_GATHER_COST) > len(subset) * d:
+            return None
+        swapped = np.concatenate([entering, leaving])
+        self._swapped = tuple(acc + w[swapped].sum()
+                              for acc, w in zip(self._swapped, self._weights))
+        # Negated, so that a NaN weight (an overflowed row) also forces a build.
+        if not all(acc <= w[subset].sum() for acc, w in zip(self._swapped, self._weights)):
+            return None
+        X, y = self._dataset.X, self._dataset.y
+        X_in, X_out = X[entering], X[leaving]
+        gram, rhs = self._system
+        gram = gram + (X_in.T @ X_in - X_out.T @ X_out)
+        rhs = rhs + (X_in.T @ y[entering] - X_out.T @ y[leaving])
+        if np.isfinite(gram).all() and np.isfinite(rhs).all():
+            return gram, rhs
+        return None
+
+    def system(self, subset: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """(X_S^T X_S, X_S^T y_S) for subset; rows is (X_S, y_S) when the caller has
+        already gathered it, used only by a fresh build."""
+        member = np.zeros(self._dataset.n, dtype=bool)
+        member[subset] = True
+        with np.errstate(over="ignore", invalid="ignore"):
+            system = None if self._system is None else self._update(subset, member)
+            if system is None:
+                system = self._build(*(_gather(self._dataset, subset) if rows is None else rows))
+                self._swapped = (0.0, 0.0)
+        self._subset, self._member, self._system = subset, member, system
+        return system
+
+
+def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail",
+                  carry: NormalCarry | None = None) -> np.ndarray:
     """Exact least squares on the selected rows.
 
     When the normal system G = X_S^T X_S, b = X_S^T y_S is finite and G's
@@ -160,12 +250,18 @@ def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail
     rank_policy='fail' a rank-deficient one raises, and under 'min-norm' the
     minimum-norm solution is returned, with singular values below RANK_RCOND
     times the largest treated as zero.
+
+    A run passes its NormalCarry as carry, which supplies (G, b) for subset;
+    X_S and y_S are still gathered, for the refinement step and the fallback.
     """
     if rank_policy not in RANK_POLICIES:
         raise ValueError(f"rank_policy must be one of {RANK_POLICIES}")
     X_S, y_S = _gather(dataset, subset)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram, rhs = X_S.T @ X_S, X_S.T @ y_S
+    if carry is not None:
+        gram, rhs = carry.system(subset, (X_S, y_S))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram, rhs = X_S.T @ X_S, X_S.T @ y_S
     if np.isfinite(gram).all() and np.isfinite(rhs).all():
         eig = np.linalg.eigvalsh(gram)
         if eig[0] > GRAM_RCOND * eig[-1]:
@@ -191,11 +287,13 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
                stop_on_same_set: bool, truth: GroundTruth | None = None) -> SolverTrace:
     """The trimmed alternation shared by the exact and gradient variants.
 
-    Each round refits with refit(theta, subset) on the current selection and
-    then reselects the k smallest residuals. The run stops once the step norm
-    falls to config.tol or, when stop_on_same_set holds, the selection repeats.
+    Each round refits with refit(theta, subset, carry) on the current selection
+    and then reselects the k smallest residuals; carry is the run's NormalCarry,
+    or None below CARRY_MIN_WORK. The run stops once the step norm falls to
+    config.tol or, when stop_on_same_set holds, the selection repeats.
     """
     theta = start_vector(theta0, dataset.d)
+    carry = NormalCarry(dataset) if k * dataset.d ** 2 >= CARRY_MIN_WORK else None
 
     iterates = [theta.copy()]
     subset = select_trimmed_set(dataset, theta, k)
@@ -204,7 +302,7 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
     converged = False
 
     for _ in range(config.max_rounds):
-        theta_next = refit(theta, subset)
+        theta_next = refit(theta, subset, carry)
         step = float(np.linalg.norm(theta_next - theta))
         subset_next = select_trimmed_set(dataset, theta_next, k)
         iterates.append(theta_next)
@@ -246,8 +344,8 @@ def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
     """Run the trimmed alternation from theta0 with exact least-squares refits."""
     k = selection_size(config, dataset.n, dataset.d)
 
-    def refit(theta, subset):
-        return least_squares(dataset, subset, config.rank_policy)
+    def refit(theta, subset, carry):
+        return least_squares(dataset, subset, config.rank_policy, carry)
 
     return _alternate(dataset, theta0, k, config, refit, True, truth)
 

@@ -257,6 +257,20 @@ def _augment(allowed: np.ndarray, owner: list, col: int, seen: set) -> bool:
     return False
 
 
+def _fixed(allowed: np.ndarray, owner: list, pairs: list):
+    """owner with pairs fixed, or None when the rest cannot stay perfect. Rows left
+    holding a fixed column go free, and each column left by a fixed row re-augments
+    around the fixed rows; the rest stays perfect exactly when every one succeeds."""
+    rows, cols = {row for row, _ in pairs}, {col for _, col in pairs}
+    trial = [-1 if col in cols else col for col in owner]
+    for row, col in pairs:
+        trial[row] = col
+    if all(_augment(allowed, trial, owner[row], set(rows))
+           for row in rows if owner[row] not in cols):
+        return trial
+    return None
+
+
 def _bottleneck_matching(dist: np.ndarray):
     """Lexicographically first permutation holding the most finite pairs and, among
     those, the smallest largest finite pair.
@@ -304,24 +318,21 @@ def _bottleneck_matching(dist: np.ndarray):
     dummy_rows, dummy_cols = list(range(m, m + pad)), list(range(m, m + pad))
     for b in range(m):
         # Fixing (a, b) deletes row a and column b; an infinite pair also deletes a dummy
-        # row and column, b's and a's own partners when they have one. Rows left holding a
-        # deleted column go free, each column left by a deleted row re-augments around the
-        # deleted rows, and the rest stays perfect exactly when every one succeeds.
-        for a in np.flatnonzero(allowed[:m, b] | infinite[:, b] & bool(dummy_rows)):
+        # row and column, b's and a's own partners when they have one. Any such pair
+        # leaves b over, paired with a dummy row, so b tries its infinite rows only when
+        # one test on a copy shows that it can be left over.
+        partner = owner.index(b)
+        dummy_row = partner if partner >= m else dummy_rows[0] if dummy_rows else -1
+        spare = dummy_row >= 0 and _fixed(allowed, owner, [(dummy_row, b)]) is not None
+        for a in np.flatnonzero(allowed[:m, b] | infinite[:, b] & spare):
             pairs = [(a, b)]
             if not allowed[a, b]:
-                partner = owner.index(b)
-                pairs.append((partner if partner >= m else dummy_rows[0],
-                              owner[a] if owner[a] >= m else dummy_cols[0]))
-            rows, cols = {row for row, _ in pairs}, {col for _, col in pairs}
-            trial = [-1 if col in cols else col for col in owner]
-            for row, col in pairs:
-                trial[row] = col
-            if all(_augment(allowed, trial, owner[row], set(rows))
-                   for row in rows if owner[row] not in cols):
+                pairs.append((dummy_row, owner[a] if owner[a] >= m else dummy_cols[0]))
+            trial = _fixed(allowed, owner, pairs)
+            if trial is not None:
                 break
         owner = trial
-        allowed[list(rows)] = infinite[a] = False
+        allowed[[row for row, _ in pairs]] = infinite[a] = False
         for row, col in pairs[1:]:
             dummy_rows.remove(row)
             dummy_cols.remove(col)

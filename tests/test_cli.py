@@ -177,6 +177,7 @@ GLOBAL_ARGS = ["--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0"]
     (["fit", "--tau", "0.4", "--max-rounds", "0"], "--max-rounds must be at least 1"),
     (["fit", "--tau", "0.4", "--gd", "--m-steps", "0"], "--m-steps must be at least 1"),
     (["fit", "--tau", "0.4", "--gd", "--eta", "-1"], "--eta must be positive and finite"),
+    (["fit", "--tau", "0.4", "--theta0", "1,0"], "--theta0 has 2 entries, expected d = 3"),
     (["global"] + GLOBAL_ARGS + ["--m", "0"], "--m must be at least 1"),
     (["global"] + GLOBAL_ARGS + ["--tau", "0.3,0.3,0.3"],
      "--tau must carry one fraction per component"),
@@ -186,8 +187,9 @@ GLOBAL_ARGS = ["--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0"]
     (["global"] + GLOBAL_ARGS + ["--delta", "-1"], "--delta must be positive and finite"),
     (["global"] + GLOBAL_ARGS + ["--radius", "0"],
      "--radius must be positive and finite when given"),
-], ids=["fit-tau", "fit-max-rounds", "fit-m-steps", "fit-eta", "global-m", "global-tau",
-        "global-tau-zero", "global-budget", "global-epsilon", "global-delta", "global-radius"])
+], ids=["fit-tau", "fit-max-rounds", "fit-m-steps", "fit-eta", "fit-theta0", "global-m",
+        "global-tau", "global-tau-zero", "global-budget", "global-epsilon", "global-delta",
+        "global-radius"])
 def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, message):
     data, _ = generate(tmp_path)
     capsys.readouterr()
@@ -202,7 +204,9 @@ def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, messa
     (["--regularity", "10", "--trials", "0"], "--trials must be at least 1"),
     (["--affine-error", "--directions", "0"], "--directions must be at least 1"),
     (["--affine-error", "--delta-grid", "0.1,0"], "--delta-grid must lie in (0, 1]"),
-], ids=["regularity", "trials", "directions", "delta-grid"])
+    (["--affine-error", "--tau-fraction", "2"],
+     "--tau-fraction 2: tau[0] = 1.0 must lie in (0, 0.5)"),
+], ids=["regularity", "trials", "directions", "delta-grid", "tau-fraction"])
 def test_diagnose_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, flags, message):
     data, truth = generate(tmp_path)
     capsys.readouterr()

@@ -3,12 +3,20 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from trimfit.cli import EXIT_OK, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED = sorted(name[:-len(".json")] for name in os.listdir(CONFIG_DIR)
+                 if name.endswith(".json"))
+
+# The test extra installs these, so a stray runtime import of one would pass
+# every in-process test; trimfit itself needs numpy only.
+TEST_ONLY_PACKAGES = ("scipy", "jsonschema", "hypothesis")
 
 
 def run_shipped(tmp_path, name):
@@ -24,8 +32,7 @@ def run_shipped(tmp_path, name):
     return code, doc, rows
 
 
-@pytest.mark.parametrize("name", ["single-exact", "two-component-corrupted",
-                                  "three-component-global"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_config_runs_clean(tmp_path, name):
     code, doc, rows = run_shipped(tmp_path, name)
     assert code == EXIT_OK
@@ -51,3 +58,22 @@ def test_two_component_rows_carry_diagnostics(tmp_path):
         # realized rate is measured against the post-injection smallest
         # component, so it can land slightly above the requested 0.05
         assert 0.0 < float(row["gamma_star"]) <= 0.06
+
+
+def test_every_shipped_config_runs_without_the_test_only_packages(tmp_path):
+    # A None entry in sys.modules makes every import of that package fail.
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import sys\n"
+            f"for name in {TEST_ONLY_PACKAGES!r}:\n"
+            "    sys.modules[name] = None\n"
+            "from trimfit.cli import main\n"
+            "sys.exit(max(main(['experiment', '--config', path]) for path in sys.argv[1:]))\n")
+    paths = [os.path.abspath(os.path.join(CONFIG_DIR, name + ".json")) for name in SHIPPED]
+    proc = subprocess.run([sys.executable, "-c", code] + paths, cwd=tmp_path,
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name, path in zip(SHIPPED, paths):
+        with open(path, encoding="utf-8") as fh:
+            out = tmp_path / json.load(fh)["output_dir"]
+        assert (out / (name + ".rows.csv")).exists()
+        assert (out / (name + ".aggregate.csv")).exists()

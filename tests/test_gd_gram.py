@@ -1,4 +1,5 @@
-"""Gram-form GD kernels against the matvec form they replaced, and non-finite inputs."""
+"""Gram-form GD kernels against the matvec form they replaced, the carried normal
+system against fresh builds, and non-finite inputs."""
 
 import math
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 import trimfit.gd as gd
+import trimfit.ilts as ilts
 from trimfit.gd import (POWER_ITERATIONS, DivergenceError, GdConfig, gd_ilts_run,
                         gd_inner_loop, largest_curvature, normal_system)
-from trimfit.ilts import IltsConfig
+from trimfit.ilts import IltsConfig, NormalCarry, ilts_run
 from trimfit.model import Dataset
 
 
@@ -121,6 +123,121 @@ def test_normal_system_is_built_once_per_round(monkeypatch):
         trace = gd_ilts_run(ds, np.zeros(ds.d), GdConfig(tau=0.5, eta=eta, m_steps=5,
                                                          max_rounds=6, tol=0.0))
         assert calls == [120] * trace.rounds_used == [120] * 6
+
+
+def huge_rows(rng):
+    # Random rows, eight of them, response included, scaled by 1e20 to 1e80.
+    X, y = random_rows(rng)
+    scale = np.ones(len(y))
+    scale[rng.choice(len(y), 8, replace=False)] = 10.0 ** np.linspace(20, 80, 8)
+    return X * scale[:, None], y * scale
+
+
+def huge_responses(rng):
+    # Random rows, eight of whose responses alone are scaled by 1e20 to 1e80: only
+    # b feels them, through terms bounded by ||x_i|| |y_i|.
+    X, y = random_rows(rng)
+    y[rng.choice(len(y), 8, replace=False)] *= 10.0 ** np.linspace(20, 80, 8)
+    return X, y
+
+
+def overflowing_rows(rng):
+    # Two rows scaled by 1e160, whose squares overflow: G is infinite while either
+    # is selected, and an update removing one would leave inf - inf = NaN.
+    X, y = random_rows(rng)
+    X[:2] *= 1e160
+    return X, y
+
+
+def relative_gap(got, want):
+    """Largest entry of |got - want| over the largest entry of |want|; zero when
+    both hold the same entries, non-finite ones included."""
+    if np.array_equal(got, want, equal_nan=True):
+        return 0.0
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def carry_everywhere(patch):
+    """Carry the normal system at every size and churn, and check each system the
+    carry hands out against a fresh build; returns the counts of builds and calls."""
+    patch.setattr(ilts, "CARRY_MIN_WORK", 0)
+    patch.setattr(ilts, "SWAP_GATHER_COST", 0)
+    counts = {"builds": 0, "calls": 0}
+    build, system = NormalCarry._build, NormalCarry.system
+
+    def counted_build(self, X_S, y_S):
+        counts["builds"] += 1
+        return build(self, X_S, y_S)
+
+    def checked_system(self, subset, rows=None):
+        counts["calls"] += 1
+        gram, rhs = system(self, subset, rows)
+        X_S, y_S = self._dataset.X[subset], self._dataset.y[subset]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert relative_gap(gram, X_S.T @ X_S) <= 1e-13
+            assert relative_gap(rhs, X_S.T @ y_S) <= 1e-13
+        return gram, rhs
+
+    patch.setattr(NormalCarry, "_build", counted_build)
+    patch.setattr(NormalCarry, "system", checked_system)
+    return counts
+
+
+@pytest.mark.parametrize("rows", ROWS + [huge_rows, huge_responses, overflowing_rows],
+                         ids=lambda f: f.__name__)
+def test_carried_system_stays_within_1e_13_of_a_fresh_build(monkeypatch, rows):
+    # A random walk over selections of 96 rows, 1 to 12 swapped per step, so the
+    # huge and overflowing rows enter and leave many times.
+    rng = np.random.default_rng(66)
+    ds = Dataset(*rows(rng))
+    counts = carry_everywhere(monkeypatch)
+    carry = NormalCarry(ds)
+    subset = np.sort(rng.choice(ds.n, 96, replace=False))
+    for _ in range(200):
+        carry.system(subset)
+        outside = np.setdiff1d(np.arange(ds.n), subset)
+        swap = int(rng.integers(1, 13))
+        kept = np.delete(subset, rng.choice(len(subset), swap, replace=False))
+        subset = np.sort(np.concatenate([kept, rng.choice(outside, swap, replace=False)]))
+    assert counts["calls"] == 200 and 1 <= counts["builds"] < 200
+
+
+@pytest.mark.parametrize("rows", ROWS + [huge_rows], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solver", ["exact", "fixed", "adaptive"])
+def test_carried_runs_match_fresh_builds(monkeypatch, rows, solver):
+    rng = np.random.default_rng(67)
+    ds = Dataset(*rows(rng))
+    theta0 = rng.standard_normal(ds.d)
+    if solver == "exact":
+        run, config = ilts_run, IltsConfig(tau=0.6, max_rounds=8, tol=0.0,
+                                           rank_policy="min-norm")
+    else:
+        run, config = gd_ilts_run, GdConfig(tau=0.6, schedule=solver, m_steps=30,
+                                            max_rounds=8, tol=0.0)
+    fresh = run(ds, theta0, config)
+    with monkeypatch.context() as patch:
+        counts = carry_everywhere(patch)
+        carried = run(ds, theta0, config)
+    assert counts["calls"] == carried.rounds_used == fresh.rounds_used
+    assert carried.inner_steps == fresh.inner_steps
+    gaps = np.linalg.norm(carried.iterates - fresh.iterates, axis=1)
+    assert np.all(gaps <= RELATIVE_GAP * np.linalg.norm(fresh.iterates, axis=1))
+
+
+def test_a_huge_row_leaving_forces_a_fresh_build(monkeypatch):
+    # Row 0 alone outweighs the other 39 by far. Swapping it out for row 40 is a
+    # churn of two rows, which the update would take; without the mass rule it
+    # would leave about 1e-16 * 1e160 of rounding error behind in G.
+    rng = np.random.default_rng(68)
+    X, y = random_rows(rng)
+    X[0], y[0] = 1e80 * X[0], 1e80 * y[0]
+    counts = carry_everywhere(monkeypatch)
+    carry = NormalCarry(Dataset(X=X, y=y))
+    carry.system(np.arange(40))
+    carry.system(np.arange(1, 41))
+    assert counts["builds"] == 2
+    carry.system(np.arange(2, 42))
+    assert counts["builds"] == 2
 
 
 def test_normal_system_rejects_an_empty_selection():
