@@ -14,7 +14,7 @@ from .gd import (DivergenceError, GdConfig, gd_ilts_run, largest_curvature,
                  stopping_steps)
 from .ilts import (IltsConfig, RankDeficientError, SolverTrace,
                    contraction_ratio, ilts_run, least_squares, normal_system,
-                   select_trimmed_set, tau_grid, trimmed_loss)
+                   select_trimmed_set, trimmed_loss)
 from .model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                     generate_mlrc, inject_corruptions, load_dataset,
                     load_truth, realized_gamma_star, reconstruction_error,
@@ -39,5 +39,5 @@ __all__ = [
     "least_squares", "load_dataset", "load_truth", "normal_system", "q_separation",
     "realized_gamma_star", "reconstruction_error", "save_dataset",
     "save_truth", "select_trimmed_set", "stopping_steps", "subspace_distance",
-    "tau_grid", "trimmed_loss", "__version__",
+    "trimmed_loss", "__version__",
 ]

@@ -175,14 +175,14 @@ def affine_error_estimate(X: np.ndarray, partition: np.ndarray, tau, j: int,
     if directions < 1:
         raise ValueError("directions must be at least 1")
     tau = np.asarray(tau, dtype=float)
+    if not 0 <= j < tau.size:
+        raise ValueError(f"j = {j} must lie in [0, {tau.size})")
     mask = partition == j
     n_j = int(np.count_nonzero(mask))
     if n_j == 0:
         raise ValueError(f"component {j} has no samples")
     if n_j == n:
         raise ValueError("every sample belongs to component j; no outside rows")
-    if j >= tau.size:
-        raise ValueError("tau must carry one fraction per component")
     tau_star_j = n_j / n
     if not 0 < tau[j] < tau_star_j:
         raise ValueError(f"tau[{j}] = {tau[j]} must lie in (0, {tau_star_j})")

@@ -3,10 +3,11 @@
 The solver alternates two half-steps from a starting point theta_0: select
 the floor(tau * n) samples with smallest squared residuals under the current
 iterate (ties broken toward the smaller sample index), then solve exact least
-squares on the selected set. The trimmed loss a(theta, S), the sum of squared
-residuals over S, never increases across the alternation, and the iteration
-stops when the step norm falls to tol or the selected set repeats (a repeated
-set makes the next iterate identical, hence a fixed point).
+squares on the selected set. The trimmed loss a(theta, S), the sum over S of
+the squared residuals y - X theta that selected S, never increases across the
+alternation, and the iteration stops when the step norm falls to tol or the
+selected set repeats (a repeated set makes the next iterate identical, hence
+a fixed point).
 
 Both refits, exact and gradient, start from the selected rows' normal system
 G = X_S^T X_S, b = X_S^T y_S for k selected rows. The exact refit solves
@@ -47,7 +48,7 @@ RANK_POLICIES = ("fail", "min-norm")
 # least this many multiply-adds, k d^2. Below it the bookkeeping (the row
 # weights, once per run; a mask over the n rows and the weight sums, once per
 # round) eats most of what the updates save. The break-even measurements are
-# in ROADMAP item 1.
+# in ROADMAP, under "Measurements", "Carry break-even".
 CARRY_MIN_WORK = 1e7
 
 # An update multiplies out |in| + |out| rows where a build multiplies out k, but
@@ -91,9 +92,10 @@ class SolverTrace:
     """Complete record of one solver run.
 
     iterates has rounds_used + 1 rows (theta_0 through the final iterate) and
-    trimmed_losses[t] is the trimmed loss at iterate t, while step_norms has
-    rounds_used entries. The selected set at iterate t is not stored: it is
-    select_trimmed_set(dataset, iterates[t], k) with k = floor(tau * n).
+    step_norms has rounds_used entries. The selected set at iterate t is not
+    stored: it is S_t = select_trimmed_set(dataset, iterates[t], k) with
+    k = floor(tau * n), and trimmed_losses[t], the sum over S_t of the squared
+    residuals that selected it, is trimmed_loss(dataset, iterates[t], S_t).
     dist_to_nearest (distance from each iterate to the nearest true
     component) is present only when ground truth was supplied. inner_steps is
     present only for gradient-descent runs and holds the inner step count
@@ -130,6 +132,21 @@ def _smallest_k(res2: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _loss(res: np.ndarray, subset: np.ndarray) -> float:
+    """Sum of the squared residuals res takes at subset."""
+    r_S = res.take(subset)
+    return float(r_S @ r_S)
+
+
+def _select(dataset: Dataset, theta: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """The k-subset select_trimmed_set returns and its trimmed loss, both taken
+    from one residual vector y - X theta."""
+    check_finite(theta, "theta")
+    res = dataset.y - dataset.X @ theta
+    subset = _smallest_k(np.square(res), k)
+    return subset, _loss(res, subset)
+
+
 def select_trimmed_set(dataset: Dataset, theta: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest squared residuals, ties toward smaller index.
 
@@ -142,23 +159,20 @@ def select_trimmed_set(dataset: Dataset, theta: np.ndarray, k: int) -> np.ndarra
     n = dataset.n
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
-    theta = np.asarray(theta, dtype=float)
-    check_finite(theta, "theta")
-    return _smallest_k(np.square(dataset.y - dataset.X @ theta), k)
+    return _select(dataset, np.asarray(theta, dtype=float), k)[0]
 
 
 def trimmed_loss(dataset: Dataset, theta: np.ndarray, subset: np.ndarray) -> float:
-    """Sum of squared residuals over the given index subset."""
-    theta = np.asarray(theta, dtype=float)
-    res = dataset.y[subset] - dataset.X[subset] @ theta
-    return float(res @ res)
+    """Sum of squared residuals over the given index subset. The residuals are
+    computed over all n rows and then taken at subset, as in a solver round."""
+    return _loss(dataset.y - dataset.X @ np.asarray(theta, dtype=float), subset)
 
 
 def _gather(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The selected rows (X_S, y_S); an empty selection is an error."""
     if len(subset) == 0:
         raise ValueError("empty selection")
-    return dataset.X[subset], dataset.y[subset]
+    return dataset.X.take(subset, axis=0), dataset.y.take(subset)
 
 
 def normal_system(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,10 +226,10 @@ class NormalCarry:
         if not all(acc <= w[subset].sum() for acc, w in zip(self._swapped, self._weights)):
             return None
         X, y = self._dataset.X, self._dataset.y
-        X_in, X_out = X[entering], X[leaving]
+        X_in, X_out = X.take(entering, axis=0), X.take(leaving, axis=0)
         gram, rhs = self._system
         gram = gram + (X_in.T @ X_in - X_out.T @ X_out)
-        rhs = rhs + (X_in.T @ y[entering] - X_out.T @ y[leaving])
+        rhs = rhs + (X_in.T @ y.take(entering) - X_out.T @ y.take(leaving))
         if np.isfinite(gram).all() and np.isfinite(rhs).all():
             return gram, rhs
         return None
@@ -296,17 +310,17 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
     carry = NormalCarry(dataset) if k * dataset.d ** 2 >= CARRY_MIN_WORK else None
 
     iterates = [theta.copy()]
-    subset = select_trimmed_set(dataset, theta, k)
-    losses = [trimmed_loss(dataset, theta, subset)]
+    subset, loss = _select(dataset, theta, k)
+    losses = [loss]
     steps: list[float] = []
     converged = False
 
     for _ in range(config.max_rounds):
         theta_next = refit(theta, subset, carry)
         step = float(np.linalg.norm(theta_next - theta))
-        subset_next = select_trimmed_set(dataset, theta_next, k)
+        subset_next, loss = _select(dataset, theta_next, k)
         iterates.append(theta_next)
-        losses.append(trimmed_loss(dataset, theta_next, subset_next))
+        losses.append(loss)
         steps.append(step)
         same_set = stop_on_same_set and np.array_equal(subset_next, subset)
         theta, subset = theta_next, subset_next
@@ -365,18 +379,3 @@ def contraction_ratio(trace: SolverTrace, truth: GroundTruth, j: int) -> list[fl
         if dists[t] >= 1e-14:
             ratios.append(float(dists[t + 1] / dists[t]))
     return ratios
-
-
-def tau_grid(c: float = 0.9, floor: float = 0.05) -> list[float]:
-    """Geometric trimming-fraction grid 1, c, c^2, ... down to floor."""
-    if not 0 < c < 1:
-        raise ValueError("c must lie in (0, 1)")
-    if not 0 < floor < 1:
-        raise ValueError("floor must lie in (0, 1)")
-    grid = []
-    v = 1.0
-    while v >= floor:
-        grid.append(v)
-        v *= c
-    return grid
-

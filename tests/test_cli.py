@@ -206,7 +206,10 @@ def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, messa
     (["--affine-error", "--delta-grid", "0.1,0"], "--delta-grid must lie in (0, 1]"),
     (["--affine-error", "--tau-fraction", "2"],
      "--tau-fraction 2: tau[0] = 1.0 must lie in (0, 0.5)"),
-], ids=["regularity", "trials", "directions", "delta-grid", "tau-fraction"])
+    (["--affine-error", "--component", "5"], "--component = 5 must lie in [0, 2)"),
+    (["--affine-error", "--component", "-1"], "--component = -1 must lie in [0, 2)"),
+], ids=["regularity", "trials", "directions", "delta-grid", "tau-fraction", "component-5",
+        "component-minus-1"])
 def test_diagnose_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, flags, message):
     data, truth = generate(tmp_path)
     capsys.readouterr()

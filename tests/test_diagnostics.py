@@ -128,8 +128,11 @@ def test_affine_error_validation():
     with pytest.raises(ValueError, match="tau"):
         affine_error_estimate(X, partition, [0.6, 0.4], 0, 0.2, 16, seed=0)
     with pytest.raises(ValueError, match="no samples"):
-        affine_error_estimate(X, np.zeros(X.shape[0], dtype=int), [0.4], 1, 0.2,
+        affine_error_estimate(X, np.zeros(X.shape[0], dtype=int), [0.4, 0.4], 1, 0.2,
                               16, seed=0)
+    for j in (2, -1):
+        with pytest.raises(ValueError, match=rf"^j = {j} must lie in \[0, 2\)$"):
+            affine_error_estimate(X, partition, [0.4, 0.4], j, 0.2, 16, seed=0)
 
 
 def test_contraction_bound_arithmetic():

@@ -1,5 +1,6 @@
 """Gram-form GD kernels against the matvec form they replaced, the carried normal
-system against fresh builds, and non-finite inputs."""
+system against fresh builds, each round's recorded loss against trimmed_loss, and
+non-finite inputs."""
 
 import math
 
@@ -10,8 +11,10 @@ import trimfit.gd as gd
 import trimfit.ilts as ilts
 from trimfit.gd import (POWER_ITERATIONS, DivergenceError, GdConfig, gd_ilts_run,
                         gd_inner_loop, largest_curvature, normal_system)
-from trimfit.ilts import IltsConfig, NormalCarry, ilts_run
+from trimfit.ilts import (IltsConfig, NormalCarry, ilts_run, select_trimmed_set,
+                          trimmed_loss)
 from trimfit.model import Dataset
+from trimfit.util import floor_count
 
 
 def matvec_largest_curvature(X_S, iterations=POWER_ITERATIONS):
@@ -238,6 +241,72 @@ def test_a_huge_row_leaving_forces_a_fresh_build(monkeypatch):
     assert counts["builds"] == 2
     carry.system(np.arange(2, 42))
     assert counts["builds"] == 2
+
+
+def gemv_tail_rows(n, d):
+    """Random rows of shape (n, d): shapes at which OpenBLAS gemv gives some rows of
+    X[S] @ theta other last bits than the same rows of X @ theta, so a loss from
+    the gathered product can differ from one from the selection's residuals."""
+    def rows(rng):
+        X = rng.standard_normal((n, d))
+        return X, X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    rows.__name__ = f"gemv_tail_{n}x{d}"
+    return rows
+
+
+LOSS_ROWS = ROWS + [gemv_tail_rows(101, 64), gemv_tail_rows(999, 63), gemv_tail_rows(50, 33)]
+
+
+def loss_runs(rows):
+    """(dataset, k, trace) for exact and GD runs on the rows, all n of them and
+    all but the last, so that both an odd and an even n are run."""
+    X, y = rows(np.random.default_rng(69))
+    theta0 = np.random.default_rng(70).standard_normal(X.shape[1])
+    configs = [(ilts_run, IltsConfig(tau=0.6, max_rounds=8, tol=0.0, rank_policy="min-norm")),
+               (gd_ilts_run, GdConfig(tau=0.6, m_steps=30, max_rounds=8, tol=0.0))]
+    for n in (len(y), len(y) - 1):
+        ds = Dataset(X=X[:n], y=y[:n])
+        for run, config in configs:
+            yield ds, floor_count(config.tau * n), run(ds, theta0, config)
+
+
+@pytest.mark.parametrize("rows", LOSS_ROWS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("carried", [False, True], ids=["gate", "carried"])
+def test_each_round_records_trimmed_loss_bit_for_bit(monkeypatch, rows, carried):
+    if carried:
+        monkeypatch.setattr(ilts, "CARRY_MIN_WORK", 0)
+    compared = 0
+    for ds, k, trace in loss_runs(rows):
+        losses = np.array([trimmed_loss(ds, theta, select_trimmed_set(ds, theta, k))
+                           for theta in trace.iterates])
+        assert trace.trimmed_losses.tobytes() == losses.tobytes()
+        compared += len(losses)
+    assert compared >= 20
+
+
+def test_trimmed_loss_matches_the_gathered_product():
+    # Oracle: r = y[S] - X[S] @ theta, r @ r. Where k > d the selection carries
+    # noise and the two agree within 1e-14 relative. Where k <= d a refit
+    # interpolates the selected rows, the loss sits at its rounding floor and
+    # only the forward error bound of the residuals, 2 ||r|| e + e^2 with
+    # e = d eps || |X_S| |theta| + |y_S| ||, applies.
+    checked = {"relative": 0, "floor": 0}
+    for rows in LOSS_ROWS:
+        for ds, k, trace in loss_runs(rows):
+            for theta in trace.iterates:
+                subset = select_trimmed_set(ds, theta, k)
+                got = trimmed_loss(ds, theta, subset)
+                r = ds.y[subset] - ds.X[subset] @ theta
+                want = float(r @ r)
+                if k > ds.d:
+                    checked["relative"] += 1
+                    assert abs(got - want) <= 1e-14 * want
+                else:
+                    checked["floor"] += 1
+                    scale = np.abs(ds.X[subset]) @ np.abs(theta) + np.abs(ds.y[subset])
+                    e = ds.d * np.finfo(float).eps * np.linalg.norm(scale)
+                    assert abs(got - want) <= 2 * math.sqrt(want) * e + e * e
+    assert checked["relative"] >= 150 and checked["floor"] >= 40
 
 
 def test_normal_system_rejects_an_empty_selection():

@@ -11,7 +11,7 @@ from trimfit.cli import write_trace_csv
 from trimfit.gd import GdConfig, gd_ilts_run
 from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, SolverTrace,
                           _smallest_k, contraction_ratio, ilts_run, least_squares,
-                          select_trimmed_set, tau_grid, trimmed_loss)
+                          select_trimmed_set, trimmed_loss)
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.util import floor_count
 
@@ -371,15 +371,6 @@ def test_contraction_ratio_skips_tiny_denominators():
         contraction_ratio(trace, truth, 5)
 
 
-def test_tau_grid_geometric():
-    grid = tau_grid(c=0.9, floor=0.5)
-    assert grid == [1.0, 0.9, 0.81, 0.7290000000000001, 0.6561000000000001,
-                    0.5904900000000002, 0.5314410000000002]
-    assert all(b == pytest.approx(a * 0.9) for a, b in zip(grid, grid[1:]))
-    with pytest.raises(ValueError):
-        tau_grid(c=1.0)
-
-
 def test_trace_csv_layout(tmp_path):
     ds, truth = one_dim_instance()
     cfg = IltsConfig(tau=0.4, max_rounds=30, tol=1e-12)
@@ -499,9 +490,19 @@ def test_whole_traces_match_stable_argsort_selection(monkeypatch):
     ]
     for run, ds, theta0, cfg, tr in runs:
         trace = run(ds, theta0, cfg, truth=tr)
+        calls = []
+
+        def counted_argsort_select(res2, k):
+            calls.append(k)
+            return stable_argsort_select(res2, k)
+
+        # The alternation selects through _smallest_k, once at the start and once
+        # per round; patching select_trimmed_set would leave the reference run as
+        # the code under test.
         with monkeypatch.context() as patch:
-            patch.setattr(ilts, "select_trimmed_set", argsort_select_trimmed_set)
+            patch.setattr(ilts, "_smallest_k", counted_argsort_select)
             reference = run(ds, theta0, cfg, truth=tr)
+        assert len(calls) >= reference.rounds_used + 1
         assert trace.rounds_used >= 2
         k = floor_count(cfg.tau * ds.n)
         assert ds is mixed or boundary_ties(ds, trace, k) >= 1  # ties decide the selection
