@@ -20,9 +20,9 @@ from .model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                     load_truth, realized_gamma_star, reconstruction_error,
                     save_dataset, save_truth)
 from .pipeline import (GlobalConfig, RecoveryReport, SubspaceEstimate,
-                       accept_component, default_radius, epsilon_recovery,
-                       estimate_subspace, generate_candidates, global_ilts,
-                       subspace_distance)
+                       accept_component, default_delta, default_radius,
+                       epsilon_recovery, estimate_subspace, generate_candidates,
+                       global_ilts, subspace_distance)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "RankDeficientError", "RecoveryReport", "RegularityEstimate",
     "SolverTrace", "SubspaceEstimate", "accept_component",
     "affine_error_estimate", "contraction_bound", "contraction_bound_trace",
-    "contraction_ratio", "default_radius", "epsilon_recovery",
+    "contraction_ratio", "default_delta", "default_radius", "epsilon_recovery",
     "estimate_subspace", "feature_regularity_exact",
     "feature_regularity_sampled", "gd_ilts_run", "generate_candidates",
     "generate_mlrc", "global_ilts", "ilts_run", "inject_corruptions", "largest_curvature",

@@ -84,7 +84,7 @@ def _build_config(kind: str, params: dict, flags: dict | None = None):
     max_rounds and tol set the inner solver's ilts_max_rounds and ilts_tol.
     Errors name a setting as the user wrote it: by the flag that flags maps
     its key to, or by its config key when flags is None. A setting of another
-    kind fails; seed is exempt, as experiments read it.
+    kind fails; seed is exempt, as dataset-mode experiments read it.
     """
     classes = {"ilts": IltsConfig, "gd-ilts": GdConfig, "global": pipe.GlobalConfig}
     given = {key: value for key, value in params.items() if value is not None}
@@ -125,18 +125,15 @@ def _load_inputs(dataset_path: str, truth_path: str | None):
     return dataset, truth
 
 
-def _write_text(lines: list[str], path: str | None) -> None:
-    """Write lines, each ended by LF, to path, or to stdout when path is None."""
-    text = "".join(line + "\n" for line in lines)
+def _write_document(doc: dict, path: str | None) -> None:
+    """doc as JSON indented by one space and ended by LF, to path, or to stdout
+    when path is None."""
+    text = json.dumps(doc, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
-
-
-def _write_document(doc: dict, path: str | None) -> None:
-    _write_text([json.dumps(doc, indent=1)], path)
 
 
 def _write_csv(rows: list[dict], columns: list[str], path: str) -> None:
@@ -220,19 +217,20 @@ def write_trace_csv(trace: SolverTrace, path: str) -> None:
     Row t describes iterate t; step_norm is the move into that iterate and is
     blank on the starting row, as is inner_steps when recorded.
     """
-    with_inner = trace.inner_steps is not None
     columns = ["round", "step_norm", "trimmed_loss", "dist_to_nearest"]
-    if with_inner:
+    if trace.inner_steps is not None:
         columns.append("inner_steps")
-    lines = [",".join(columns)]
+    rows = []
     for t in range(trace.rounds_used + 1):
-        row = [str(t), "" if t == 0 else format(trace.step_norms[t - 1], ".17g"),
-               format(trace.trimmed_losses[t], ".17g"),
-               "" if trace.dist_to_nearest is None else format(trace.dist_to_nearest[t], ".17g")]
-        if with_inner:
-            row.append("" if t == 0 else str(trace.inner_steps[t - 1]))
-        lines.append(",".join(row))
-    _write_text(lines, path)
+        row = {"round": t, "trimmed_loss": format(trace.trimmed_losses[t], ".17g")}
+        if t > 0:
+            row["step_norm"] = format(trace.step_norms[t - 1], ".17g")
+            if trace.inner_steps is not None:
+                row["inner_steps"] = trace.inner_steps[t - 1]
+        if trace.dist_to_nearest is not None:
+            row["dist_to_nearest"] = format(trace.dist_to_nearest[t], ".17g")
+        rows.append(row)
+    _write_csv(rows, columns, path)
 
 
 def cmd_fit(args) -> int:
@@ -271,6 +269,8 @@ def report_to_dict(report: pipe.RecoveryReport) -> dict:
         "partial": report.partial,
         "radius": report.radius,
         "radius_source": report.radius_source,
+        "delta": report.delta,
+        "delta_source": report.delta_source,
         "matching": None if report.matching is None else list(report.matching),
         "per_component_errors": None if errors is None else [finite(e) for e in errors],
         "epsilon_recovery": finite(report.epsilon_recovery),
@@ -278,10 +278,10 @@ def report_to_dict(report: pipe.RecoveryReport) -> dict:
 
 
 def write_candidate_csv(report: pipe.RecoveryReport, path: str) -> None:
-    lines = ["component,candidate,rounds,accepted,support"]
-    for comp, cand, rounds, accepted, support in report.candidate_outcomes:
-        lines.append(f"{comp},{cand},{rounds},{int(accepted)},{support}")
-    _write_text(lines, path)
+    columns = ["component", "candidate", "rounds", "accepted", "support"]
+    rows = [dict(zip(columns, (comp, cand, rounds, int(accepted), support)))
+            for comp, cand, rounds, accepted, support in report.candidate_outcomes]
+    _write_csv(rows, columns, path)
 
 
 def _load_subspace(path: str, d: int) -> pipe.SubspaceEstimate:
@@ -296,16 +296,8 @@ def _load_subspace(path: str, d: int) -> pipe.SubspaceEstimate:
 def cmd_global(args) -> int:
     dataset, truth = _load_inputs(args.dataset, args.truth)
     taus = _parse_floats(args.tau_list, "--tau")
-    if len(taus) == 1:
-        taus = taus * args.m
     subspace = _load_subspace(args.subspace, dataset.d) if args.subspace else None
-
-    delta = args.delta
-    if delta is None:
-        delta = 10.0 * 1e-6 * math.sqrt(math.log(dataset.n))
-
-    config = _build_config("global", dict(vars(args), tau_list=tuple(taus), delta=delta),
-                           args.flags)
+    config = _build_config("global", dict(vars(args), tau_list=taus), args.flags)
     report = pipe.global_ilts(dataset, config, subspace=subspace, truth=truth)
 
     prefix = args.out_prefix or os.path.splitext(args.dataset)[0]
@@ -380,15 +372,20 @@ def _experiment_setup(doc: dict, inputs):
     """Objects of an experiment config, each checked once before the first
     repeat: the mixture specs (None in dataset mode, else checked to fit n
     samples), the solver config and theta0 (None for a random start per
-    repeat)."""
+    repeat). A solver key that no repeat would read is an error."""
     specs = _mixture_specs(doc) if inputs is None else None
+    solver = doc["solver"]
     if specs is not None:
         model_mod.component_counts(specs[0], doc["model"]["n"])
-    solver = doc["solver"]
+        if "seed" in solver:
+            raise ValueError("solver key 'seed' is not read in model mode, where "
+                             "repeat r runs with model seed + r")
     config = _build_config(solver["kind"], dict(solver, seed=_repeat_seed(doc, 0)))
     n, d = (doc["model"]["n"], doc["model"]["d"]) if inputs is None else inputs[0].X.shape
     if not isinstance(config, pipe.GlobalConfig):
         selection_size(config, n, d)
+    elif "theta0" in solver:
+        raise ValueError("solver key 'theta0' is not a setting of the global solver")
     theta0 = solver.get("theta0", "random")
     theta0 = None if theta0 == "random" else start_vector(theta0, d)
     diagnostics = doc.get("diagnostics", [])
@@ -521,12 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset CSV")
     p.add_argument("--m", type=int, required=True, help="number of components")
     p.add_argument("--tau", dest="tau_list", required=True,
-                   help="per-component fractions (single value broadcasts)")
+                   help="per-component fractions, or one for every component")
     p.add_argument("--budget", dest="candidate_budget", type=int, required=True,
                    help="candidates per component")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--delta", type=float,
-                   help="acceptance residual threshold (default 10 * 1e-6 * sqrt(log n))")
+                   help="acceptance residual threshold (default GlobalConfig's "
+                   "10 * 1e-6 * sqrt(log n))")
     p.add_argument("--radius", type=float, help="candidate sphere radius")
     p.add_argument("--epsilon", dest="epsilon_net", type=float,
                    help="net granularity (default 0.2 * radius)")

@@ -64,8 +64,10 @@ class SubspaceEstimate:
 class GlobalConfig:
     """Settings for the full recovery loop.
 
+    A one-entry tau_list gives every component that fraction. delta = None
+    sets the acceptance threshold to default_delta(n) of the dataset, and
     radius = None derives the candidate sphere radius from the data as the
-    0.95 quantile of |y_i| / ||x_i||; the report flags that default.
+    0.95 quantile of |y_i| / ||x_i||; the report flags both defaults.
     epsilon_net = None sets the net granularity to 0.2 times the radius. The
     trimmed alternation inside the candidate loop runs with ilts_max_rounds
     and ilts_tol.
@@ -73,9 +75,9 @@ class GlobalConfig:
 
     m: int
     tau_list: tuple
-    delta: float
     candidate_budget: int
     seed: int
+    delta: float | None = None
     radius: float | None = None
     epsilon_net: float | None = None
     ilts_max_rounds: int = 30
@@ -86,16 +88,18 @@ class GlobalConfig:
         if not self.m >= 1:
             raise ValueError("m must be at least 1")
         taus = tuple(float(t) for t in self.tau_list)
+        if len(taus) == 1:
+            taus *= self.m
         if len(taus) != self.m:
             raise ValueError("tau_list must carry one fraction per component")
         if any(not 0 < t <= 1 for t in taus):
             raise ValueError("tau_list entries must lie in (0, 1]")
-        if not 0 < self.delta < math.inf:
+        if self.delta is not None and not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if not self.candidate_budget >= 1:
             raise ValueError("candidate_budget must be at least 1")
-        if self.epsilon_net is not None and not self.epsilon_net > 0:
-            raise ValueError("epsilon_net must be positive when given")
+        if self.epsilon_net is not None and not 0 < self.epsilon_net < math.inf:
+            raise ValueError("epsilon_net must be positive and finite when given")
         if self.radius is not None and not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite when given")
         if not self.ilts_max_rounds >= 1:
@@ -123,6 +127,8 @@ class RecoveryReport:
     partial: bool
     radius: float
     radius_source: str
+    delta: float
+    delta_source: str
     candidate_outcomes: tuple
     matching: tuple | None = None
     per_component_errors: tuple | None = None
@@ -211,6 +217,15 @@ def default_radius(dataset: Dataset) -> float:
     value = float(np.quantile(np.abs(dataset.y[mask]) / norms[mask], 0.95))
     if value <= 0:
         raise ValueError("data-driven radius is zero (is y identically zero?)")
+    return value
+
+
+def default_delta(n: int) -> float:
+    """10 * 1e-6 * sqrt(log n), the residual acceptance threshold for n samples
+    when GlobalConfig.delta is None."""
+    value = 10.0 * 1e-6 * math.sqrt(math.log(n))
+    if not value > 0:
+        raise ValueError(f"the log-n default delta is zero at n = {n}; give delta")
     return value
 
 
@@ -375,12 +390,14 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
     if subspace.d != d:
         raise ValueError("subspace dimension does not match the dataset")
     if config.radius is None:
-        radius = default_radius(dataset)
-        radius_source = "quantile-default"
+        radius, radius_source = default_radius(dataset), "quantile-default"
     else:
-        radius = config.radius
-        radius_source = "user"
+        radius, radius_source = config.radius, "user"
     epsilon = 0.2 * radius if config.epsilon_net is None else config.epsilon_net
+    if config.delta is None:
+        delta, delta_source = default_delta(n), "log-n-default"
+    else:
+        delta, delta_source = config.delta, "user"
 
     theta_hat = np.full((d, config.m), np.nan)
     recovered = [False] * config.m
@@ -408,7 +425,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
             except RankDeficientError:
                 outcomes.append((j, c_idx, 0, False, 0))
                 continue
-            ok, support = accept_component(sub, trace.final, tau_j, config.delta,
+            ok, support = accept_component(sub, trace.final, tau_j, delta,
                                            min_count=min_count)
             outcomes.append((j, c_idx, trace.rounds_used, bool(ok), int(support.size)))
             if ok:
@@ -441,6 +458,8 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         partial=partial,
         radius=radius,
         radius_source=radius_source,
+        delta=delta,
+        delta_source=delta_source,
         candidate_outcomes=tuple(outcomes),
         matching=matching,
         per_component_errors=per_errors,

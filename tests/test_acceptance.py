@@ -188,13 +188,12 @@ def test_06_global_recovery_three_components():
     d, n = 10, 3000
     comps = [axis(d, j) for j in range(3)]
     spec = tf.MixtureSpec(d=d, m=3, components=comps, weights=[1 / 3] * 3)
-    delta = 10.0 * 1e-6 * math.sqrt(math.log(n))
     good = 0
     slowest = 0.0
     for seed in SEEDS:
         start = time.perf_counter()
         ds, truth = tf.generate_mlrc(spec, tf.CorruptionSpec(), n=n, seed=seed)
-        cfg = tf.GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.3), delta=delta,
+        cfg = tf.GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.3),
                               candidate_budget=5000, epsilon_net=0.2,
                               seed=seed, radius=1.0)
         rep = tf.global_ilts(ds, cfg, truth=truth)

@@ -183,13 +183,16 @@ GLOBAL_ARGS = ["--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0"]
      "--tau must carry one fraction per component"),
     (["global"] + GLOBAL_ARGS + ["--tau", "0"], "--tau entries must lie in (0, 1]"),
     (["global"] + GLOBAL_ARGS + ["--budget", "0"], "--budget must be at least 1"),
-    (["global"] + GLOBAL_ARGS + ["--epsilon", "-1"], "--epsilon must be positive when given"),
+    (["global"] + GLOBAL_ARGS + ["--epsilon", "-1"],
+     "--epsilon must be positive and finite when given"),
+    (["global"] + GLOBAL_ARGS + ["--epsilon", "inf"],
+     "--epsilon must be positive and finite when given"),
     (["global"] + GLOBAL_ARGS + ["--delta", "-1"], "--delta must be positive and finite"),
     (["global"] + GLOBAL_ARGS + ["--radius", "0"],
      "--radius must be positive and finite when given"),
 ], ids=["fit-tau", "fit-max-rounds", "fit-m-steps", "fit-eta", "fit-theta0", "global-m",
-        "global-tau", "global-tau-zero", "global-budget", "global-epsilon", "global-delta",
-        "global-radius"])
+        "global-tau", "global-tau-zero", "global-budget", "global-epsilon",
+        "global-epsilon-inf", "global-delta", "global-radius"])
 def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, message):
     data, _ = generate(tmp_path)
     capsys.readouterr()
@@ -501,6 +504,34 @@ def test_experiment_defaults_match_a_direct_run(tmp_path):
         assert float(row["final_dist"]) == trace.dist_to_nearest[-1]
 
 
+def test_global_experiment_takes_the_library_defaults(tmp_path):
+    # No delta and one tau for both components, as a library call may give them.
+    exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"],
+           "corruption": GEN_CONFIG["corruption"],
+           "solver": {"kind": "global", "m": 2, "tau_list": [0.35], "candidate_budget": 400},
+           "repeats": 2, "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
+    with open(tmp_path / "out" / "exp.rows.csv", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+
+    model = GEN_CONFIG["model"]
+    spec = MixtureSpec(d=model["d"], m=model["m"], components=model["components"],
+                       weights=model["weights"])
+    for repeat, row in enumerate(rows):
+        seed = model["seed"] + repeat
+        ds, truth = generate_mlrc(spec, CorruptionSpec(**GEN_CONFIG["corruption"]),
+                                  n=model["n"], seed=seed)
+        config = pipeline.GlobalConfig(m=2, tau_list=(0.35, 0.35), candidate_budget=400,
+                                       seed=seed)
+        report = pipeline.global_ilts(ds, config, truth=truth)
+        assert report.delta_source == "log-n-default"
+        assert int(row["seed"]) == seed
+        assert int(row["partial"]) == int(report.partial)
+        assert int(row["recovered"]) == sum(report.recovered)
+        assert int(row["candidates_total"]) == sum(report.candidates_tried)
+        assert float(row["epsilon_recovery"]) == report.epsilon_recovery
+
+
 def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
     data, truth = generate(tmp_path)
     calls = []
@@ -511,10 +542,11 @@ def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
                  "--seed", "5", "--truth", truth, "--out-prefix", str(prefix)]) == 0
     assert len(calls) == 1
     # Output hashes recorded when the CLI still derived epsilon = 0.2 * radius itself,
-    # then re-recorded when exact refits moved to the refined normal equations.
+    # then re-recorded when exact refits moved to the refined normal equations, and
+    # the report's when it gained delta and delta_source.
     digests = [hashlib.sha256((tmp_path / f"glob.{suffix}").read_bytes()).hexdigest()
                for suffix in ("report.json", "candidates.csv")]
-    assert digests == ["0426833fe7efb1cd31245b601c34520ed24703db89ffb7626adc0e47beef2b37",
+    assert digests == ["3811a10e8829d1a0bb40a49052cdab6171b199a1ed2e6acf8c48f63b598f405d",
                        "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce"]
 
 
@@ -563,7 +595,8 @@ def test_every_output_file_is_pinned(tmp_path):
     # Recorded when every JSON document was also checked against a JSON schema
     # before it was written. The exact fit and global outputs were re-recorded
     # when exact refits moved to the refined normal equations: their rounds and
-    # flags kept, their iterates moved in the last bits.
+    # flags kept, their iterates moved in the last bits. The global reports were
+    # re-recorded when they gained delta and delta_source, their other keys kept.
     assert digests == {
         "truth.json": "147ac25b3ddb567c3173886f6d7da8ed7bfd0d4b8c2ef150ee6267bd626a4348",
         "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
@@ -575,10 +608,10 @@ def test_every_output_file_is_pinned(tmp_path):
             "2435d3b0ee120abcd006954941c4197fccb6549c04fdb427a297afcc31e39d55",
         "fit-no-truth.trace.csv":
             "aa324d472d661cd236badb8cdf36257a538372c85af0bd57c8ac3783e7b0b3ef",
-        "global.report.json": "0426833fe7efb1cd31245b601c34520ed24703db89ffb7626adc0e47beef2b37",
+        "global.report.json": "3811a10e8829d1a0bb40a49052cdab6171b199a1ed2e6acf8c48f63b598f405d",
         "global.candidates.csv":
             "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce",
-        "partial.report.json": "71a3c1b9481ff9686cf2084494e030a74e8097a2c272e4c53fe25be8a9fd61fa",
+        "partial.report.json": "fa0257ba6114d85773824f24db73bc9640074c5df5eaf1e4a0c2ab409c84c04d",
         "partial.candidates.csv":
             "5c0fb1b6c7a1a8f45ded529972bbff8382fca9e1b9ae50775da3ec63562cd786",
         "diag.json": "7b8884d1c97f7958ef2194c0d46fc8c75f03fbbd00bedcbe4a579b448284dd62",
@@ -665,8 +698,15 @@ def test_dataset_experiment_that_cannot_load_exits_once(tmp_path, capsys):
      "exp.json: solver key 'candidate_budget' is not a setting of the gd-ilts solver"),
     ({"kind": "gd-ilts", "tau": 0.4, "eta": float("nan")}, "eta must be positive and finite"),
     ({"kind": "ilts", "tau": 0.4, "tol": float("nan")}, "tol must be nonnegative"),
+    # A model-mode repeat takes its seed from the model, and global starts from candidates.
+    ({"kind": "ilts", "tau": 0.4, "seed": 7},
+     "exp.json: solver key 'seed' is not read in model mode"),
+    ({"kind": "global", "m": 2, "tau_list": [0.35], "candidate_budget": 5,
+      "theta0": [1.0, 0.0, 0.0]},
+     "exp.json: solver key 'theta0' is not a setting of the global solver"),
 ], ids=["theta0-length", "tau-zero", "tau-missing", "tau-below-d", "ilts-m-steps",
-        "gd-rank-policy", "gd-candidate-budget", "gd-eta-nan", "ilts-tol-nan"])
+        "gd-rank-policy", "gd-candidate-budget", "gd-eta-nan", "ilts-tol-nan",
+        "model-mode-seed", "global-theta0"])
 def test_experiment_config_error_fails_once(tmp_path, capsys, solver, message):
     exp = {"version": 1, "name": "exp", "model": GEN_CONFIG["model"], "solver": solver,
            "repeats": 3, "output_dir": str(tmp_path / "out")}

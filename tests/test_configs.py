@@ -49,6 +49,16 @@ def test_single_exact_converges_in_one_round(tmp_path):
         assert float(row["final_dist"]) <= 1e-8
 
 
+def test_three_component_global_recovers_every_component(tmp_path):
+    # An experiment exits 0 on a partial recovery too, so test_config_runs_clean
+    # cannot see a threshold that accepts too little.
+    _, _, rows = run_shipped(tmp_path, "three-component-global")
+    for row in rows:
+        assert row["partial"] == "0"
+        assert row["recovered"] == "3"
+        assert float(row["epsilon_recovery"]) <= 1e-12
+
+
 def test_two_component_rows_carry_diagnostics(tmp_path):
     _, _, rows = run_shipped(tmp_path, "two-component-corrupted")
     close = sum(1 for row in rows if float(row["final_dist"]) <= 1e-6)

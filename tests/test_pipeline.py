@@ -1,5 +1,6 @@
 """Global recovery pipeline tests."""
 
+import dataclasses
 import itertools
 import math
 
@@ -282,9 +283,8 @@ def three_component_instance(seed):
 
 def test_global_recovery_end_to_end():
     ds, truth = three_component_instance(seed=19)
-    delta = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
-    cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.3), delta=delta,
-                       candidate_budget=2000, epsilon_net=0.2, seed=4, radius=1.0)
+    cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.3), candidate_budget=2000,
+                       epsilon_net=0.2, seed=4, radius=1.0)
     report = global_ilts(ds, cfg, truth=truth)
     assert report.recovered == (True, True, True)
     assert not report.partial
@@ -311,10 +311,9 @@ def test_global_recovery_partial_on_starved_budget():
 
 def test_epsilon_recovery_is_bit_equal_to_the_largest_component_error():
     ds, truth = three_component_instance(seed=19)
-    delta = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
     # fully recovered, then partial: tau 0.9 exceeds the last component's share
     for taus, budget in (((0.3, 0.3, 0.3), 2000), ((0.3, 0.3, 0.9), 20)):
-        cfg = GlobalConfig(m=3, tau_list=taus, delta=delta, candidate_budget=budget,
+        cfg = GlobalConfig(m=3, tau_list=taus, candidate_budget=budget,
                            epsilon_net=0.2, seed=4, radius=1.0)
         report = global_ilts(ds, cfg, truth=truth)
         assert report.partial == (taus[2] == 0.9)
@@ -334,8 +333,7 @@ def test_partial_recovery_matches_the_recovered_slots_first():
     # permutation then has an infinite pair, but the matching must still pair the
     # recovered slots with the columns they recovered.
     ds, truth = three_component_instance(seed=19)
-    delta = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
-    cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.9), delta=delta, candidate_budget=20,
+    cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.9), candidate_budget=20,
                        epsilon_net=0.2, seed=4, radius=1.0)
     report = global_ilts(ds, cfg, truth=truth)
     assert report.recovered == (True, True, False)
@@ -345,6 +343,36 @@ def test_partial_recovery_matches_the_recovered_slots_first():
     assert math.isinf(report.epsilon_recovery)
 
 
+def test_default_delta_and_one_tau_give_the_spelled_out_run():
+    ds, truth = three_component_instance(seed=19)
+    explicit = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
+    settings = dict(m=3, tau_list=(0.3, 0.3, 0.3), candidate_budget=2000, epsilon_net=0.2,
+                    seed=4, radius=1.0)
+    derived = global_ilts(ds, GlobalConfig(**settings), truth=truth)
+    given = global_ilts(ds, GlobalConfig(**settings, delta=explicit), truth=truth)
+    assert derived.theta_hat.tobytes() == given.theta_hat.tobytes()
+    assert derived.candidate_outcomes == given.candidate_outcomes
+    assert derived.matching == given.matching
+    assert derived.delta.hex() == given.delta.hex() == explicit.hex()
+    assert (derived.delta_source, given.delta_source) == ("log-n-default", "user")
+
+    one_tau = global_ilts(ds, GlobalConfig(**dict(settings, tau_list=(0.3,))), truth=truth)
+    assert one_tau.theta_hat.tobytes() == derived.theta_hat.tobytes()
+    assert one_tau.candidate_outcomes == derived.candidate_outcomes
+    assert report_to_dict(one_tau) == report_to_dict(derived)
+    with pytest.raises(ValueError, match="tau_list"):
+        GlobalConfig(**dict(settings, tau_list=(0.3, 0.3)))
+
+
+def test_default_delta_on_one_sample_asks_for_delta():
+    # log 1 = 0 would make the default threshold accept nothing.
+    ds = Dataset(X=np.ones((1, 1)), y=np.array([2.0]))
+    cfg = GlobalConfig(m=1, tau_list=(1.0,), candidate_budget=2, seed=0, radius=1.0)
+    with pytest.raises(ValueError, match="default delta is zero at n = 1; give delta"):
+        global_ilts(ds, cfg)
+    assert global_ilts(ds, dataclasses.replace(cfg, delta=1e-6)).recovered == (True,)
+
+
 @pytest.mark.parametrize("field", ["delta", "epsilon_net", "radius", "ilts_tol"])
 def test_global_config_rejects_nan(field):
     settings = dict(m=2, tau_list=(0.3, 0.3), delta=0.1, candidate_budget=5, seed=0)
@@ -352,7 +380,7 @@ def test_global_config_rejects_nan(field):
         GlobalConfig(**dict(settings, **{field: math.nan}))
 
 
-@pytest.mark.parametrize("field", ["delta", "radius"])
+@pytest.mark.parametrize("field", ["delta", "epsilon_net", "radius"])
 def test_global_config_rejects_inf(field):
     settings = dict(m=2, tau_list=(0.3, 0.3), delta=0.1, candidate_budget=5, seed=0)
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
@@ -370,7 +398,7 @@ def test_global_default_radius_flagged():
 
 def test_global_config_validation():
     with pytest.raises(ValueError, match="one fraction per"):
-        GlobalConfig(m=2, tau_list=(0.3,), delta=1e-5, candidate_budget=10,
+        GlobalConfig(m=2, tau_list=(0.3, 0.3, 0.3), delta=1e-5, candidate_budget=10,
                      epsilon_net=0.1, seed=0)
     with pytest.raises(ValueError, match="delta"):
         GlobalConfig(m=1, tau_list=(0.3,), delta=0.0, candidate_budget=10,
