@@ -217,8 +217,11 @@ def affine_error_estimate(X: np.ndarray, partition: np.ndarray, tau, j: int,
 
 def contraction_bound(psi_plus_value: float, psi_minus_value: float) -> float:
     """Assembled contraction factor 2 * psi_plus / psi_minus."""
-    if psi_minus_value <= 0:
-        raise ValueError("psi_minus must be positive to assemble the bound")
+    # Negated range tests, so that NaN fails them too.
+    if not 0 <= psi_plus_value < math.inf:
+        raise ValueError("psi_plus must be nonnegative and finite to assemble the bound")
+    if not 0 < psi_minus_value < math.inf:
+        raise ValueError("psi_minus must be positive and finite to assemble the bound")
     return 2.0 * psi_plus_value / psi_minus_value
 
 

@@ -7,14 +7,10 @@ constant or follows an adaptive rule that takes more inner steps as the
 outer iterate stops moving.
 
 A round starts from the mean normal system G = X_S^T X_S / |S|,
-b = X_S^T y_S / |S| of its k selected rows; power iteration and each step
-theta - eta (G theta - b) then cost O(d^2), whatever k is. Below
-ilts.CARRY_MIN_WORK (k d^2 multiply-adds) every round builds it afresh with
-normal_system, at O(k d^2). Above it the run's ilts.NormalCarry updates the
-unscaled system by the rows that swapped since the last round and the round
-divides it by k; the carry builds afresh on the first round, on a large
-churn, when the swapped rows outweigh the selection, and when the result is
-not finite.
+b = X_S^T y_S / |S| of its k selected rows, which normal_system takes from the
+run's carry; trimfit.ilts says when that system is built and when updated.
+Power iteration and each step theta - eta (G theta - b) then cost O(d^2),
+whatever k is.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ilts import SolverTrace, _alternate, _check_alternation, normal_system, selection_size
+from .ilts import SolverTrace, _alternate, _check_alternation, normal_system
 from .model import Dataset, GroundTruth
 from .util import check_finite
 
@@ -73,15 +69,17 @@ class GdConfig:
 def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
     """Inner step count u = max(1, ceil(c_u * ln(w / (lam * ln(1 / lam))))).
 
-    lam must lie strictly inside (0, 1). The count is nonincreasing in lam on
-    (0, 1/e), so a smaller relative error budget buys more inner steps.
+    lam must lie strictly inside (0, 1), and the count must be finite. It is
+    nonincreasing in lam on (0, 1/e): a smaller relative error buys more steps.
     """
     if not 0 < lam < 1:
         raise ValueError("lam must lie strictly in (0, 1)")
-    if not (w > 0 and c_u > 0):
-        raise ValueError("w and c_u must be positive")
-    inner = w / (lam * math.log(1.0 / lam))
-    return max(1, math.ceil(c_u * math.log(inner)))
+    if not (0 < w < math.inf and 0 < c_u < math.inf):
+        raise ValueError("w and c_u must be positive and finite")
+    steps = c_u * math.log(w / (lam * math.log(1.0 / lam)))
+    if not math.isfinite(steps):
+        raise ValueError(f"w = {w} and c_u = {c_u} give a non-finite inner step count")
+    return max(1, math.ceil(steps))
 
 
 def largest_curvature(gram: np.ndarray, iterations: int = POWER_ITERATIONS) -> float:
@@ -147,7 +145,6 @@ def gd_ilts_run(dataset: Dataset, theta0: np.ndarray, config: GdConfig,
     Unlike the exact alternation, a repeated selected set is not a fixed
     point here, so only the step-norm test stops the outer loop early.
     """
-    n = dataset.n
     inner_counts: list[int] = []
     theta_prev: np.ndarray | None = None
 
@@ -156,18 +153,14 @@ def gd_ilts_run(dataset: Dataset, theta0: np.ndarray, config: GdConfig,
         if config.schedule == "fixed":
             m_t = config.m_steps
         else:
-            lam = _adaptive_lambda(theta, theta_prev, n)
+            lam = _adaptive_lambda(theta, theta_prev, dataset.n)
             m_t = stopping_steps(lam, config.w, config.c_u)
-        if carry is None:
-            gram, rhs = normal_system(dataset, subset)
-        else:
-            gram, rhs = (part / len(subset) for part in carry.system(subset))
+        gram, rhs = normal_system(dataset, subset, carry)
         eta_t = config.eta if config.eta is not None else 1.0 / largest_curvature(gram)
         theta_next = gd_inner_loop(gram, rhs, theta, eta_t, m_t)
         inner_counts.append(m_t)
         theta_prev = theta
         return theta_next
 
-    k = selection_size(config, n, dataset.d)
-    trace = _alternate(dataset, theta0, k, config, refit, False, truth)
+    trace = _alternate(dataset, theta0, config, refit, False, truth)
     return replace(trace, inner_steps=tuple(inner_counts))

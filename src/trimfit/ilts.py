@@ -14,14 +14,12 @@ G = X_S^T X_S, b = X_S^T y_S for k selected rows. The exact refit solves
 G theta = b and refines once when G is well conditioned, and otherwise solves
 X_S theta = y_S through an orthogonal factorization (see least_squares).
 
-A build costs O(k d^2), but consecutive selections share most rows. So once a
-build reaches CARRY_MIN_WORK multiply-adds (k d^2), one run carries (G, b)
-from round to round and updates it by the swapped rows,
-G += X_in^T X_in - X_out^T X_out and b likewise (NormalCarry). It builds afresh
-on the first round, when so many rows swap that the update would cost more
-(SWAP_GATHER_COST), when the rows swapped since the last build outweigh the
-new selection, and when the result is not finite. Below the gate every round
-builds afresh.
+A build costs O(k d^2), but consecutive selections share most rows. So each
+run takes every round's (G, b) from one NormalCarry, which applies the gate:
+once a build reaches CARRY_MIN_WORK multiply-adds (k d^2), the carry updates
+the last round's system by the swapped rows, G += X_in^T X_in - X_out^T X_out
+and b likewise, save in the cases NormalCarry lists; below the gate it builds
+afresh every round.
 """
 
 from __future__ import annotations
@@ -175,20 +173,16 @@ def _gather(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return dataset.X.take(subset, axis=0), dataset.y.take(subset)
 
 
-def normal_system(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean normal system (X_S^T X_S / |S|, X_S^T y_S / |S|) of the selected rows."""
-    X_S, y_S = _gather(dataset, subset)
-    return X_S.T @ X_S / len(y_S), X_S.T @ y_S / len(y_S)
-
-
 class NormalCarry:
-    """The unscaled normal system (X_S^T X_S, X_S^T y_S) of one run's selection.
+    """The unscaled normal system (X_S^T X_S, X_S^T y_S) of one run's selection,
+    the one source of every refit's system and the one owner of the gate.
 
-    system(subset) updates the previous call's system by the rows that entered
-    and left, G += X_in^T X_in - X_out^T X_out and b += X_in^T y_in - X_out^T y_out.
-    It builds afresh, as X_S^T X_S and X_S^T y_S, in four cases:
+    system(subset) builds afresh, as X_S^T X_S and X_S^T y_S, while k d^2 stays
+    below CARRY_MIN_WORK. Above it, it updates the previous call's system by the
+    rows that entered and left, G += X_in^T X_in - X_out^T X_out and
+    b += X_in^T y_in - X_out^T y_out, and builds afresh in four cases:
 
-    - on the first call;
+    - on the first call above the gate;
     - when (|in| + |out|) (d + SWAP_GATHER_COST) > k d, as updating would cost more;
     - when the rows swapped since the last build outweigh the new selection:
       their summed ||x_i||^2, which bounds their terms in G, or their summed
@@ -197,15 +191,13 @@ class NormalCarry:
       row leaving would otherwise leave its rounding error behind;
     - when the update is not finite.
 
-    The row weights are computed once, when the carry is made.
+    The row weights are computed on the first update attempt, so a carry below
+    the gate costs nothing beyond its builds.
     """
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        with np.errstate(over="ignore", invalid="ignore"):
-            x2 = np.einsum("ij,ij->i", dataset.X, dataset.X)
-            self._weights = (x2, np.sqrt(x2) * np.abs(dataset.y))
-        self._subset = self._member = self._system = None
+        self._weights = self._subset = self._member = self._system = None
         self._swapped = (0.0, 0.0)
 
     def _build(self, X_S: np.ndarray, y_S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,13 +211,16 @@ class NormalCarry:
         d = self._dataset.d
         if (len(entering) + len(leaving)) * (d + SWAP_GATHER_COST) > len(subset) * d:
             return None
+        X, y = self._dataset.X, self._dataset.y
+        if self._weights is None:
+            x2 = np.einsum("ij,ij->i", X, X)
+            self._weights = (x2, np.sqrt(x2) * np.abs(y))
         swapped = np.concatenate([entering, leaving])
         self._swapped = tuple(acc + w[swapped].sum()
                               for acc, w in zip(self._swapped, self._weights))
         # Negated, so that a NaN weight (an overflowed row) also forces a build.
         if not all(acc <= w[subset].sum() for acc, w in zip(self._swapped, self._weights)):
             return None
-        X, y = self._dataset.X, self._dataset.y
         X_in, X_out = X.take(entering, axis=0), X.take(leaving, axis=0)
         gram, rhs = self._system
         gram = gram + (X_in.T @ X_in - X_out.T @ X_out)
@@ -237,15 +232,26 @@ class NormalCarry:
     def system(self, subset: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """(X_S^T X_S, X_S^T y_S) for subset; rows is (X_S, y_S) when the caller has
         already gathered it, used only by a fresh build."""
-        member = np.zeros(self._dataset.n, dtype=bool)
-        member[subset] = True
+        member = system = None
         with np.errstate(over="ignore", invalid="ignore"):
-            system = None if self._system is None else self._update(subset, member)
+            if len(subset) * self._dataset.d ** 2 >= CARRY_MIN_WORK:
+                member = np.zeros(self._dataset.n, dtype=bool)
+                member[subset] = True
+                if self._member is not None:
+                    system = self._update(subset, member)
             if system is None:
                 system = self._build(*(_gather(self._dataset, subset) if rows is None else rows))
                 self._swapped = (0.0, 0.0)
         self._subset, self._member, self._system = subset, member, system
         return system
+
+
+def normal_system(dataset: Dataset, subset: np.ndarray,
+                  carry: NormalCarry | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean normal system (X_S^T X_S / |S|, X_S^T y_S / |S|) of the selected rows:
+    carry's system for subset (a fresh NormalCarry's when None) divided by |S|."""
+    gram, rhs = (carry or NormalCarry(dataset)).system(subset)
+    return gram / len(subset), rhs / len(subset)
 
 
 def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail",
@@ -265,17 +271,14 @@ def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail
     minimum-norm solution is returned, with singular values below RANK_RCOND
     times the largest treated as zero.
 
-    A run passes its NormalCarry as carry, which supplies (G, b) for subset;
-    X_S and y_S are still gathered, for the refinement step and the fallback.
+    (G, b) comes from carry, the run's NormalCarry (a fresh one when None), which
+    applies the CARRY_MIN_WORK gate; X_S and y_S are gathered either way, for
+    the refinement step and the fallback.
     """
     if rank_policy not in RANK_POLICIES:
         raise ValueError(f"rank_policy must be one of {RANK_POLICIES}")
     X_S, y_S = _gather(dataset, subset)
-    if carry is not None:
-        gram, rhs = carry.system(subset, (X_S, y_S))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram, rhs = X_S.T @ X_S, X_S.T @ y_S
+    gram, rhs = (carry or NormalCarry(dataset)).system(subset, (X_S, y_S))
     if np.isfinite(gram).all() and np.isfinite(rhs).all():
         eig = np.linalg.eigvalsh(gram)
         if eig[0] > GRAM_RCOND * eig[-1]:
@@ -297,17 +300,18 @@ def start_vector(theta0, d: int) -> np.ndarray:
     return theta
 
 
-def _alternate(dataset: Dataset, theta0: np.ndarray, k: int, config, refit,
+def _alternate(dataset: Dataset, theta0: np.ndarray, config, refit,
                stop_on_same_set: bool, truth: GroundTruth | None = None) -> SolverTrace:
     """The trimmed alternation shared by the exact and gradient variants.
 
     Each round refits with refit(theta, subset, carry) on the current selection
-    and then reselects the k smallest residuals; carry is the run's NormalCarry,
-    or None below CARRY_MIN_WORK. The run stops once the step norm falls to
-    config.tol or, when stop_on_same_set holds, the selection repeats.
+    and then reselects the k = selection_size(...) smallest residuals; carry is
+    the run's NormalCarry. The run stops once the step norm falls to config.tol
+    or, when stop_on_same_set holds, the selection repeats.
     """
+    k = selection_size(config, dataset.n, dataset.d)
     theta = start_vector(theta0, dataset.d)
-    carry = NormalCarry(dataset) if k * dataset.d ** 2 >= CARRY_MIN_WORK else None
+    carry = NormalCarry(dataset)
 
     iterates = [theta.copy()]
     subset, loss = _select(dataset, theta, k)
@@ -356,12 +360,10 @@ def selection_size(config, n: int, d: int) -> int:
 def ilts_run(dataset: Dataset, theta0: np.ndarray, config: IltsConfig,
              truth: GroundTruth | None = None) -> SolverTrace:
     """Run the trimmed alternation from theta0 with exact least-squares refits."""
-    k = selection_size(config, dataset.n, dataset.d)
-
     def refit(theta, subset, carry):
         return least_squares(dataset, subset, config.rank_policy, carry)
 
-    return _alternate(dataset, theta0, k, config, refit, True, truth)
+    return _alternate(dataset, theta0, config, refit, True, truth)
 
 
 def contraction_ratio(trace: SolverTrace, truth: GroundTruth, j: int) -> list[float]:

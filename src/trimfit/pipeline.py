@@ -181,10 +181,10 @@ def generate_candidates(subspace: SubspaceEstimate, radius: float, epsilon: floa
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     m_tilde = subspace.m_tilde
     ratio = 3.0 * radius / epsilon
     if ratio <= 1.0:
@@ -237,8 +237,8 @@ def accept_component(dataset: Dataset, theta: np.ndarray, tau_j: float, delta: f
     residual strictly below delta**2 and accepted is True when the support
     reaches floor(tau_j * n), or min_count when supplied.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if not 0 < tau_j <= 1:
         raise ValueError("tau_j must lie in (0, 1]")
     theta = np.asarray(theta, dtype=float)

@@ -160,7 +160,9 @@ def test_fit_rejects_a_setting_of_the_other_solver(tmp_path, capsys, flags, mess
     (["--gd", "--schedule", "adaptive", "--w", "nan"], "--w must be positive and finite"),
     (["--gd", "--schedule", "adaptive", "--c-u", "inf"], "--c-u must be positive and finite"),
     (["--tol", "nan"], "--tol must be nonnegative"),
-], ids=["eta-nan", "eta-inf", "w-nan", "c-u-inf", "tol-nan"])
+    (["--gd", "--schedule", "adaptive", "--w", "1e308"],
+     "w = 1e+308 and c_u = 1.0 give a non-finite inner step count"),
+], ids=["eta-nan", "eta-inf", "w-nan", "c-u-inf", "tol-nan", "w-overflows-the-step-count"])
 def test_fit_rejects_non_finite_settings(tmp_path, capsys, flags, message):
     data, _ = generate(tmp_path)
     prefix = tmp_path / "fit"

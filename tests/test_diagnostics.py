@@ -143,6 +143,17 @@ def test_contraction_bound_arithmetic():
         contraction_bound(3.0, -1.0)
 
 
+@pytest.mark.parametrize("psi_plus, psi_minus, message", [
+    (math.nan, 1.0, "psi_plus must be nonnegative and finite"),
+    (math.inf, 1.0, "psi_plus must be nonnegative and finite"),
+    (1.0, math.nan, "psi_minus must be positive and finite"),
+    (1.0, math.inf, "psi_minus must be positive and finite"),
+], ids=["plus-nan", "plus-inf", "minus-nan", "minus-inf"])
+def test_contraction_bound_rejects_non_finite_inputs(psi_plus, psi_minus, message):
+    with pytest.raises(ValueError, match=f"^{message} to assemble the bound$"):
+        contraction_bound(psi_plus, psi_minus)
+
+
 def test_contraction_bound_trace_dominates_observations():
     spec = MixtureSpec(d=2, m=2, components=[[1.0, 0.0], [-1.0, 0.0]],
                        weights=[0.5, 0.5])

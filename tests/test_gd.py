@@ -1,6 +1,7 @@
 """Gradient-descent variant tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,18 @@ def test_stopping_steps_nonincreasing_below_inverse_e():
     counts = [stopping_steps(float(lam), 10.0) for lam in grid]
     for a, b in zip(counts, counts[1:]):
         assert a >= b
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.1, math.nan), "w and c_u must be positive and finite"),
+    ((0.1, math.inf), "w and c_u must be positive and finite"),
+    ((0.1, 10.0, math.inf), "w and c_u must be positive and finite"),
+    ((1.0 / math.e, 1e308), "w = 1e+308 and c_u = 1.0 give a non-finite inner step count"),
+    ((0.1, 10.0, 1e308), "w = 10.0 and c_u = 1e+308 give a non-finite inner step count"),
+], ids=["w-nan", "w-inf", "c_u-inf", "w-overflows", "c_u-overflows"])
+def test_stopping_steps_rejects_non_finite_counts(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stopping_steps(*args)
 
 
 def test_stopping_steps_validation():

@@ -41,7 +41,8 @@ def matvec_inner_loop(X_S, y_S, theta, eta, m_steps):
 def matvec_run(monkeypatch, dataset, theta0, config):
     """gd_ilts_run with the matvec kernels: normal_system hands over the rows."""
     with monkeypatch.context() as patch:
-        patch.setattr(gd, "normal_system", lambda ds, subset: (ds.X[subset], ds.y[subset]))
+        patch.setattr(gd, "normal_system",
+                      lambda ds, subset, carry: (ds.X[subset], ds.y[subset]))
         patch.setattr(gd, "largest_curvature", matvec_largest_curvature)
         patch.setattr(gd, "gd_inner_loop", matvec_inner_loop)
         return gd_ilts_run(dataset, theta0, config)
@@ -116,9 +117,9 @@ def test_normal_system_is_built_once_per_round(monkeypatch):
     ds = Dataset(*random_rows(rng))
     calls = []
 
-    def counting(dataset, subset):
+    def counting(dataset, subset, carry):
         calls.append(len(subset))
-        return normal_system(dataset, subset)
+        return normal_system(dataset, subset, carry)
 
     monkeypatch.setattr(gd, "normal_system", counting)
     for eta in (None, 0.1):
@@ -126,6 +127,26 @@ def test_normal_system_is_built_once_per_round(monkeypatch):
         trace = gd_ilts_run(ds, np.zeros(ds.d), GdConfig(tau=0.5, eta=eta, m_steps=5,
                                                          max_rounds=6, tol=0.0))
         assert calls == [120] * trace.rounds_used == [120] * 6
+
+
+@pytest.mark.parametrize("run, config", [
+    (ilts_run, IltsConfig(tau=0.5, max_rounds=6, tol=0.0)),
+    (gd_ilts_run, GdConfig(tau=0.5, m_steps=5, max_rounds=6, tol=0.0)),
+], ids=["exact", "gd"])
+def test_below_the_gate_the_carry_builds_every_round(monkeypatch, run, config):
+    # k d^2 = 120 * 25 is far below CARRY_MIN_WORK, so each round's system is a
+    # fresh build by the run's carry, and no update is ever tried.
+    rng = np.random.default_rng(63)
+    ds = Dataset(*random_rows(rng))
+    counts = {"_build": 0, "_update": 0}
+    for name in counts:
+        def counted(self, *args, method=getattr(NormalCarry, name), name=name):
+            counts[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(NormalCarry, name, counted)
+    trace = run(ds, rng.standard_normal(ds.d), config)
+    assert counts == {"_build": trace.rounds_used, "_update": 0}
+    assert trace.rounds_used > 1
 
 
 def huge_rows(rng):

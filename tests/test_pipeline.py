@@ -373,6 +373,22 @@ def test_default_delta_on_one_sample_asks_for_delta():
     assert global_ilts(ds, dataclasses.replace(cfg, delta=1e-6)).recovered == (True,)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ds, est: accept_component(ds, np.zeros(3), 0.5, math.nan), "delta"),
+    (lambda ds, est: accept_component(ds, np.zeros(3), 0.5, math.inf), "delta"),
+    (lambda ds, est: generate_candidates(est, math.nan, 0.1, 10, 0), "radius"),
+    (lambda ds, est: generate_candidates(est, math.inf, 0.1, 10, 0), "radius"),
+    (lambda ds, est: generate_candidates(est, 1.0, math.nan, 10, 0), "epsilon"),
+    (lambda ds, est: generate_candidates(est, 1.0, math.inf, 10, 0), "epsilon"),
+], ids=["accept-delta-nan", "accept-delta-inf", "candidates-radius-nan",
+        "candidates-radius-inf", "candidates-epsilon-nan", "candidates-epsilon-inf"])
+def test_entry_points_reject_non_finite_scales(call, message):
+    ds = Dataset(X=np.eye(3), y=np.array([0.1, 0.2, 0.3]))
+    est = SubspaceEstimate(basis=np.eye(3)[:, :2], provenance="external")
+    with pytest.raises(ValueError, match=f"^{message} must be positive and finite$"):
+        call(ds, est)
+
+
 @pytest.mark.parametrize("field", ["delta", "epsilon_net", "radius", "ilts_tol"])
 def test_global_config_rejects_nan(field):
     settings = dict(m=2, tau_list=(0.3, 0.3), delta=0.1, candidate_budget=5, seed=0)
