@@ -330,7 +330,7 @@ def cmd_diagnose(args) -> int:
     # component's tau is derived from --tau-fraction, so its error names both.
     j = args.component
     flags = {"k": "--regularity", "trials": "--trials", "delta": "--delta-grid",
-             "directions": "--directions", "j": "--component",
+             "directions": "--directions", "j": "--component", "seed": "--seed",
              f"tau[{j}]": f"--tau-fraction {args.tau_fraction:g}: tau[{j}]"}
     with _named_errors(flags):
         if args.regularity is not None:

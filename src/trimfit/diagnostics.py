@@ -28,7 +28,7 @@ import numpy as np
 
 from .ilts import SolverTrace
 from .model import Dataset, GroundTruth
-from .util import ceil_count, floor_count
+from .util import ceil_count, check_integer, floor_count
 
 # Exact regularity enumerates at most this many subsets.
 EXACT_SUBSET_BUDGET = 2_000_000
@@ -125,8 +125,8 @@ def feature_regularity_sampled(X: np.ndarray, k: int, trials: int,
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_integer(trials, "trials", 1)
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     lev = _leverage_scores(X)
     order = np.argsort(lev, kind="stable")
@@ -172,8 +172,8 @@ def affine_error_estimate(X: np.ndarray, partition: np.ndarray, tau, j: int,
         raise ValueError("partition must have one label per row")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    if directions < 1:
-        raise ValueError("directions must be at least 1")
+    check_integer(directions, "directions", 1)
+    check_integer(seed, "seed", 0)
     tau = np.asarray(tau, dtype=float)
     if not 0 <= j < tau.size:
         raise ValueError(f"j = {j} must lie in [0, {tau.size})")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ilts import SolverTrace, _alternate, _check_alternation, normal_system
 from .model import Dataset, GroundTruth
-from .util import check_finite
+from .util import check_finite, check_integer
 
 SCHEDULES = ("fixed", "adaptive")
 
@@ -57,9 +57,8 @@ class GdConfig:
         _check_alternation(self)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
+        check_integer(self.m_steps, "m_steps", 1)
         # Negated range tests, so that NaN fails them too.
-        if not self.m_steps >= 1:
-            raise ValueError("m_steps must be at least 1")
         for name in ("eta", "w", "c_u"):
             value = getattr(self, name)
             if not (value is None and name == "eta" or 0 < value < math.inf):
@@ -76,7 +75,12 @@ def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
         raise ValueError("lam must lie strictly in (0, 1)")
     if not (0 < w < math.inf and 0 < c_u < math.inf):
         raise ValueError("w and c_u must be positive and finite")
-    steps = c_u * math.log(w / (lam * math.log(1.0 / lam)))
+    # A subnormal lam overflows 1 / lam, which would leave ln(w / inf) undefined.
+    scale = lam * math.log(1.0 / lam)
+    if not 0 < scale < math.inf:
+        raise ValueError(f"lam = {lam} gives lam * ln(1 / lam) = {scale}, not positive "
+                         "and finite")
+    steps = c_u * math.log(w / scale)
     if not math.isfinite(steps):
         raise ValueError(f"w = {w} and c_u = {c_u} give a non-finite inner step count")
     return max(1, math.ceil(steps))

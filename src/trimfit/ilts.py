@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, GroundTruth
-from .util import check_finite, floor_count
+from .util import check_finite, check_integer, floor_count
 
 # Relative cutoff under which singular values count as zero when deciding
 # rank deficiency.
@@ -66,8 +66,7 @@ def _check_alternation(config) -> None:
     # Negated range tests, so that NaN fails them too.
     if not 0 < config.tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
-    if not config.max_rounds >= 1:
-        raise ValueError("max_rounds must be at least 1")
+    check_integer(config.max_rounds, "max_rounds", 1)
     if not config.tol >= 0:
         raise ValueError("tol must be nonnegative")
 

@@ -12,13 +12,14 @@ flags a partial result instead of raising.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ilts import IltsConfig, RankDeficientError, ilts_run
 from .model import Dataset, GroundTruth
-from .util import check_finite, floor_count
+from .util import as_readonly, check_finite, check_integer, floor_count
 
 PROVENANCES = ("svd", "external")
 
@@ -36,7 +37,7 @@ class SubspaceEstimate:
     provenance: str
 
     def __post_init__(self):
-        basis = np.ascontiguousarray(np.asarray(self.basis, dtype=float))
+        basis = as_readonly(np.asarray(self.basis, dtype=float))
         if basis.ndim != 2:
             raise ValueError("basis must be d x m_tilde")
         d, m_tilde = basis.shape
@@ -48,7 +49,6 @@ class SubspaceEstimate:
             raise ValueError("basis columns are not orthonormal")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}")
-        basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -84,9 +84,10 @@ class GlobalConfig:
     ilts_tol: float = 1e-11
 
     def __post_init__(self):
+        for name in ("m", "candidate_budget", "ilts_max_rounds"):
+            check_integer(getattr(self, name), name, 1)
+        check_integer(self.seed, "seed", 0)
         # Negated range tests, so that NaN fails them too.
-        if not self.m >= 1:
-            raise ValueError("m must be at least 1")
         taus = tuple(float(t) for t in self.tau_list)
         if len(taus) == 1:
             taus *= self.m
@@ -96,14 +97,10 @@ class GlobalConfig:
             raise ValueError("tau_list entries must lie in (0, 1]")
         if self.delta is not None and not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if not self.candidate_budget >= 1:
-            raise ValueError("candidate_budget must be at least 1")
         if self.epsilon_net is not None and not 0 < self.epsilon_net < math.inf:
             raise ValueError("epsilon_net must be positive and finite when given")
         if self.radius is not None and not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite when given")
-        if not self.ilts_max_rounds >= 1:
-            raise ValueError("ilts_max_rounds must be at least 1")
         if not self.ilts_tol >= 0:
             raise ValueError("ilts_tol must be nonnegative")
         object.__setattr__(self, "tau_list", taus)
@@ -115,7 +112,10 @@ class RecoveryReport:
 
     theta_hat holds one column per component slot with NaN columns for
     unrecovered slots. candidate_outcomes rows are
-    (component, candidate, rounds, accepted, support_size). matching,
+    (component, candidate, rounds, accepted, support_size), one per ILTS run,
+    with rounds and support_size 0 for a rank-deficient start; recovered,
+    accepted_counts, candidates_tried and partial are tallies over these
+    rows, so a slot skipped for lack of rows tallies 0. matching,
     per_component_errors and epsilon_recovery are present only when ground
     truth was supplied; unrecovered slots contribute infinite errors.
     """
@@ -389,6 +389,8 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         subspace = estimate_subspace(dataset, config.m)
     if subspace.d != d:
         raise ValueError("subspace dimension does not match the dataset")
+    if truth is not None and truth.theta_star.shape != (d, config.m):
+        raise ValueError("truth shape does not match the configured m")
     if config.radius is None:
         radius, radius_source = default_radius(dataset), "quantile-default"
     else:
@@ -400,9 +402,6 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         delta, delta_source = config.delta, "user"
 
     theta_hat = np.full((d, config.m), np.nan)
-    recovered = [False] * config.m
-    accepted_counts = [0] * config.m
-    candidates_tried = [0] * config.m
     outcomes = []
     working = np.arange(n)
     component_seeds = np.random.SeedSequence(config.seed).spawn(config.m)
@@ -419,7 +418,6 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         inner = IltsConfig(tau=tau_j, max_rounds=config.ilts_max_rounds,
                            tol=config.ilts_tol, rank_policy="fail")
         for c_idx in range(candidates.shape[0]):
-            candidates_tried[j] += 1
             try:
                 trace = ilts_run(sub, candidates[c_idx], inner)
             except RankDeficientError:
@@ -430,18 +428,17 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
             outcomes.append((j, c_idx, trace.rounds_used, bool(ok), int(support.size)))
             if ok:
                 theta_hat[:, j] = trace.final
-                recovered[j] = True
-                accepted_counts[j] = int(support.size)
                 working = np.setdiff1d(working, working[support])
                 break
 
-    partial = not all(recovered)
+    # The per-slot tallies restate the outcome rows; a skipped slot has none.
+    accepted = {j: support for j, _, _, ok, support in outcomes if ok}
+    tried = Counter(j for j, *_ in outcomes)
+    recovered = tuple(j in accepted for j in range(config.m))
     matching = None
     per_errors = None
     eps_value = None
     if truth is not None:
-        if truth.theta_star.shape != (d, config.m):
-            raise ValueError("truth shape does not match the configured m")
         value, perm = epsilon_recovery(theta_hat, truth.theta_star)
         matching = tuple(int(p) for p in perm)
         per_errors = tuple(
@@ -452,10 +449,10 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
 
     return RecoveryReport(
         theta_hat=theta_hat,
-        recovered=tuple(recovered),
-        accepted_counts=tuple(accepted_counts),
-        candidates_tried=tuple(candidates_tried),
-        partial=partial,
+        recovered=recovered,
+        accepted_counts=tuple(accepted.get(j, 0) for j in range(config.m)),
+        candidates_tried=tuple(tried[j] for j in range(config.m)),
+        partial=not all(recovered),
         radius=radius,
         radius_source=radius_source,
         delta=delta,

@@ -3,8 +3,9 @@
 Input files (generate and experiment configs, subspace bases) are validated
 on load, so missing or mistyped fields fail with the file and the field
 named. The schemas check shape: types, required and unknown keys, enums,
-and bounds only on the fields no class owns (version, name, repeats, model n).
-Ranges are checked by the classes a config builds, under the file's name.
+and bounds only on the fields no class owns (version, name, repeats, model n
+and the seeds). Ranges are checked by the classes a config builds, under the
+file's name.
 The documents the package writes are defined by the code that builds them
 alone; README.md lists their fields.
 """
@@ -35,7 +36,7 @@ MODEL_SCHEMA = {
             ]
         },
         "n": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,
 }
@@ -94,7 +95,7 @@ SOLVER_SCHEMA = {
         "candidate_budget": {"type": "integer"},
         "epsilon_net": {"type": "number"},
         "radius": {"anyOf": [{"type": "number"}, {"type": "null"}]},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,
 }

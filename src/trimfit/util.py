@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -28,6 +29,15 @@ def as_readonly(a: np.ndarray) -> np.ndarray:
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def check_integer(value, name: str, minimum: int) -> None:
+    """Reject a value that is not an integer of at least minimum, naming it.
+    numpy integers pass; bools and integral floats such as 3.0 do not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
 
 def check_finite(a: np.ndarray, name: str) -> None:

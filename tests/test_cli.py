@@ -192,9 +192,10 @@ GLOBAL_ARGS = ["--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0"]
     (["global"] + GLOBAL_ARGS + ["--delta", "-1"], "--delta must be positive and finite"),
     (["global"] + GLOBAL_ARGS + ["--radius", "0"],
      "--radius must be positive and finite when given"),
+    (["global"] + GLOBAL_ARGS + ["--seed", "-1"], "--seed must be at least 0"),
 ], ids=["fit-tau", "fit-max-rounds", "fit-m-steps", "fit-eta", "fit-theta0", "global-m",
         "global-tau", "global-tau-zero", "global-budget", "global-epsilon",
-        "global-epsilon-inf", "global-delta", "global-radius"])
+        "global-epsilon-inf", "global-delta", "global-radius", "global-seed"])
 def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, message):
     data, _ = generate(tmp_path)
     capsys.readouterr()
@@ -213,8 +214,10 @@ def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, messa
      "--tau-fraction 2: tau[0] = 1.0 must lie in (0, 0.5)"),
     (["--affine-error", "--component", "5"], "--component = 5 must lie in [0, 2)"),
     (["--affine-error", "--component", "-1"], "--component = -1 must lie in [0, 2)"),
+    (["--regularity", "10", "--seed", "-1"], "--seed must be at least 0"),
+    (["--affine-error", "--seed", "-1"], "--seed must be at least 0"),
 ], ids=["regularity", "trials", "directions", "delta-grid", "tau-fraction", "component-5",
-        "component-minus-1"])
+        "component-minus-1", "regularity-seed", "affine-error-seed"])
 def test_diagnose_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, flags, message):
     data, truth = generate(tmp_path)
     capsys.readouterr()
@@ -643,6 +646,30 @@ def test_dataset_experiment_loads_its_inputs_once(tmp_path, monkeypatch):
         "dbd8390109e646979b2610aaf752251c4250200e202d0c53ddc61c2381bae68f")
 
 
+
+THREE_COMPONENT_MODEL = dict(GEN_CONFIG["model"], m=3, weights=[0.5, 0.3, 0.2],
+                             components=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("model, solver, digests", [
+    (GEN_CONFIG["model"], {"kind": "ilts", "tau": 0.4},
+     ("15b2f3f5056177a042dcf74ebf31507256f9a9283db621fb4e9eb8246359ea75",
+      "91e15cf06850d2d3ce2a33c7a57f032fb8d546fed64ebadbe8db5c6d9cbfc3c3")),
+    # Repeat 3 is partial, and the repeats try 3 to 7 candidates in all.
+    (THREE_COMPONENT_MODEL,
+     {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18], "candidate_budget": 4},
+     ("3a700e57e5c6f6e70a88b202fc37805f4c25bc7b06786626cc856510abb6b416",
+      "3a1052d86932cc882693ea7c79d6e976e764c2044b57d276074615d5c3826eed")),
+], ids=["ilts", "global"])
+def test_experiment_outputs_are_pinned(tmp_path, model, solver, digests):
+    exp = {"version": 1, "name": "exp", "model": model, "corruption": GEN_CONFIG["corruption"],
+           "solver": solver, "diagnostics": ["gamma_star"], "repeats": 5,
+           "output_dir": str(tmp_path / "out")}
+    assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
+    assert tuple(_sha256(tmp_path / "out" / f"exp.{name}.csv")
+                 for name in ("rows", "aggregate")) == digests
+
+
 @pytest.mark.parametrize("command", ["generate", "experiment", "global"])
 def test_truncated_json_input_names_the_file(tmp_path, capsys, command):
     data, _ = generate(tmp_path)
@@ -741,6 +768,23 @@ def test_experiment_solver_failure_is_an_error_row_per_repeat(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [row["repeat"] for row in rows] == ["0", "1"]
     assert all(row["seed"] == "" and "rank" in row["error"] for row in rows)
+
+
+@pytest.mark.parametrize("command, doc, where", [
+    ("generate", dict(GEN_CONFIG, model=dict(GEN_CONFIG["model"], seed=-5)), "model/seed"),
+    ("experiment", {"version": 1, "name": "exp", "model": dict(GEN_CONFIG["model"], seed=-5),
+                    "solver": {"kind": "ilts", "tau": 0.4}, "repeats": 3}, "model/seed"),
+    # The schema rejects the file before the dataset is read.
+    ("experiment", {"version": 1, "name": "exp", "dataset": "inst.csv",
+                    "solver": {"kind": "ilts", "tau": 0.4, "seed": -5}, "repeats": 3},
+     "solver/seed"),
+], ids=["generate-model-seed", "experiment-model-seed", "experiment-solver-seed"])
+def test_negative_seed_in_a_config_fails_once(tmp_path, capsys, command, doc, where):
+    cfg = write_config(tmp_path, dict(doc, output_dir=str(tmp_path / "out")), "cfg.json")
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: -5 is less than the minimum of 0 (at {where})\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_csvs_end_lines_in_lf(tmp_path):

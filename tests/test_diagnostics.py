@@ -172,5 +172,16 @@ def test_contraction_bound_trace_dominates_observations():
     assert all(rec["round"] < trace.rounds_used for rec in records)
 
 
+def test_contraction_bound_trace_of_one_component():
+    # One component has no separation and no affine error, and clean data has no
+    # corrupted rows, so the bound is built from psi_plus(0) = 0.
+    spec = MixtureSpec(d=4, m=1, components=[[1.0, -0.5, 0.25, 2.0]], weights=[1.0])
+    ds, truth = generate_mlrc(spec, CorruptionSpec(), n=200, seed=0)
+    trace = ilts_run(ds, np.zeros(4), IltsConfig(tau=0.8), truth=truth)
+    records = contraction_bound_trace(ds, truth, trace, j=0, tau=0.8, seed=0)
+    assert records == [{"round": 0, "ratio": 0.0, "bound": 0.0, "delta": 0.0,
+                        "affine_count": 0, "in_region": True}]
+
+
 def test_exact_budget_constant_unchanged():
     assert EXACT_SUBSET_BUDGET == 2_000_000

@@ -46,6 +46,14 @@ def test_stopping_steps_rejects_non_finite_counts(args, message):
         stopping_steps(*args)
 
 
+@pytest.mark.parametrize("lam", [1e-310, 5e-324], ids=["subnormal", "smallest"])
+def test_stopping_steps_names_a_subnormal_lam(lam):
+    # 1 / lam overflows, so lam * ln(1 / lam) is infinite and ln(w / inf) undefined.
+    message = f"lam = {lam} gives lam * ln(1 / lam) = inf, not positive and finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stopping_steps(lam, 10.0)
+
+
 def test_stopping_steps_validation():
     with pytest.raises(ValueError):
         stopping_steps(0.0, 10.0)
@@ -135,6 +143,16 @@ def test_gd_trace_records_inner_steps():
     assert trace.inner_steps is not None
     assert len(trace.inner_steps) == trace.rounds_used
     assert all(m == 50 for m in trace.inner_steps)
+
+
+def test_adaptive_schedule_from_the_origin_restarts_at_the_cheapest_count():
+    # Round 1 measures its movement against theta0 = 0, which has no relative
+    # size, so it takes the opening count again.
+    ds, _ = two_component_instance()
+    cfg = GdConfig(tau=0.4, schedule="adaptive", w=10.0, c_u=1.5, max_rounds=3)
+    trace = gd_ilts_run(ds, np.zeros(3), cfg)
+    assert trace.rounds_used >= 2
+    assert trace.inner_steps[:2] == (stopping_steps(1.0 / math.e, 10.0, 1.5),) * 2
 
 
 def test_adaptive_schedule_takes_more_steps_as_movement_shrinks():

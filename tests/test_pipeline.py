@@ -3,12 +3,17 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from trimfit import pipeline
 from trimfit.cli import report_to_dict
+from trimfit.diagnostics import affine_error_estimate, feature_regularity_sampled
+from trimfit.gd import GdConfig
+from trimfit.ilts import IltsConfig
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.pipeline import (GlobalConfig, SubspaceEstimate, _augment, _bottleneck_matching,
                               accept_component, default_radius,
@@ -343,6 +348,51 @@ def test_partial_recovery_matches_the_recovered_slots_first():
     assert math.isinf(report.epsilon_recovery)
 
 
+def rank_deficient_instance():
+    # x2 is zero on every row, so every trimmed refit is rank deficient.
+    X = np.column_stack([np.linspace(1.0, 2.0, 40), np.zeros(40)])
+    return Dataset(X=X, y=X[:, 0].copy())
+
+
+@pytest.mark.parametrize("instance, config, tallies", [
+    # Slot 2 is skipped: floor(0.001 * rows left) < d, so it has no rows.
+    (lambda: three_component_instance(seed=19)[0],
+     GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.001), candidate_budget=20, epsilon_net=0.2,
+                  seed=4, radius=1.0),
+     ((True, True, False), (500, 500, 0), (1, 1, 0), True)),
+    # Both poles of the one-dimensional span are rank-deficient starts.
+    (rank_deficient_instance,
+     GlobalConfig(m=1, tau_list=(0.5,), candidate_budget=5, seed=0, radius=1.0, delta=1e-6),
+     ((False,), (0,), (2,), True)),
+], ids=["skipped-slot", "rank-deficient"])
+def test_report_tallies_restate_the_candidate_rows(instance, config, tallies):
+    report = global_ilts(instance(), config)
+    got = (report.recovered, report.accepted_counts, report.candidates_tried, report.partial)
+    assert got == tallies
+    assert all(type(v) is bool for v in report.recovered) and type(report.partial) is bool
+    assert all(type(v) is int for v in report.accepted_counts + report.candidates_tried)
+    rows = report.candidate_outcomes
+    for j in range(config.m):
+        mine = [row for row in rows if row[0] == j]
+        assert report.candidates_tried[j] == len(mine)
+        assert report.recovered[j] == any(row[3] for row in mine)
+        assert report.accepted_counts[j] == sum(row[4] for row in mine if row[3])
+    if not any(report.recovered):
+        assert all(row[2:] == (0, False, 0) for row in rows)
+
+
+def test_truth_of_the_wrong_m_fails_before_the_first_candidate(monkeypatch):
+    ds, truth = three_component_instance(seed=19)
+    calls = []
+    real = pipeline.ilts_run
+    monkeypatch.setattr(pipeline, "ilts_run", lambda *a: calls.append(1) or real(*a))
+    cfg = GlobalConfig(m=2, tau_list=(0.3,), candidate_budget=20, epsilon_net=0.2, seed=4,
+                       radius=1.0)
+    with pytest.raises(ValueError, match="^truth shape does not match the configured m$"):
+        global_ilts(ds, cfg, truth=truth)
+    assert calls == []
+
+
 def test_default_delta_and_one_tau_give_the_spelled_out_run():
     ds, truth = three_component_instance(seed=19)
     explicit = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
@@ -421,8 +471,51 @@ def test_global_config_validation():
                      epsilon_net=0.1, seed=0)
 
 
+GLOBAL_SETTINGS = dict(m=2, tau_list=(0.3,), candidate_budget=5, seed=0)
+SPLIT = (np.arange(20.0).reshape(10, 2), np.repeat([0, 1], 5))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IltsConfig(tau=0.5, max_rounds=2.5), "max_rounds must be an integer, got 2.5"),
+    (lambda: GdConfig(tau=0.5, max_rounds=2.5), "max_rounds must be an integer, got 2.5"),
+    (lambda: GdConfig(tau=0.5, m_steps=2.5), "m_steps must be an integer, got 2.5"),
+    (lambda: GlobalConfig(**dict(GLOBAL_SETTINGS, m=1.0)), "m must be an integer, got 1.0"),
+    (lambda: GlobalConfig(**dict(GLOBAL_SETTINGS, candidate_budget=2.5)),
+     "candidate_budget must be an integer, got 2.5"),
+    (lambda: GlobalConfig(**dict(GLOBAL_SETTINGS, ilts_max_rounds=2.5)),
+     "ilts_max_rounds must be an integer, got 2.5"),
+    (lambda: GlobalConfig(**dict(GLOBAL_SETTINGS, seed=-1)), "seed must be at least 0"),
+    (lambda: GlobalConfig(**dict(GLOBAL_SETTINGS, seed=True)), "seed must be an integer, got True"),
+    (lambda: feature_regularity_sampled(SPLIT[0], 3, 5, seed=-1), "seed must be at least 0"),
+    (lambda: affine_error_estimate(*SPLIT, [0.3, 0.3], 0, 0.5, 5, seed=-1),
+     "seed must be at least 0"),
+], ids=["ilts-max-rounds", "gd-max-rounds", "gd-m-steps", "global-m", "global-budget",
+        "global-ilts-max-rounds", "global-seed", "global-seed-bool", "regularity-seed",
+        "affine-error-seed"])
+def test_counts_and_seeds_fail_naming_the_field(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_counts_and_seeds_take_numpy_integers():
+    assert IltsConfig(tau=0.5, max_rounds=np.int64(5)).max_rounds == 5
+    assert GdConfig(tau=0.5, m_steps=np.int32(3)).m_steps == 3
+    cfg = GlobalConfig(m=np.int64(2), tau_list=(0.3,), candidate_budget=np.uint8(5),
+                       seed=np.uint64(7))
+    assert cfg.tau_list == (0.3, 0.3)
+
+
 def test_subspace_estimate_validation():
     with pytest.raises(ValueError, match="orthonormal"):
         SubspaceEstimate(basis=np.array([[1.0], [1.0]]), provenance="external")
     with pytest.raises(ValueError, match="provenance"):
         SubspaceEstimate(basis=np.eye(2), provenance="guess")
+
+
+def test_subspace_estimate_leaves_the_callers_array_writeable():
+    b = np.eye(3)[:, :2].copy()
+    est = SubspaceEstimate(basis=b, provenance="external")
+    assert b.flags.writeable
+    assert not est.basis.flags.writeable
+    b[0, 0] = 2.0
+    assert est.basis[0, 0] == 1.0

@@ -33,7 +33,7 @@ VALID = [
                  "rank_policy": "min-norm", "theta0": [0.5, -1], "eta": None,
                  "schedule": "adaptive", "m_steps": 5, "w": 0.5, "c_u": 1.0, "m": 2,
                  "tau_list": [0.4, 0.35], "delta": 1e-4, "candidate_budget": 5,
-                 "epsilon_net": 0.5, "radius": 1.0, "seed": -3},
+                 "epsilon_net": 0.5, "radius": 1.0, "seed": 3},
       "diagnostics": ["q_separation", "gamma_star"], "repeats": 2, "output_dir": "out"}),
     (EXPERIMENT_CONFIG_SCHEMA,
      {"version": 2, "name": "glob", "dataset": "inst.csv",
@@ -104,10 +104,13 @@ def mutated_documents(draw):
 @given(mutated_documents())
 # Cases that random swaps rarely reach: the minimum and minLength bounds, and
 # a fractional float in an integer field. Value ranges are the classes' to
-# check, so the minimum is reached through version, repeats and model n.
+# check, so the minimum is reached through version, repeats, model n and the
+# seeds.
 @example(swapped(0, ("version",), 0))
 @example(swapped(1, ("repeats",), 0))
 @example(swapped(0, ("model", "n"), 0))
+@example(swapped(0, ("model", "seed"), -1))
+@example(swapped(1, ("solver", "seed"), -1))
 @example(swapped(0, ("name",), ""))
 @example(swapped(1, ("solver", "tol"), -0.0))
 @example(swapped(1, ("repeats",), 2.5))
