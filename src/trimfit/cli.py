@@ -26,6 +26,7 @@ from .gd import SCHEDULES, GdConfig, gd_ilts_run
 from .ilts import RANK_POLICIES, IltsConfig, SolverTrace, ilts_run, selection_size, start_vector
 from .schemas import (EXPERIMENT_CONFIG_SCHEMA, GENERATE_CONFIG_SCHEMA,
                       SUBSPACE_FILE_SCHEMA, validate_document)
+from .util import check_integer
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -278,9 +279,9 @@ def report_to_dict(report: pipe.RecoveryReport) -> dict:
 
 
 def write_candidate_csv(report: pipe.RecoveryReport, path: str) -> None:
-    columns = ["component", "candidate", "rounds", "accepted", "support"]
-    rows = [dict(zip(columns, (comp, cand, rounds, int(accepted), support)))
-            for comp, cand, rounds, accepted, support in report.candidate_outcomes]
+    columns = ["component", "candidate", "rounds", "accepted", "support", "carried"]
+    rows = [dict(zip(columns, (comp, cand, rounds, int(accepted), support, carried)))
+            for comp, cand, rounds, accepted, support, carried in report.candidate_outcomes]
     _write_csv(rows, columns, path)
 
 
@@ -316,6 +317,8 @@ def cmd_global(args) -> int:
 # diagnose
 
 def cmd_diagnose(args) -> int:
+    # The report records the seed whichever diagnostics read it.
+    check_integer(args.seed, "--seed", 0)
     dataset, truth = _load_inputs(args.dataset, args.truth)
     doc: dict = {"format": "trimfit-diagnostics", "format_version": 1,
                  "seed": args.seed}
@@ -330,7 +333,7 @@ def cmd_diagnose(args) -> int:
     # component's tau is derived from --tau-fraction, so its error names both.
     j = args.component
     flags = {"k": "--regularity", "trials": "--trials", "delta": "--delta-grid",
-             "directions": "--directions", "j": "--component", "seed": "--seed",
+             "directions": "--directions", "j": "--component",
              f"tau[{j}]": f"--tau-fraction {args.tau_fraction:g}: tau[{j}]"}
     with _named_errors(flags):
         if args.regularity is not None:

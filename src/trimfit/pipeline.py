@@ -2,22 +2,25 @@
 
 The pipeline estimates the span of the component matrix from moment rows
 y_i * x_i, draws candidate starting points uniformly from a sphere inside
-that span, and polishes each candidate with the trimmed alternation. A
-candidate is accepted for component j once enough samples fall below the
-residual acceptance threshold; its support is then removed and the search
-moves to the next component. Exhausting the candidate budget for a slot
-flags a partial result instead of raising.
+that span, and screens them in blocks as FAST-LTS does: a few rounds of the
+trimmed alternation from every start, then the alternation to the end from
+the few with the lowest trimmed loss. A finished start is accepted for
+component j once enough samples fall below the residual acceptance
+threshold; its support is then removed and the search moves to the next
+component. Exhausting the candidate budget for a slot flags a partial
+result instead of raising.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ilts import IltsConfig, RankDeficientError, ilts_run
+from .ilts import (SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, IltsConfig, RankDeficientError,
+                   ilts_run)
 from .model import Dataset, GroundTruth
 from .util import as_readonly, check_finite, check_integer, floor_count
 
@@ -112,8 +115,11 @@ class RecoveryReport:
 
     theta_hat holds one column per component slot with NaN columns for
     unrecovered slots. candidate_outcomes rows are
-    (component, candidate, rounds, accepted, support_size), one per ILTS run,
-    with rounds and support_size 0 for a rank-deficient start; recovered,
+    (component, candidate, rounds, accepted, support_size, carried), one per
+    start that ran, in index order (see global_ilts): carried is 1 for a
+    start kept by its block's screening, accepted is True only for the start
+    that claimed the slot, and rounds and support_size describe the start's
+    last iterate, 0 for a rank-deficient start; recovered,
     accepted_counts, candidates_tried and partial are tallies over these
     rows, so a slot skipped for lack of rows tallies 0. matching,
     per_component_errors and epsilon_recovery are present only when ground
@@ -378,11 +384,18 @@ def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):
 def global_ilts(dataset: Dataset, config: GlobalConfig,
                 subspace: SubspaceEstimate | None = None,
                 truth: GroundTruth | None = None) -> RecoveryReport:
-    """Recover all component slots by candidate search plus trimming.
+    """Recover all component slots by screened candidate search plus trimming.
 
-    The first accepting candidate (lowest index) claims a slot; its support
-    is removed before the next slot is attempted. Budget exhaustion leaves a
-    slot unrecovered and flags the report partial.
+    A slot's candidates are screened in blocks of SCREEN_BLOCK: each start
+    runs SCREEN_ROUNDS rounds, and the SCREEN_KEEP with the lowest trimmed
+    loss (ties to the lower index) are carried. In index order, each carried
+    start runs on from its last iterate to ilts_max_rounds rounds in all, and
+    the first that passes the acceptance test, the lowest-index carried start
+    that does, claims the slot; the next block runs only while the slot is
+    unclaimed. A start screened out, or carried but left behind the claim,
+    keeps its screening rounds and the support of its last iterate. The
+    claimed support is removed before the next slot is attempted. Budget
+    exhaustion leaves a slot unrecovered and flags the report partial.
     """
     n, d = dataset.n, dataset.d
     if subspace is None:
@@ -417,22 +430,51 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         sub = Dataset(X=dataset.X[working], y=dataset.y[working])
         inner = IltsConfig(tau=tau_j, max_rounds=config.ilts_max_rounds,
                            tol=config.ilts_tol, rank_policy="fail")
-        for c_idx in range(candidates.shape[0]):
-            try:
-                trace = ilts_run(sub, candidates[c_idx], inner)
-            except RankDeficientError:
-                outcomes.append((j, c_idx, 0, False, 0))
-                continue
-            ok, support = accept_component(sub, trace.final, tau_j, delta,
-                                           min_count=min_count)
-            outcomes.append((j, c_idx, trace.rounds_used, bool(ok), int(support.size)))
-            if ok:
-                theta_hat[:, j] = trace.final
-                working = np.setdiff1d(working, working[support])
+        screen = replace(inner, max_rounds=min(SCREEN_ROUNDS, inner.max_rounds))
+
+        for first in range(0, candidates.shape[0], SCREEN_BLOCK):
+            block = range(first, min(first + SCREEN_BLOCK, candidates.shape[0]))
+            rows = {c_idx: (j, c_idx, 0, False, 0, 0) for c_idx in block}
+            prefixes = {}
+            for c_idx in block:
+                try:
+                    prefixes[c_idx] = ilts_run(sub, candidates[c_idx], screen)
+                except RankDeficientError:
+                    pass  # keeps its rank-deficient row and is not ranked
+            ranked = list(prefixes)
+            losses = [prefixes[c_idx].trimmed_losses[-1] for c_idx in ranked]
+            kept = sorted(ranked[i] for i in np.argsort(losses, kind="stable")[:SCREEN_KEEP])
+            claim = None
+            for c_idx in kept:
+                trace = prefixes.pop(c_idx)
+                rounds = trace.rounds_used
+                if not trace.converged and rounds < inner.max_rounds:
+                    rest = replace(inner, max_rounds=inner.max_rounds - rounds)
+                    try:
+                        trace = ilts_run(sub, trace.final, rest)
+                    except RankDeficientError:
+                        rows[c_idx] = (j, c_idx, 0, False, 0, 1)
+                        continue
+                    rounds += trace.rounds_used
+                ok, support = accept_component(sub, trace.final, tau_j, delta, min_count=min_count)
+                rows[c_idx] = (j, c_idx, rounds, bool(ok), int(support.size), 1)
+                if ok:
+                    claim = trace.final, support
+                    break
+            # Screened-out starts, and kept ones left unfinished behind the claim,
+            # record their prefix; only a finished start can claim.
+            for c_idx, trace in prefixes.items():
+                _, support = accept_component(sub, trace.final, tau_j, delta, min_count=min_count)
+                rows[c_idx] = (j, c_idx, trace.rounds_used, False, int(support.size),
+                               int(c_idx in kept))
+            outcomes.extend(rows[c_idx] for c_idx in block)
+            if claim is not None:
+                theta_hat[:, j] = claim[0]
+                working = np.setdiff1d(working, working[claim[1]])
                 break
 
     # The per-slot tallies restate the outcome rows; a skipped slot has none.
-    accepted = {j: support for j, _, _, ok, support in outcomes if ok}
+    accepted = {j: support for j, _, _, ok, support, _ in outcomes if ok}
     tried = Counter(j for j, *_ in outcomes)
     recovered = tuple(j in accepted for j in range(config.m))
     matching = None

@@ -216,8 +216,10 @@ def test_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, argv, messa
     (["--affine-error", "--component", "-1"], "--component = -1 must lie in [0, 2)"),
     (["--regularity", "10", "--seed", "-1"], "--seed must be at least 0"),
     (["--affine-error", "--seed", "-1"], "--seed must be at least 0"),
+    # The report records the seed even when no diagnostic that ran reads it.
+    (["--q-separation", "--seed", "-1"], "--seed must be at least 0"),
 ], ids=["regularity", "trials", "directions", "delta-grid", "tau-fraction", "component-5",
-        "component-minus-1", "regularity-seed", "affine-error-seed"])
+        "component-minus-1", "regularity-seed", "affine-error-seed", "q-separation-seed"])
 def test_diagnose_range_errors_name_the_flag_that_was_typed(tmp_path, capsys, flags, message):
     data, truth = generate(tmp_path)
     capsys.readouterr()
@@ -256,7 +258,7 @@ def test_global_round_trip(tmp_path):
     assert report["recovered"] == [True, True]
     assert report["epsilon_recovery"] <= 1e-6
     lines = (tmp_path / "glob.candidates.csv").read_text().strip().split("\n")
-    assert lines[0] == "component,candidate,rounds,accepted,support"
+    assert lines[0] == "component,candidate,rounds,accepted,support,carried"
     assert len(lines) >= 3
 
 
@@ -281,10 +283,13 @@ def test_global_skips_a_slot_with_too_few_rows_left(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "line.report.json").read_text())
     assert report["recovered"] == [True, False]
-    assert report["candidates_tried"] == [1, 0]
+    # The span has two dimensions, so the budget of 3 draws 3 starts, all kept;
+    # start 0 claims the slot and starts 1 and 2 keep their prefix rows.
+    assert report["candidates_tried"] == [3, 0]
     assert report["accepted_counts"] == [10, 0]
     assert (tmp_path / "line.candidates.csv").read_text() == (
-        "component,candidate,rounds,accepted,support\n0,0,1,1,10\n")
+        "component,candidate,rounds,accepted,support,carried\n"
+        "0,0,1,1,10,1\n0,1,2,0,10,1\n0,2,1,0,10,1\n")
 
 
 def test_global_records_a_rank_deficient_candidate(tmp_path):
@@ -300,7 +305,7 @@ def test_global_records_a_rank_deficient_candidate(tmp_path):
     # a one-dimensional span has only its two poles as candidates
     assert report["candidates_tried"] == [2]
     assert (tmp_path / "flat.candidates.csv").read_text() == (
-        "component,candidate,rounds,accepted,support\n0,0,0,0,0\n0,1,0,0,0\n")
+        "component,candidate,rounds,accepted,support,carried\n0,0,0,0,0,0\n0,1,0,0,0,0\n")
 
 
 def test_global_external_subspace(tmp_path):
@@ -548,11 +553,12 @@ def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     # Output hashes recorded when the CLI still derived epsilon = 0.2 * radius itself,
     # then re-recorded when exact refits moved to the refined normal equations, and
-    # the report's when it gained delta and delta_source.
+    # the report's when it gained delta and delta_source, and both when candidates
+    # were screened in blocks.
     digests = [hashlib.sha256((tmp_path / f"glob.{suffix}").read_bytes()).hexdigest()
                for suffix in ("report.json", "candidates.csv")]
-    assert digests == ["3811a10e8829d1a0bb40a49052cdab6171b199a1ed2e6acf8c48f63b598f405d",
-                       "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce"]
+    assert digests == ["5ded353713d4956623ce6db14f0e4320b8291329a990f0ad4a67236d9cfa6fbd",
+                       "8d77f683405fab62e2e8aaa00bc4b7bed97db5f00cba4b1b5d874cee5dbe3911"]
 
 
 def test_fit_on_header_only_csv_names_the_file(tmp_path, capsys):
@@ -602,6 +608,10 @@ def test_every_output_file_is_pinned(tmp_path):
     # when exact refits moved to the refined normal equations: their rounds and
     # flags kept, their iterates moved in the last bits. The global reports were
     # re-recorded when they gained delta and delta_source, their other keys kept.
+    # The global outputs and the candidates files were re-recorded when candidates
+    # were screened in blocks: the candidates files gained the carried column, and
+    # the recovered run tries a block of 8 starts per slot, slot 0 claimed by
+    # start 1 instead of start 0.
     assert digests == {
         "truth.json": "147ac25b3ddb567c3173886f6d7da8ed7bfd0d4b8c2ef150ee6267bd626a4348",
         "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
@@ -613,12 +623,12 @@ def test_every_output_file_is_pinned(tmp_path):
             "2435d3b0ee120abcd006954941c4197fccb6549c04fdb427a297afcc31e39d55",
         "fit-no-truth.trace.csv":
             "aa324d472d661cd236badb8cdf36257a538372c85af0bd57c8ac3783e7b0b3ef",
-        "global.report.json": "3811a10e8829d1a0bb40a49052cdab6171b199a1ed2e6acf8c48f63b598f405d",
+        "global.report.json": "5ded353713d4956623ce6db14f0e4320b8291329a990f0ad4a67236d9cfa6fbd",
         "global.candidates.csv":
-            "657ccfa3f3af27c62d9b8e1fa0d0f4efebb65fddb15d6dd10d40ae22967633ce",
+            "8d77f683405fab62e2e8aaa00bc4b7bed97db5f00cba4b1b5d874cee5dbe3911",
         "partial.report.json": "fa0257ba6114d85773824f24db73bc9640074c5df5eaf1e4a0c2ab409c84c04d",
         "partial.candidates.csv":
-            "5c0fb1b6c7a1a8f45ded529972bbff8382fca9e1b9ae50775da3ec63562cd786",
+            "0a661e3cca3f381781e2d7382cd100e6f8a8745dede1454b7e67235e66742a12",
         "diag.json": "7b8884d1c97f7958ef2194c0d46fc8c75f03fbbd00bedcbe4a579b448284dd62",
     }
 
@@ -655,11 +665,13 @@ THREE_COMPONENT_MODEL = dict(GEN_CONFIG["model"], m=3, weights=[0.5, 0.3, 0.2],
     (GEN_CONFIG["model"], {"kind": "ilts", "tau": 0.4},
      ("15b2f3f5056177a042dcf74ebf31507256f9a9283db621fb4e9eb8246359ea75",
       "91e15cf06850d2d3ce2a33c7a57f032fb8d546fed64ebadbe8db5c6d9cbfc3c3")),
-    # Repeat 3 is partial, and the repeats try 3 to 7 candidates in all.
+    # Repeats 3 and 4 are partial, and every repeat tries all 4 candidates of each
+    # slot, one block. Before screening repeat 4 recovered all three slots: its
+    # slot 1 was claimed by start 2 after 16 rounds, a start screening ranks last.
     (THREE_COMPONENT_MODEL,
      {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18], "candidate_budget": 4},
-     ("3a700e57e5c6f6e70a88b202fc37805f4c25bc7b06786626cc856510abb6b416",
-      "3a1052d86932cc882693ea7c79d6e976e764c2044b57d276074615d5c3826eed")),
+     ("a7753851f80979c6e770ef9da1d77e10b39c938e5fc0aa2870d13bf3c48da344",
+      "f8cc4fbeca0a814f08f0e918ca5730d0ac5e7e6d14623161cdd6c5e690d6280f")),
 ], ids=["ilts", "global"])
 def test_experiment_outputs_are_pinned(tmp_path, model, solver, digests):
     exp = {"version": 1, "name": "exp", "model": model, "corruption": GEN_CONFIG["corruption"],

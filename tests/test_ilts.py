@@ -512,3 +512,38 @@ def test_whole_traces_match_stable_argsort_selection(monkeypatch):
         for field in dataclasses.fields(SolverTrace):
             assert same_bytes(getattr(trace, field.name), getattr(reference, field.name)), \
                 (run.__name__, field.name)
+
+
+def extreme_magnitude_instances(count, seed):
+    """Designs whose rows, response included, are scaled by 10^U(-100, 100), or
+    whole designs scaled by one such factor."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, d = int(rng.integers(20, 60)), int(rng.integers(1, 5))
+        X = rng.standard_normal((n, d))
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n) * (rng.random(n) < 0.3)
+        scale = 10.0 ** rng.uniform(-100, 100, size=n if i % 2 else 1)
+        yield (Dataset(X=X * scale[:, None], y=y * scale), rng.standard_normal(d),
+               IltsConfig(tau=float(rng.choice([0.5, 0.7])), rank_policy="min-norm"))
+
+
+def test_a_run_continued_after_the_screening_prefix_is_one_uninterrupted_run():
+    # pipeline.global_ilts screens a start with SCREEN_ROUNDS rounds and continues a
+    # kept one from the prefix's final iterate; below CARRY_MIN_WORK, where every
+    # round builds its system afresh, that must be the uninterrupted run.
+    continued = 0
+    for ds, theta0, cfg in itertools.chain(tied_integer_instances(300, seed=65),
+                                           extreme_magnitude_instances(200, seed=66)):
+        assert floor_count(cfg.tau * ds.n) * ds.d ** 2 < ilts.CARRY_MIN_WORK
+        whole = ilts_run(ds, theta0, cfg)
+        trace = ilts_run(ds, theta0, dataclasses.replace(cfg, max_rounds=ilts.SCREEN_ROUNDS))
+        rounds = trace.rounds_used
+        if not trace.converged:
+            continued += 1
+            rest = dataclasses.replace(cfg, max_rounds=cfg.max_rounds - rounds)
+            trace = ilts_run(ds, trace.final, rest)
+            rounds += trace.rounds_used
+        assert same_bytes(trace.final, whole.final)
+        assert (rounds, trace.converged) == (whole.rounds_used, whole.converged)
+        assert same_bytes(trace.trimmed_losses[-1], whole.trimmed_losses[-1])
+    assert continued >= 100

@@ -2,18 +2,21 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
+from reference import reference_global
 from scipy.optimize import linear_sum_assignment
 
 from trimfit import pipeline
-from trimfit.cli import report_to_dict
+from trimfit.cli import _experiment_setup, report_to_dict
 from trimfit.diagnostics import affine_error_estimate, feature_regularity_sampled
 from trimfit.gd import GdConfig
-from trimfit.ilts import IltsConfig
+from trimfit.ilts import SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, IltsConfig, ilts_run
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.pipeline import (GlobalConfig, SubspaceEstimate, _augment, _bottleneck_matching,
                               accept_component, default_radius,
@@ -359,7 +362,7 @@ def rank_deficient_instance():
     (lambda: three_component_instance(seed=19)[0],
      GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.001), candidate_budget=20, epsilon_net=0.2,
                   seed=4, radius=1.0),
-     ((True, True, False), (500, 500, 0), (1, 1, 0), True)),
+     ((True, True, False), (500, 500, 0), (8, 8, 0), True)),
     # Both poles of the one-dimensional span are rank-deficient starts.
     (rank_deficient_instance,
      GlobalConfig(m=1, tau_list=(0.5,), candidate_budget=5, seed=0, radius=1.0, delta=1e-6),
@@ -378,7 +381,7 @@ def test_report_tallies_restate_the_candidate_rows(instance, config, tallies):
         assert report.recovered[j] == any(row[3] for row in mine)
         assert report.accepted_counts[j] == sum(row[4] for row in mine if row[3])
     if not any(report.recovered):
-        assert all(row[2:] == (0, False, 0) for row in rows)
+        assert all(row[2:] == (0, False, 0, 0) for row in rows)
 
 
 def test_truth_of_the_wrong_m_fails_before_the_first_candidate(monkeypatch):
@@ -519,3 +522,108 @@ def test_subspace_estimate_leaves_the_callers_array_writeable():
     assert not est.basis.flags.writeable
     b[0, 0] = 2.0
     assert est.basis[0, 0] == 1.0
+
+
+def shipped_global_repeat(repeat):
+    """Instance, config and truth of repeat r of configs/three-component-global.json."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "three-component-global.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    specs, config, _ = _experiment_setup(doc, None)
+    seed = doc["model"]["seed"] + repeat
+    ds, truth = generate_mlrc(*specs, n=doc["model"]["n"], seed=seed)
+    return ds, dataclasses.replace(config, seed=seed), truth
+
+
+def sweep_recovery_instance():
+    """The recovery call of the bench `sweep` workload at toy size, seed 0."""
+    rng = np.random.default_rng(0)
+    rng.standard_normal((5, 20))  # the reject call's components
+    comps = list(np.linalg.qr(rng.standard_normal((20, 3)))[0].T)
+    spec = MixtureSpec(d=20, m=3, components=comps, weights=[1 / 3] * 3)
+    ds, truth = generate_mlrc(spec, CorruptionSpec(0.05, "oblivious-random", 2.0), n=1500,
+                              seed=1)
+    config = GlobalConfig(m=3, tau_list=(0.3,), delta=1e-4, candidate_budget=40,
+                          epsilon_net=0.5, seed=0)
+    return ds, config, truth
+
+
+def three_component_case(seed, with_truth=True, **settings):
+    ds, truth = three_component_instance(seed)
+    config = GlobalConfig(**dict(dict(m=3, tau_list=(0.3,), candidate_budget=2000,
+                                      epsilon_net=0.2, seed=4, radius=1.0), **settings))
+    return ds, config, truth if with_truth else None
+
+
+SCREENING_CASES = {
+    **{f"shipped-global-{r}": lambda r=r: shipped_global_repeat(r) for r in range(5)},
+    "sweep-recovery": sweep_recovery_instance,
+    "end-to-end": lambda: three_component_case(19),
+    "starved": lambda: three_component_case(23, tau_list=(0.9,), delta=1e-5,
+                                            candidate_budget=3),
+    "partial": lambda: three_component_case(19, tau_list=(0.3, 0.3, 0.9), candidate_budget=20),
+    "skipped-slot": lambda: three_component_case(19, False, tau_list=(0.3, 0.3, 0.001),
+                                                 candidate_budget=20),
+    "default-radius": lambda: three_component_case(29, False, delta=1e-5, candidate_budget=500,
+                                                   radius=None),
+    "rank-deficient": lambda: (rank_deficient_instance(),
+                               GlobalConfig(m=1, tau_list=(0.5,), candidate_budget=5, seed=0,
+                                            radius=1.0, delta=1e-6), None),
+    "one-sample": lambda: (Dataset(X=np.ones((1, 1)), y=np.array([2.0])),
+                           GlobalConfig(m=1, tau_list=(1.0,), candidate_budget=2, seed=0,
+                                        radius=1.0, delta=1e-6), None),
+}
+
+
+@pytest.mark.parametrize("case", SCREENING_CASES)
+def test_screening_recovers_what_the_sequential_reference_does(case):
+    ds, config, truth = SCREENING_CASES[case]()
+    report = global_ilts(ds, config, truth=truth)
+    reference = reference_global(ds, config, truth=truth)
+    assert report.recovered == reference.recovered
+    if truth is not None:
+        assert (report.epsilon_recovery <= reference.epsilon_recovery
+                or report.epsilon_recovery < 1e-12)
+    # One row claims each recovered slot, and a carried one.
+    for j in range(config.m):
+        won = [row for row in report.candidate_outcomes if row[0] == j and row[3]]
+        assert len(won) == report.recovered[j] and all(row[5] == 1 for row in won)
+    # Below CARRY_MIN_WORK a carried start finishes bit for bit as the reference ran
+    # it, so while the earlier slots hold the same columns (and so leave the same
+    # rows) a slot whose reference winner was carried is claimed by that winner.
+    assert [row[:2] for row in report.candidate_outcomes] == sorted(
+        row[:2] for row in report.candidate_outcomes)
+    rows = {row[:2]: row for row in report.candidate_outcomes}
+    for j in range(config.m):
+        if report.theta_hat[:, :j].tobytes() != reference.theta_hat[:, :j].tobytes():
+            break
+        won = [row for row in reference.candidate_outcomes if row[0] == j and row[3]]
+        if won and rows.get(won[0][:2], (0,) * 6)[5] == 1:
+            assert rows[won[0][:2]] == won[0] + (1,)
+            assert report.theta_hat[:, j].tobytes() == reference.theta_hat[:, j].tobytes()
+
+
+def test_screening_finishes_the_three_lowest_prefix_losses_of_each_block():
+    # tau 0.9 exceeds every component's share, so no start is accepted and each
+    # slot screens its whole budget on all rows, in blocks of 8, 8 and 4.
+    ds, _ = three_component_instance(seed=23)
+    config = GlobalConfig(m=3, tau_list=(0.9,), delta=1e-5, candidate_budget=20,
+                          epsilon_net=0.2, seed=4, radius=1.0)
+    report = global_ilts(ds, config)
+    subspace = estimate_subspace(ds, 3)
+    whole = IltsConfig(tau=0.9, max_rounds=config.ilts_max_rounds, tol=config.ilts_tol)
+    prefix = dataclasses.replace(whole, max_rounds=SCREEN_ROUNDS)
+    for j, seed in enumerate(np.random.SeedSequence(config.seed).spawn(3)):
+        starts = generate_candidates(subspace, 1.0, 0.2, 20, int(seed.generate_state(1)[0]))
+        rows = [row for row in report.candidate_outcomes if row[0] == j]
+        assert [row[1] for row in rows] == list(range(20))
+        for first in range(0, 20, SCREEN_BLOCK):
+            block = range(first, min(first + SCREEN_BLOCK, 20))
+            traces = {c: ilts_run(ds, starts[c], prefix) for c in block}
+            kept = sorted(block, key=lambda c: traces[c].trimmed_losses[-1])[:SCREEN_KEEP]
+            for c in kept:
+                traces[c] = ilts_run(ds, starts[c], whole)
+            for c in block:
+                support = accept_component(ds, traces[c].final, 0.9, config.delta)[1]
+                assert rows[c] == (j, c, traces[c].rounds_used, False, support.size, int(c in kept))
+        assert sum(row[5] for row in rows) == 3 + 3 + 3
