@@ -1,0 +1,154 @@
+"""Compare global_ilts between this checkout and another one, run for run.
+
+    python scripts/compare_global.py OTHER_CHECKOUT
+
+Each checkout runs in its own process, importing trimfit from its src/, the
+test instances from its tests/ and the benchmark setups from its bench/:
+
+- sweep-S-reject / sweep-S-recover: both calls of the bench `sweep`
+  workload at full size, seeds 0-2;
+- cli-io-S: the `global` command of the bench `cli-io` workload (n = 6000,
+  budget 50), run through trimfit.cli.main, seeds 0-5;
+- stress-S: the ROADMAP stress recipe, seeds 0-9;
+- each SCREENING_CASES instance of tests/test_pipeline.py.
+
+For every run it prints the rows and rounds of each checkout, whether the
+candidate rows agree on (component, candidate, rounds, accepted, support),
+whether the theta_hat bytes agree, and whether epsilon_recovery and the
+matching agree. It then prints the slots the pinned `global` experiment of
+tests/test_cli.py recovers per repeat at budgets 4 and 8, for each checkout
+and for tests/reference.py::reference_global. Single-threaded BLAS; the stress
+runs take a few seconds each.
+"""
+
+import csv
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(name, report):
+    rows = [tuple(int(v) for v in row[:5]) for row in report.candidate_outcomes]
+    return name, {
+        "rows": rows,
+        "theta_hat": hashlib.sha256(report.theta_hat.tobytes()).hexdigest(),
+        "epsilon": report.epsilon_recovery,
+        "matching": report.matching,
+    }
+
+
+def collect(root):
+    for sub in ("src", "tests", "bench"):
+        sys.path.insert(0, os.path.join(root, sub))
+    import numpy as np
+    import test_cli
+    import test_pipeline
+    import trimfit as tf
+    import workloads
+    from reference import reference_global
+    from trimfit import cli
+
+    runs = []
+    sweep = workloads.Sweep()
+    for seed in range(3):
+        state = sweep.setup(seed, None, "full")
+        for key in ("reject", "recover"):
+            dataset, truth = state[key]
+            runs.append(_run(f"sweep-{seed}-{key}", tf.global_ilts(
+                dataset, state[key + "_config"], truth=truth)))
+
+    cli_io = workloads.CliIo()
+    for seed in range(6):
+        with tempfile.TemporaryDirectory() as workdir:
+            state = cli_io.setup(seed, workdir, "full")
+            prefix = state["global_prefix"]
+            assert cli.main(["generate", "--config", state["config"],
+                             "--output-dir", workdir]) == 0
+            cli.main(["global", state["csv"], "--m", "3", "--tau", "0.3", "--budget", "50",
+                      "--seed", str(seed), "--truth", state["truth_path"],
+                      "--out-prefix", prefix])
+            with open(prefix + ".candidates.csv", encoding="ascii") as fh:
+                rows = [tuple(int(v) for v in row[:5]) for row in list(csv.reader(fh))[1:]]
+            with open(prefix + ".report.json", encoding="ascii") as fh:
+                doc = json.load(fh)
+        runs.append((f"cli-io-{seed}", {
+            "rows": rows,
+            "theta_hat": hashlib.sha256(json.dumps(doc["theta_hat"]).encode()).hexdigest(),
+            "epsilon": doc["epsilon_recovery"],
+            "matching": doc["matching"],
+        }))
+
+    comps = list(np.random.default_rng(1).standard_normal((5, 20)))
+    stress = tf.MixtureSpec(d=20, m=5, components=comps, weights=[0.2] * 5)
+    for seed in range(10):
+        dataset, truth = tf.generate_mlrc(
+            stress, tf.CorruptionSpec(0.05, "oblivious-random", 2.0), n=20000, seed=seed)
+        config = tf.GlobalConfig(m=5, tau_list=(0.15,), delta=1e-4, candidate_budget=2000,
+                                 epsilon_net=0.5, seed=seed)
+        runs.append(_run(f"stress-{seed}", tf.global_ilts(dataset, config, truth=truth)))
+
+    for case, build in test_pipeline.SCREENING_CASES.items():
+        dataset, config, truth = build()
+        runs.append(_run(case, tf.global_ilts(dataset, config, truth=truth)))
+
+    recall = {}
+    for budget in (4, 8):
+        doc = {"version": 1, "name": "exp", "model": test_cli.THREE_COMPONENT_MODEL,
+               "corruption": test_cli.GEN_CONFIG["corruption"],
+               "solver": {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18],
+                          "candidate_budget": budget}}
+        specs, config, _ = cli._experiment_setup(doc, None)
+        for repeat in range(5):
+            seed = doc["model"]["seed"] + repeat
+            dataset, _ = tf.generate_mlrc(*specs, n=doc["model"]["n"], seed=seed)
+            for name, solve in (("global_ilts", tf.global_ilts), ("reference", reference_global)):
+                report = solve(dataset, dataclasses.replace(config, seed=seed))
+                recall.setdefault(f"{name}, budget {budget}", []).append(sum(report.recovered))
+    return {"runs": runs, "recall": recall}
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--collect":
+        with open(argv[2], "w", encoding="ascii") as fh:
+            json.dump(collect(argv[1]), fh)
+        return 0
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    found = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for label, root in (("other", os.path.abspath(argv[0])), ("this", HERE)):
+            out = os.path.join(scratch, label + ".json")
+            subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", root, out],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+            with open(out, encoding="ascii") as fh:
+                found[label] = json.load(fh)
+
+    print("| run | other rows | other rounds | rows | rounds | rows equal | theta_hat equal "
+          "| epsilon, matching equal |")
+    print("|---|---|---|---|---|---|---|---|")
+    for (name, old), (_, new) in zip(found["other"]["runs"], found["this"]["runs"]):
+        cells = [name]
+        for run in (old, new):
+            cells += [len(run["rows"]), sum(row[2] for row in run["rows"])]
+        cells += [old["rows"] == new["rows"], old["theta_hat"] == new["theta_hat"],
+                  (old["epsilon"], old["matching"]) == (new["epsilon"], new["matching"])]
+        print("| " + " | ".join(str(c) for c in cells) + " |")
+    print()
+    print("| pinned `global` experiment | other | this |")
+    print("|---|---|---|")
+    for key, old in found["other"]["recall"].items():
+        print(f"| {key} | {' '.join(map(str, old))} "
+              f"| {' '.join(map(str, found['this']['recall'][key]))} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -279,9 +279,9 @@ def report_to_dict(report: pipe.RecoveryReport) -> dict:
 
 
 def write_candidate_csv(report: pipe.RecoveryReport, path: str) -> None:
-    columns = ["component", "candidate", "rounds", "accepted", "support", "carried"]
-    rows = [dict(zip(columns, (comp, cand, rounds, int(accepted), support, carried)))
-            for comp, cand, rounds, accepted, support, carried in report.candidate_outcomes]
+    columns = ["component", "candidate", "rounds", "accepted", "support"]
+    rows = [dict(zip(columns, (comp, cand, rounds, int(accepted), support)))
+            for comp, cand, rounds, accepted, support in report.candidate_outcomes]
     _write_csv(rows, columns, path)
 
 

@@ -56,19 +56,6 @@ CARRY_MIN_WORK = 1e7
 # d = 20 and three fifths at d = 100, the measured break-evens.
 SWAP_GATHER_COST = 70
 
-# pipeline.global_ilts screens its candidates as FAST-LTS does (Rousseeuw & Van
-# Driessen 2006): every start of a block of SCREEN_BLOCK runs SCREEN_ROUNDS rounds,
-# and only the SCREEN_KEEP with the lowest trimmed loss run on to max_rounds, from
-# where they stopped. Below CARRY_MIN_WORK that continuation is bit-identical to
-# one uninterrupted run, since each round builds its system afresh. On the ROADMAP
-# stress recipe, seeds 0-9, screening recovered every slot the sequential search
-# did with 51-58% fewer rounds, in 1.8-2.8x less time; on the bench `sweep`
-# reject call it runs 452 rounds per pass where the sequential search ran 719.
-# The table is in ROADMAP, under "Measurements", "Candidate screening".
-SCREEN_BLOCK = 8
-SCREEN_ROUNDS = 2
-SCREEN_KEEP = 3
-
 
 class RankDeficientError(RuntimeError):
     """Selected design matrix is rank deficient under rank_policy='fail'."""

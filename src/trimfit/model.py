@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import as_readonly, check_finite, floor_count
+from .util import as_readonly, check_finite, check_integer, floor_count
 
 ADVERSARIES = ("none", "oblivious-random", "residual-targeted", "component-targeted")
 
@@ -52,10 +52,8 @@ class MixtureSpec:
     covariance: tuple | None = None
 
     def __post_init__(self):
-        if not self.d >= 1:
-            raise ValueError("d must be a positive integer")
-        if not self.m >= 1:
-            raise ValueError("m must be a positive integer")
+        check_integer(self.d, "d", 1)
+        check_integer(self.m, "m", 1)
         comps = tuple(as_readonly(np.asarray(c, dtype=float)) for c in self.components)
         if len(comps) != self.m:
             raise ValueError(f"expected {self.m} components, got {len(comps)}")
@@ -283,6 +281,7 @@ def inject_corruptions(dataset: Dataset, truth: GroundTruth,
     Rows off the corrupted set are returned bit-identical; when nothing is
     corrupted the inputs themselves are returned.
     """
+    check_integer(seed, "seed", 0)
     if np.any(truth.corrupted):
         raise ValueError("input truth already carries corruptions")
     y, r, corrupted = _corrupt(dataset.X, dataset.y, truth.partition, truth.m,
@@ -318,6 +317,8 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
     exact inner products, and the adversary then overwrites its quota of
     responses. Equal arguments produce bit-identical output.
     """
+    check_integer(n, "n", 1)
+    check_integer(seed, "seed", 0)
     counts = component_counts(spec, n)
     clean_ss, corrupt_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(clean_ss)

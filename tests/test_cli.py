@@ -5,6 +5,7 @@ Commands run in-process through main(argv), which returns the exit code.
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import reference_global
 
 import trimfit
 from trimfit import model, pipeline
-from trimfit.cli import main
+from trimfit.cli import _experiment_setup, main
 from trimfit.gd import GdConfig
 from trimfit.ilts import IltsConfig, ilts_run
 from trimfit.model import CorruptionSpec, MixtureSpec, generate_mlrc
@@ -258,7 +260,7 @@ def test_global_round_trip(tmp_path):
     assert report["recovered"] == [True, True]
     assert report["epsilon_recovery"] <= 1e-6
     lines = (tmp_path / "glob.candidates.csv").read_text().strip().split("\n")
-    assert lines[0] == "component,candidate,rounds,accepted,support,carried"
+    assert lines[0] == "component,candidate,rounds,accepted,support"
     assert len(lines) >= 3
 
 
@@ -283,13 +285,13 @@ def test_global_skips_a_slot_with_too_few_rows_left(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "line.report.json").read_text())
     assert report["recovered"] == [True, False]
-    # The span has two dimensions, so the budget of 3 draws 3 starts, all kept;
-    # start 0 claims the slot and starts 1 and 2 keep their prefix rows.
-    assert report["candidates_tried"] == [3, 0]
+    # The span has two dimensions, so the budget of 3 draws 3 starts; start 0
+    # converges in its first round, is tested at once and claims the slot, so
+    # starts 1 and 2 never run.
+    assert report["candidates_tried"] == [1, 0]
     assert report["accepted_counts"] == [10, 0]
     assert (tmp_path / "line.candidates.csv").read_text() == (
-        "component,candidate,rounds,accepted,support,carried\n"
-        "0,0,1,1,10,1\n0,1,2,0,10,1\n0,2,1,0,10,1\n")
+        "component,candidate,rounds,accepted,support\n0,0,1,1,10\n")
 
 
 def test_global_records_a_rank_deficient_candidate(tmp_path):
@@ -305,7 +307,7 @@ def test_global_records_a_rank_deficient_candidate(tmp_path):
     # a one-dimensional span has only its two poles as candidates
     assert report["candidates_tried"] == [2]
     assert (tmp_path / "flat.candidates.csv").read_text() == (
-        "component,candidate,rounds,accepted,support,carried\n0,0,0,0,0,0\n0,1,0,0,0,0\n")
+        "component,candidate,rounds,accepted,support\n0,0,0,0,0\n0,1,0,0,0\n")
 
 
 def test_global_external_subspace(tmp_path):
@@ -554,11 +556,12 @@ def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
     # Output hashes recorded when the CLI still derived epsilon = 0.2 * radius itself,
     # then re-recorded when exact refits moved to the refined normal equations, and
     # the report's when it gained delta and delta_source, and both when candidates
-    # were screened in blocks.
+    # were screened in blocks, and again when a start was tested the moment it
+    # finished and the candidates file lost its carried column.
     digests = [hashlib.sha256((tmp_path / f"glob.{suffix}").read_bytes()).hexdigest()
                for suffix in ("report.json", "candidates.csv")]
-    assert digests == ["5ded353713d4956623ce6db14f0e4320b8291329a990f0ad4a67236d9cfa6fbd",
-                       "8d77f683405fab62e2e8aaa00bc4b7bed97db5f00cba4b1b5d874cee5dbe3911"]
+    assert digests == ["b827ee5f2e3c2bde044a8b247b15dd3c7ee4eab5ef346a5be5fb25c6d7c2cf96",
+                       "0e42779a118c872b3ab58e6ac51af4121da44f0d80846e12d6aa5e1481277628"]
 
 
 def test_fit_on_header_only_csv_names_the_file(tmp_path, capsys):
@@ -611,7 +614,10 @@ def test_every_output_file_is_pinned(tmp_path):
     # The global outputs and the candidates files were re-recorded when candidates
     # were screened in blocks: the candidates files gained the carried column, and
     # the recovered run tries a block of 8 starts per slot, slot 0 claimed by
-    # start 1 instead of start 0.
+    # start 1 instead of start 0. They were re-recorded when a start was tested the
+    # moment it finished and the carried column went: slot 1's start 0 converges
+    # within the screening rounds and claims the slot alone, so that slot has 1
+    # row, not 8; the partial run's report kept its bytes.
     assert digests == {
         "truth.json": "147ac25b3ddb567c3173886f6d7da8ed7bfd0d4b8c2ef150ee6267bd626a4348",
         "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
@@ -623,12 +629,12 @@ def test_every_output_file_is_pinned(tmp_path):
             "2435d3b0ee120abcd006954941c4197fccb6549c04fdb427a297afcc31e39d55",
         "fit-no-truth.trace.csv":
             "aa324d472d661cd236badb8cdf36257a538372c85af0bd57c8ac3783e7b0b3ef",
-        "global.report.json": "5ded353713d4956623ce6db14f0e4320b8291329a990f0ad4a67236d9cfa6fbd",
+        "global.report.json": "b827ee5f2e3c2bde044a8b247b15dd3c7ee4eab5ef346a5be5fb25c6d7c2cf96",
         "global.candidates.csv":
-            "8d77f683405fab62e2e8aaa00bc4b7bed97db5f00cba4b1b5d874cee5dbe3911",
+            "0e42779a118c872b3ab58e6ac51af4121da44f0d80846e12d6aa5e1481277628",
         "partial.report.json": "fa0257ba6114d85773824f24db73bc9640074c5df5eaf1e4a0c2ab409c84c04d",
         "partial.candidates.csv":
-            "0a661e3cca3f381781e2d7382cd100e6f8a8745dede1454b7e67235e66742a12",
+            "5c0fb1b6c7a1a8f45ded529972bbff8382fca9e1b9ae50775da3ec63562cd786",
         "diag.json": "7b8884d1c97f7958ef2194c0d46fc8c75f03fbbd00bedcbe4a579b448284dd62",
     }
 
@@ -665,13 +671,18 @@ THREE_COMPONENT_MODEL = dict(GEN_CONFIG["model"], m=3, weights=[0.5, 0.3, 0.2],
     (GEN_CONFIG["model"], {"kind": "ilts", "tau": 0.4},
      ("15b2f3f5056177a042dcf74ebf31507256f9a9283db621fb4e9eb8246359ea75",
       "91e15cf06850d2d3ce2a33c7a57f032fb8d546fed64ebadbe8db5c6d9cbfc3c3")),
-    # Repeats 3 and 4 are partial, and every repeat tries all 4 candidates of each
-    # slot, one block. Before screening repeat 4 recovered all three slots: its
-    # slot 1 was claimed by start 2 after 16 rounds, a start screening ranks last.
+    # Each slot draws 4 candidates, one block. Repeat 3 is partial. A start that
+    # finishes within the screening rounds is tested at once, and one that passes
+    # claims the slot before the later starts run, so repeats 1, 2 and 4 try fewer
+    # than 12 starts. In slot 1 of repeat 4 start 1
+    # finishes and fails, the other three run on, and start 2 claims the slot after
+    # 16 rounds, as the sequential reference does; ranking every start after the
+    # screening rounds left start 2 last and the slot unrecovered. Re-recorded when
+    # that rule came in.
     (THREE_COMPONENT_MODEL,
      {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18], "candidate_budget": 4},
-     ("a7753851f80979c6e770ef9da1d77e10b39c938e5fc0aa2870d13bf3c48da344",
-      "f8cc4fbeca0a814f08f0e918ca5730d0ac5e7e6d14623161cdd6c5e690d6280f")),
+     ("08b8385e5689a970fcaef0d2bfbb20d4485e01a35159dd669a18e5cacca4a7ce",
+      "6285522b390f644274c88f6a1aa061820f72f8ad80328f6a11c65e046b2b23a3")),
 ], ids=["ilts", "global"])
 def test_experiment_outputs_are_pinned(tmp_path, model, solver, digests):
     exp = {"version": 1, "name": "exp", "model": model, "corruption": GEN_CONFIG["corruption"],
@@ -680,6 +691,24 @@ def test_experiment_outputs_are_pinned(tmp_path, model, solver, digests):
     assert main(["experiment", "--config", write_config(tmp_path, exp, "exp.json")]) == 0
     assert tuple(_sha256(tmp_path / "out" / f"exp.{name}.csv")
                  for name in ("rows", "aggregate")) == digests
+
+
+def test_pinned_global_repeat_4_at_budget_4_recovers_what_the_sequential_reference_does():
+    # Slot 1 is claimed by start 2 after 16 rounds; a start that finishes within the
+    # screening rounds (start 1) is tested there, not ranked against the others.
+    doc = {"version": 1, "name": "exp", "model": THREE_COMPONENT_MODEL,
+           "corruption": GEN_CONFIG["corruption"],
+           "solver": {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18],
+                      "candidate_budget": 4}}
+    specs, config, _ = _experiment_setup(doc, None)
+    seed = THREE_COMPONENT_MODEL["seed"] + 4
+    dataset, truth = generate_mlrc(*specs, n=THREE_COMPONENT_MODEL["n"], seed=seed)
+    config = dataclasses.replace(config, seed=seed)
+    report = pipeline.global_ilts(dataset, config, truth=truth)
+    reference = reference_global(dataset, config, truth=truth)
+    assert report.recovered == reference.recovered == (True, True, True)
+    assert (1, 2, 16, True, 90) in report.candidate_outcomes
+    assert report.theta_hat.tobytes() == reference.theta_hat.tobytes()
 
 
 @pytest.mark.parametrize("command", ["generate", "experiment", "global"])
@@ -847,7 +876,7 @@ COVARIANCE_WITH_NAN = [None, [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]
      "weights must be strictly positive and finite"),
     ("generate", ("model", "covariance"), COVARIANCE_WITH_NAN,
      "covariance 1 contains non-finite entries"),
-    ("generate", ("model", "d"), 0, "d must be a positive integer"),
+    ("generate", ("model", "d"), 0, "d must be at least 1"),
     ("experiment", ("solver", "max_rounds"), 0, "max_rounds must be at least 1"),
     ("experiment", ("solver",),
      {"kind": "gd-ilts", "tau": 0.4, "schedule": "adaptive", "m_steps": 0},

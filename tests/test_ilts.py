@@ -13,6 +13,7 @@ from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, SolverTrac
                           _smallest_k, contraction_ratio, ilts_run, least_squares,
                           select_trimmed_set, trimmed_loss)
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
+from trimfit.pipeline import SCREEN_ROUNDS
 from trimfit.util import floor_count
 
 
@@ -536,7 +537,7 @@ def test_a_run_continued_after_the_screening_prefix_is_one_uninterrupted_run():
                                            extreme_magnitude_instances(200, seed=66)):
         assert floor_count(cfg.tau * ds.n) * ds.d ** 2 < ilts.CARRY_MIN_WORK
         whole = ilts_run(ds, theta0, cfg)
-        trace = ilts_run(ds, theta0, dataclasses.replace(cfg, max_rounds=ilts.SCREEN_ROUNDS))
+        trace = ilts_run(ds, theta0, dataclasses.replace(cfg, max_rounds=SCREEN_ROUNDS))
         rounds = trace.rounds_used
         if not trace.converged:
             continued += 1

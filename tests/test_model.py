@@ -244,6 +244,34 @@ def test_dataset_arrays_are_read_only():
         truth.partition[0] = 1
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MixtureSpec(d=True, m=1, components=[[1.0]], weights=[1.0]),
+     "d must be an integer, got True"),
+    (lambda: MixtureSpec(d=2.0, m=1, components=[[1.0, 0.0]], weights=[1.0]),
+     "d must be an integer, got 2.0"),
+    (lambda: MixtureSpec(d=0, m=1, components=[[]], weights=[1.0]), "d must be at least 1"),
+    (lambda: MixtureSpec(d=3, m=2.0, components=[[1.0, 0.0, 0.0]] * 2, weights=[0.5, 0.5]),
+     "m must be an integer, got 2.0"),
+    (lambda: MixtureSpec(d=3, m=0, components=[], weights=[]), "m must be at least 1"),
+    (lambda: generate_mlrc(two_component_spec(), CorruptionSpec(), n=300.0, seed=0),
+     "n must be an integer, got 300.0"),
+    (lambda: generate_mlrc(two_component_spec(), CorruptionSpec(), n=0, seed=0),
+     "n must be at least 1"),
+    (lambda: generate_mlrc(two_component_spec(), CorruptionSpec(), n=300, seed=-1),
+     "seed must be at least 0"),
+    (lambda: generate_mlrc(two_component_spec(), CorruptionSpec(), n=300, seed=True),
+     "seed must be an integer, got True"),
+    (lambda: inject_corruptions(*generate_mlrc(two_component_spec(), CorruptionSpec(),
+                                               n=300, seed=0),
+                                CorruptionSpec(0.1, "oblivious-random", 2.0), seed=-3),
+     "seed must be at least 0"),
+], ids=["d-bool", "d-float", "d-zero", "m-float", "m-zero", "n-float", "n-zero",
+        "seed-negative", "seed-bool", "inject-seed-negative"])
+def test_model_counts_and_seeds_are_checked_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_generate_rejects_undersized_n():
     spec = two_component_spec(d=3)
     with pytest.raises(ValueError, match="at least d"):

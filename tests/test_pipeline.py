@@ -16,9 +16,10 @@ from trimfit import pipeline
 from trimfit.cli import _experiment_setup, report_to_dict
 from trimfit.diagnostics import affine_error_estimate, feature_regularity_sampled
 from trimfit.gd import GdConfig
-from trimfit.ilts import SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, IltsConfig, ilts_run
+from trimfit.ilts import IltsConfig, ilts_run
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
-from trimfit.pipeline import (GlobalConfig, SubspaceEstimate, _augment, _bottleneck_matching,
+from trimfit.pipeline import (SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, GlobalConfig,
+                              SubspaceEstimate, _augment, _bottleneck_matching,
                               accept_component, default_radius,
                               epsilon_recovery, estimate_subspace, generate_candidates,
                               global_ilts, subspace_distance)
@@ -279,14 +280,14 @@ def test_epsilon_recovery_large_m_uses_matching():
     assert np.allclose(recovered, theta_star, atol=5e-3)
 
 
-def three_component_instance(seed):
+def three_component_instance(seed, n=1500):
     d = 6
     comps = [np.zeros(d) for _ in range(3)]
     comps[0][0] = 1.0
     comps[1][1] = 1.0
     comps[2][2] = 1.0
     spec = MixtureSpec(d=d, m=3, components=comps, weights=[1 / 3, 1 / 3, 1 / 3])
-    return generate_mlrc(spec, CorruptionSpec(), n=1500, seed=seed)
+    return generate_mlrc(spec, CorruptionSpec(), n=n, seed=seed)
 
 
 def test_global_recovery_end_to_end():
@@ -381,7 +382,7 @@ def test_report_tallies_restate_the_candidate_rows(instance, config, tallies):
         assert report.recovered[j] == any(row[3] for row in mine)
         assert report.accepted_counts[j] == sum(row[4] for row in mine if row[3])
     if not any(report.recovered):
-        assert all(row[2:] == (0, False, 0, 0) for row in rows)
+        assert all(row[2:] == (0, False, 0) for row in rows)
 
 
 def test_truth_of_the_wrong_m_fails_before_the_first_candidate(monkeypatch):
@@ -584,46 +585,69 @@ def test_screening_recovers_what_the_sequential_reference_does(case):
     if truth is not None:
         assert (report.epsilon_recovery <= reference.epsilon_recovery
                 or report.epsilon_recovery < 1e-12)
-    # One row claims each recovered slot, and a carried one.
+    # One row claims each recovered slot, and the claim ends the slot: no later block ran.
     for j in range(config.m):
-        won = [row for row in report.candidate_outcomes if row[0] == j and row[3]]
-        assert len(won) == report.recovered[j] and all(row[5] == 1 for row in won)
-    # Below CARRY_MIN_WORK a carried start finishes bit for bit as the reference ran
-    # it, so while the earlier slots hold the same columns (and so leave the same
-    # rows) a slot whose reference winner was carried is claimed by that winner.
+        mine = [row for row in report.candidate_outcomes if row[0] == j]
+        won = [row for row in mine if row[3]]
+        assert len(won) == report.recovered[j]
+        assert all(row[1] // SCREEN_BLOCK == mine[-1][1] // SCREEN_BLOCK for row in won)
+    # Below CARRY_MIN_WORK a start run on after the screening rounds finishes bit for
+    # bit as the reference ran it, so while the earlier slots hold the same columns
+    # (and so leave the same rows) such a row is the reference's, and a slot whose
+    # reference winner finished is claimed by that winner.
     assert [row[:2] for row in report.candidate_outcomes] == sorted(
         row[:2] for row in report.candidate_outcomes)
     rows = {row[:2]: row for row in report.candidate_outcomes}
     for j in range(config.m):
         if report.theta_hat[:, :j].tobytes() != reference.theta_hat[:, :j].tobytes():
             break
+        for row in reference.candidate_outcomes:
+            if row[0] == j and rows.get(row[:2], (0,) * 5)[2] > SCREEN_ROUNDS:
+                assert rows[row[:2]] == row
         won = [row for row in reference.candidate_outcomes if row[0] == j and row[3]]
-        if won and rows.get(won[0][:2], (0,) * 6)[5] == 1:
-            assert rows[won[0][:2]] == won[0] + (1,)
+        if won and rows.get(won[0][:2], (0,) * 5)[2] == won[0][2]:
+            assert rows[won[0][:2]] == won[0]
             assert report.theta_hat[:, j].tobytes() == reference.theta_hat[:, j].tobytes()
 
 
 def test_screening_finishes_the_three_lowest_prefix_losses_of_each_block():
-    # tau 0.9 exceeds every component's share, so no start is accepted and each
-    # slot screens its whole budget on all rows, in blocks of 8, 8 and 4.
-    ds, _ = three_component_instance(seed=23)
+    # tau 0.9 exceeds every component's share, so no start is accepted and each slot
+    # screens its whole budget on all rows, in blocks of 8, 8 and 4. A start that
+    # converges within the screening rounds is finished: it is tested there and not
+    # ranked, and the three lowest losses among the rest run on.
+    ds, _ = three_component_instance(seed=3, n=300)
     config = GlobalConfig(m=3, tau_list=(0.9,), delta=1e-5, candidate_budget=20,
                           epsilon_net=0.2, seed=4, radius=1.0)
     report = global_ilts(ds, config)
     subspace = estimate_subspace(ds, 3)
     whole = IltsConfig(tau=0.9, max_rounds=config.ilts_max_rounds, tol=config.ilts_tol)
     prefix = dataclasses.replace(whole, max_rounds=SCREEN_ROUNDS)
+    finished_would_rank = 0
     for j, seed in enumerate(np.random.SeedSequence(config.seed).spawn(3)):
         starts = generate_candidates(subspace, 1.0, 0.2, 20, int(seed.generate_state(1)[0]))
-        rows = [row for row in report.candidate_outcomes if row[0] == j]
-        assert [row[1] for row in rows] == list(range(20))
+        expected = []
         for first in range(0, 20, SCREEN_BLOCK):
             block = range(first, min(first + SCREEN_BLOCK, 20))
             traces = {c: ilts_run(ds, starts[c], prefix) for c in block}
-            kept = sorted(block, key=lambda c: traces[c].trimmed_losses[-1])[:SCREEN_KEEP]
+            by_loss = sorted(block, key=lambda c: traces[c].trimmed_losses[-1])
+            finished_would_rank += any(traces[c].converged for c in by_loss[:SCREEN_KEEP])
+            kept = [c for c in by_loss if not traces[c].converged][:SCREEN_KEEP]
+            assert len(kept) == SCREEN_KEEP
             for c in kept:
                 traces[c] = ilts_run(ds, starts[c], whole)
             for c in block:
                 support = accept_component(ds, traces[c].final, 0.9, config.delta)[1]
-                assert rows[c] == (j, c, traces[c].rounds_used, False, support.size, int(c in kept))
-        assert sum(row[5] for row in rows) == 3 + 3 + 3
+                expected.append((j, c, traces[c].rounds_used, False, support.size))
+        assert [row for row in report.candidate_outcomes if row[0] == j] == expected
+    # Ranking the finished starts too would have changed which ones run on.
+    assert finished_would_rank > 0
+
+
+def test_a_start_finished_within_the_screening_rounds_claims_its_slot_alone():
+    ds, config, truth = three_component_case(19)
+    report = global_ilts(ds, config, truth=truth)
+    assert report.recovered == (True, True, True)
+    last = [row for row in report.candidate_outcomes if row[0] == 2]
+    assert len(last) == 1
+    _, candidate, rounds, accepted, _ = last[0]
+    assert candidate == 0 and accepted and rounds <= SCREEN_ROUNDS
