@@ -19,6 +19,11 @@ matching agree. It then prints the slots the pinned `global` experiment of
 tests/test_cli.py recovers per repeat at budgets 4 and 8, for each checkout
 and for tests/reference.py::reference_global. Single-threaded BLAS; the stress
 runs take a few seconds each.
+
+It exits 0 when every run agrees on all three counts and the recall tables
+are equal, and 1 otherwise. Given this checkout itself (`.`), it checks that
+two fresh processes, each with its own hash seed, recover byte for byte the
+same.
 """
 
 import csv
@@ -122,6 +127,7 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONHASHSEED", None)  # each process draws its own hash seed
     found = {}
     with tempfile.TemporaryDirectory() as scratch:
         for label, root in (("other", os.path.abspath(argv[0])), ("this", HERE)):
@@ -131,6 +137,8 @@ def main(argv):
             with open(out, encoding="ascii") as fh:
                 found[label] = json.load(fh)
 
+    same = [name for name, _ in found["other"]["runs"]] == [
+        name for name, _ in found["this"]["runs"]]
     print("| run | other rows | other rounds | rows | rounds | rows equal | theta_hat equal "
           "| epsilon, matching equal |")
     print("|---|---|---|---|---|---|---|---|")
@@ -138,8 +146,10 @@ def main(argv):
         cells = [name]
         for run in (old, new):
             cells += [len(run["rows"]), sum(row[2] for row in run["rows"])]
-        cells += [old["rows"] == new["rows"], old["theta_hat"] == new["theta_hat"],
-                  (old["epsilon"], old["matching"]) == (new["epsilon"], new["matching"])]
+        equal = [old["rows"] == new["rows"], old["theta_hat"] == new["theta_hat"],
+                 (old["epsilon"], old["matching"]) == (new["epsilon"], new["matching"])]
+        same = same and all(equal)
+        cells += equal
         print("| " + " | ".join(str(c) for c in cells) + " |")
     print()
     print("| pinned `global` experiment | other | this |")
@@ -147,7 +157,10 @@ def main(argv):
     for key, old in found["other"]["recall"].items():
         print(f"| {key} | {' '.join(map(str, old))} "
               f"| {' '.join(map(str, found['this']['recall'][key]))} |")
-    return 0
+    same = same and found["other"]["recall"] == found["this"]["recall"]
+    print()
+    print("equal" if same else "DIFFERENT")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

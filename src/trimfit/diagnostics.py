@@ -98,6 +98,7 @@ def feature_regularity_exact(X: np.ndarray, k: int) -> RegularityEstimate:
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
+    check_integer(k, "k", 1)
     total = math.comb(n, k)
     if total > EXACT_SUBSET_BUDGET:
         raise ValueError(
@@ -125,6 +126,7 @@ def feature_regularity_sampled(X: np.ndarray, k: int, trials: int,
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
+    check_integer(k, "k", 1)
     check_integer(trials, "trials", 1)
     check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)

@@ -88,6 +88,7 @@ def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
 
 def largest_curvature(gram: np.ndarray, iterations: int = POWER_ITERATIONS) -> float:
     """Power-iteration estimate of the top eigenvalue of a mean Gram matrix G."""
+    check_integer(iterations, "iterations", 1)
     # Dividing G v by a power of two near G's largest entry is exact, and keeps its
     # norm from overflowing while G is finite.
     scale = math.ldexp(1.0, int(np.frexp(np.abs(gram).max())[1]) - 1)
@@ -110,8 +111,7 @@ def gd_inner_loop(gram: np.ndarray, rhs: np.ndarray, theta_start: np.ndarray,
     """Run m_steps gradient steps theta - eta (G theta - b) on the mean squared loss whose
     normal system (G, b) = (gram, rhs) comes from normal_system. DivergenceError ends the
     loop once the iterate norm exceeds 1e8 * (1 + ||theta_start||) or is NaN."""
-    if m_steps < 1:
-        raise ValueError("m_steps must be at least 1")
+    check_integer(m_steps, "m_steps", 1)
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
     theta = np.asarray(theta_start, dtype=float).copy()

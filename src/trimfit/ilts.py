@@ -156,6 +156,7 @@ def select_trimmed_set(dataset: Dataset, theta: np.ndarray, k: int) -> np.ndarra
     n = dataset.n
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
+    check_integer(k, "k", 1)
     return _select(dataset, np.asarray(theta, dtype=float), k)[0]
 
 

@@ -161,6 +161,7 @@ def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
     """
     if not 1 <= m <= min(dataset.n, dataset.d):
         raise ValueError(f"m = {m} must lie in [1, min(n, d) = {min(dataset.n, dataset.d)}]")
+    check_integer(m, "m", 1)
     moments = dataset.X * dataset.y[:, None]
     if not np.any(moments):
         raise ValueError("all moment rows are zero (is y identically zero?)")
@@ -197,8 +198,8 @@ def generate_candidates(subspace: SubspaceEstimate, radius: float, epsilon: floa
     one-dimensional span the sphere has exactly two points, so at most the
     two signed poles are returned.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    check_integer(budget, "budget", 1)
+    check_integer(seed, "seed", 0)
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
     if not 0 < epsilon < math.inf:
@@ -241,6 +242,7 @@ def default_radius(dataset: Dataset) -> float:
 def default_delta(n: int) -> float:
     """10 * 1e-6 * sqrt(log n), the residual acceptance threshold for n samples
     when GlobalConfig.delta is None."""
+    check_integer(n, "n", 1)
     value = 10.0 * 1e-6 * math.sqrt(math.log(n))
     if not value > 0:
         raise ValueError(f"the log-n default delta is zero at n = {n}; give delta")
@@ -253,17 +255,22 @@ def accept_component(dataset: Dataset, theta: np.ndarray, tau_j: float, delta: f
 
     Returns (accepted, support) where support holds every index with squared
     residual strictly below delta**2 and accepted is True when the support
-    reaches floor(tau_j * n), or min_count when supplied.
+    reaches floor(tau_j * n), or min_count when supplied; a count below 1
+    is rejected, since it would accept an empty support.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     if not 0 < tau_j <= 1:
         raise ValueError("tau_j must lie in (0, 1]")
+    if min_count is not None:
+        check_integer(min_count, "min_count", 1)
+    need = floor_count(tau_j * dataset.n) if min_count is None else min_count
+    if need < 1:
+        raise ValueError(f"floor(tau_j * n) = {need}; an empty support would be accepted")
     theta = np.asarray(theta, dtype=float)
     check_finite(theta, "theta")
     res2 = np.square(dataset.y - dataset.X @ theta)
     support = np.flatnonzero(res2 < delta * delta)
-    need = floor_count(tau_j * dataset.n) if min_count is None else min_count
     return len(support) >= need, support
 
 
@@ -290,88 +297,47 @@ def _augment(allowed: np.ndarray, owner: list, col: int, seen: set) -> bool:
     return False
 
 
-def _fixed(allowed: np.ndarray, owner: list, pairs: list):
-    """owner with pairs fixed, or None when the rest cannot stay perfect. Rows left
-    holding a fixed column go free, and each column left by a fixed row re-augments
-    around the fixed rows; the rest stays perfect exactly when every one succeeds."""
-    rows, cols = {row for row, _ in pairs}, {col for _, col in pairs}
-    trial = [-1 if col in cols else col for col in owner]
-    for row, col in pairs:
-        trial[row] = col
-    if all(_augment(allowed, trial, owner[row], set(rows))
-           for row in rows if owner[row] not in cols):
-        return trial
-    return None
+def _matching_size(allowed: np.ndarray) -> int:
+    """Most allowed pairs sharing no row or column: one Kuhn pass over the columns."""
+    owner = [-1] * allowed.shape[0]
+    return sum(_augment(allowed, owner, col, set()) for col in range(allowed.shape[1]))
 
 
 def _bottleneck_matching(dist: np.ndarray):
     """Lexicographically first permutation holding the most finite pairs and, among
-    those, the smallest largest finite pair.
+    those, the smallest largest finite pair (bisect and check, Garfinkel 1971).
 
-    r, the most finite pairs a permutation can hold, comes from one Kuhn pass. Padding
-    the matrix with m - r dummy rows and columns, which pair below any entry with every
-    real column and row but never with each other, turns a perfect matching of the
-    padded square into an r-pair matching of finite entries plus leftovers, so the
-    padded bottleneck value is the one sought. One matching of the padded square grows
-    column by column, each column joining at the smallest distinct entry, no lower than
-    its predecessor's, under which it augments. Truth column b then takes, in order, the
-    smallest free row a whose pair is finite and no larger than that value, or infinite
-    while a dummy row and column are left, provided the rest of the padded matching can
-    still be made perfect. The value returned is the largest matched distance: infinite
-    when r < m.
+    r, the most finite pairs, is the size of a maximum matching of the finite entries.
+    Bisection over the distinct finite entries finds v, the smallest under which r
+    pairs remain. Truth column b then takes, in order, the smallest free row a whose
+    pair is at most v or infinite and whose removal leaves the free rows and the later
+    columns a matching of the finite pairs still due. Every probe and check is a fresh
+    maximum matching. The value returned is v, or infinite when r < m.
     """
     m = dist.shape[0]
     finite = np.isfinite(dist)
-    # Kuhn's pass starts from the finite diagonal pairs: with every entry finite, no search.
-    owner = [row if finite[row, row] else -1 for row in range(m)]
-    pad = m - sum(col in owner or _augment(finite, owner, col, set()) for col in range(m))
-    padded = np.block([[dist, np.full((m, pad), -np.inf)],
-                       [np.full((pad, m), -np.inf), np.full((pad, pad), np.inf)]])
-    values = np.unique(padded)
-    top, lo, owner = len(values) - 1, 0, [-1] * (m + pad)
-    for col in range(m + pad):
-        # With columns 0..col-1 matched, a failed search for col proves that no matching
-        # covers 0..col under that entry (Berge), so no perfect one does: the last entry
-        # reached is the bottleneck value. Success is monotone in the entry, so step up in
-        # doubling strides, then bisect, probing on copies; the top entry admits every pair.
-        if _augment(padded <= values[lo], owner, col, set()):
-            continue  # a failed search leaves owner as it was
-        failed, hi, step = lo, min(lo + 1, top), 2
-        while not _augment(padded <= values[hi], list(owner), col, set()):
-            failed, hi, step = hi, min(lo + step, top), 2 * step
-        while hi - failed > 1:
-            mid = (failed + hi) // 2
-            if _augment(padded <= values[mid], list(owner), col, set()):
-                hi = mid
-            else:
-                failed = mid
-        lo = hi
-        _augment(padded <= values[lo], owner, col, set())
-    allowed, infinite = padded <= values[lo], ~finite
-    dummy_rows, dummy_cols = list(range(m, m + pad)), list(range(m, m + pad))
+    due = _matching_size(finite)
+    values = np.unique(dist[finite])
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _matching_size(dist <= values[mid]) == due:
+            hi = mid
+        else:
+            lo = mid + 1
+    value = float(values[lo]) if due == m else math.inf
+    allowed = dist <= values[lo] if values.size else finite  # no finite entry: none allowed
+    free, perm = list(range(m)), []
     for b in range(m):
-        # Fixing (a, b) deletes row a and column b; an infinite pair also deletes a dummy
-        # row and column, b's and a's own partners when they have one. Any such pair
-        # leaves b over, paired with a dummy row, so b tries its infinite rows only when
-        # one test on a copy shows that it can be left over.
-        partner = owner.index(b)
-        dummy_row = partner if partner >= m else dummy_rows[0] if dummy_rows else -1
-        spare = dummy_row >= 0 and _fixed(allowed, owner, [(dummy_row, b)]) is not None
-        for a in np.flatnonzero(allowed[:m, b] | infinite[:, b] & spare):
-            pairs = [(a, b)]
-            if not allowed[a, b]:
-                pairs.append((dummy_row, owner[a] if owner[a] >= m else dummy_cols[0]))
-            trial = _fixed(allowed, owner, pairs)
-            if trial is not None:
+        for a in free:
+            rest = [row for row in free if row != a]
+            if ((allowed[a, b] or not finite[a, b])
+                    and _matching_size(allowed[rest, b + 1:]) == due - int(allowed[a, b])):
                 break
-        owner = trial
-        allowed[[row for row, _ in pairs]] = infinite[a] = False
-        for row, col in pairs[1:]:
-            dummy_rows.remove(row)
-            dummy_cols.remove(col)
-    perm = np.empty(m, dtype=int)
-    perm[owner[:m]] = np.arange(m)
-    return (float(values[lo]) if pad == 0 else math.inf), perm
+        due -= int(allowed[a, b])
+        perm.append(a)
+        free.remove(a)
+    return value, np.array(perm)
 
 
 def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):

@@ -1,6 +1,7 @@
 """Global recovery pipeline tests."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -14,13 +15,14 @@ from scipy.optimize import linear_sum_assignment
 
 from trimfit import pipeline
 from trimfit.cli import _experiment_setup, report_to_dict
-from trimfit.diagnostics import affine_error_estimate, feature_regularity_sampled
-from trimfit.gd import GdConfig
-from trimfit.ilts import IltsConfig, ilts_run
+from trimfit.diagnostics import (affine_error_estimate, feature_regularity_exact,
+                                 feature_regularity_sampled)
+from trimfit.gd import GdConfig, gd_inner_loop, largest_curvature
+from trimfit.ilts import IltsConfig, ilts_run, select_trimmed_set
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.pipeline import (SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, GlobalConfig,
                               SubspaceEstimate, _augment, _bottleneck_matching,
-                              accept_component, default_radius,
+                              accept_component, default_delta, default_radius,
                               epsilon_recovery, estimate_subspace, generate_candidates,
                               global_ilts, subspace_distance)
 
@@ -131,6 +133,14 @@ def test_accept_component_threshold_exact():
     assert not ok
     ok, support = accept_component(ds, theta, tau_j=1.0, delta=0.31)
     assert ok and list(support) == [0, 1, 2]
+    # A count below 1 would accept an empty support, so it fails by name.
+    five = Dataset(X=np.eye(5), y=np.ones(5))
+    with pytest.raises(ValueError, match=re.escape("floor(tau_j * n) = 0;")):
+        accept_component(five, np.zeros(5), tau_j=0.1, delta=1e-3)
+    for min_count, message in ((0, "at least 1"), (-1, "at least 1"),
+                               (2.5, "an integer, got 2.5"), (True, "an integer, got True")):
+        with pytest.raises(ValueError, match=f"^min_count must be {message}$"):
+            accept_component(ds, theta, tau_j=1 / 3, delta=0.2, min_count=min_count)
 
 
 def test_epsilon_recovery_permutation_invariant():
@@ -148,12 +158,17 @@ def test_epsilon_recovery_shape_mismatch():
         epsilon_recovery(np.zeros((3, 2)), np.zeros((3, 3)))
 
 
+@functools.lru_cache(maxsize=None)
+def all_permutations(m):
+    return np.array(list(itertools.permutations(range(m))))
+
+
 def exhaustive_matching(dist):
     """Oracle: the first permutation, in itertools order, with the most finite
     matched distances and then the smallest largest finite one; perm[b] is the
     row matched to column b. The value is the largest matched distance."""
     m = dist.shape[0]
-    perms = np.array(list(itertools.permutations(range(m))))
+    perms = all_permutations(m)
     pairs = dist[perms, np.arange(m)]
     finite = np.isfinite(pairs)
     # lexsort is stable, so the first of the best keys keeps itertools order
@@ -180,6 +195,17 @@ def test_bottleneck_matching_agrees_with_exhaustive():
         if i % 3 != 0:
             dist[:, rng.random(m) < 0.35] = np.inf
         cases.append(dist)
+    # Structured worst cases: only the anti-diagonal finite, so the only finite perfect
+    # matching is the lexicographically last; all entries equal, so every permutation
+    # ties; one finite column among infinite ones.
+    for m in range(2, 9):
+        anti = np.full((m, m), np.inf)
+        anti[np.arange(m), m - 1 - np.arange(m)] = rng.uniform(0, 10, size=m)
+        cases += [anti, np.full((m, m), 2.0)]
+        for col in (0, m // 2, m - 1):
+            one = np.full((m, m), np.inf)
+            one[:, col] = rng.integers(0, 3, size=m)
+            cases.append(one)
     for dist in cases:
         value, perm = _bottleneck_matching(dist)
         assert (value, list(perm)) == exhaustive_matching(dist)
@@ -477,6 +503,7 @@ def test_global_config_validation():
 
 GLOBAL_SETTINGS = dict(m=2, tau_list=(0.3,), candidate_budget=5, seed=0)
 SPLIT = (np.arange(20.0).reshape(10, 2), np.repeat([0, 1], 5))
+SPAN = SubspaceEstimate(basis=np.eye(3)[:, :2], provenance="external")
 
 
 @pytest.mark.parametrize("build, message", [
@@ -493,9 +520,26 @@ SPLIT = (np.arange(20.0).reshape(10, 2), np.repeat([0, 1], 5))
     (lambda: feature_regularity_sampled(SPLIT[0], 3, 5, seed=-1), "seed must be at least 0"),
     (lambda: affine_error_estimate(*SPLIT, [0.3, 0.3], 0, 0.5, 5, seed=-1),
      "seed must be at least 0"),
+    (lambda: generate_candidates(SPAN, 1.0, 0.1, 2.5, 0), "budget must be an integer, got 2.5"),
+    (lambda: generate_candidates(SPAN, 1.0, 0.1, True, 0),
+     "budget must be an integer, got True"),
+    (lambda: generate_candidates(SPAN, 1.0, 0.1, 10, -1), "seed must be at least 0"),
+    (lambda: estimate_subspace(Dataset(*SPLIT), True), "m must be an integer, got True"),
+    (lambda: gd_inner_loop(np.eye(2), np.zeros(2), np.zeros(2), 0.1, 2.5),
+     "m_steps must be an integer, got 2.5"),
+    (lambda: largest_curvature(np.eye(2), iterations=0), "iterations must be at least 1"),
+    (lambda: select_trimmed_set(Dataset(*SPLIT), np.zeros(2), True),
+     "k must be an integer, got True"),
+    (lambda: select_trimmed_set(Dataset(*SPLIT), np.zeros(2), 0), "k = 0 must lie in [1, 10]"),
+    (lambda: feature_regularity_exact(SPLIT[0], 2.0), "k must be an integer, got 2.0"),
+    (lambda: feature_regularity_sampled(SPLIT[0], True, 5, seed=0),
+     "k must be an integer, got True"),
+    (lambda: default_delta(0), "n must be at least 1"),
 ], ids=["ilts-max-rounds", "gd-max-rounds", "gd-m-steps", "global-m", "global-budget",
         "global-ilts-max-rounds", "global-seed", "global-seed-bool", "regularity-seed",
-        "affine-error-seed"])
+        "affine-error-seed", "candidates-budget", "candidates-budget-bool", "candidates-seed",
+        "subspace-m-bool", "inner-m-steps", "curvature-iterations", "select-k-bool",
+        "select-k-zero", "regularity-exact-k", "regularity-sampled-k-bool", "default-delta-n"])
 def test_counts_and_seeds_fail_naming_the_field(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
