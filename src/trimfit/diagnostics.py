@@ -179,6 +179,7 @@ def affine_error_estimate(X: np.ndarray, partition: np.ndarray, tau, j: int,
     tau = np.asarray(tau, dtype=float)
     if not 0 <= j < tau.size:
         raise ValueError(f"j = {j} must lie in [0, {tau.size})")
+    check_integer(j, "j", 0)
     mask = partition == j
     n_j = int(np.count_nonzero(mask))
     if n_j == 0:
@@ -254,6 +255,9 @@ def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverT
     in_region records whether delta_t <= 1; outside that range the bound is
     evaluated at delta = 1 and is not meaningful.
     """
+    if not 0 <= j < truth.m:
+        raise ValueError(f"j = {j} must lie in [0, {truth.m})")
+    check_integer(j, "j", 0)
     theta_j = truth.theta_star[:, j]
     scale = float(np.linalg.norm(theta_j))
     if scale == 0:

@@ -374,6 +374,7 @@ def contraction_ratio(trace: SolverTrace, truth: GroundTruth, j: int) -> list[fl
     """
     if not 0 <= j < truth.m:
         raise ValueError(f"component index {j} out of range")
+    check_integer(j, "j", 0)
     target = truth.theta_star[:, j]
     dists = np.linalg.norm(trace.iterates - target, axis=1)
     ratios = []

@@ -12,6 +12,7 @@ every index with r_i = 0 off the corrupted set.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,6 +29,11 @@ ADVERSARIES = ("none", "oblivious-random", "residual-targeted", "component-targe
 _PHANTOM_AXIS = 0
 
 _GENERATOR_NAME = "numpy.random.Generator(PCG64)"
+
+# Rows per block of the response sum in generate_mlrc, which bounds its
+# temporaries to two blocks of rows; each row sums alone, so any size gives
+# the same bits.
+_RESPONSE_BLOCK = 4096
 
 
 def _generator_version() -> str:
@@ -132,6 +138,10 @@ class Dataset:
         y = as_readonly(np.asarray(self.y, dtype=float))
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array")
+        if X.shape[0] == 0:
+            raise ValueError("X has no rows: n must be at least 1")
+        if X.shape[1] == 0:
+            raise ValueError("X has no feature columns: d must be at least 1")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError("y must be 1-d with one entry per row of X")
         check_finite(X, "X")
@@ -316,6 +326,10 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
     features are Gaussian with the component's covariance, responses are
     exact inner products, and the adversary then overwrites its quota of
     responses. Equal arguments produce bit-identical output.
+
+    X is drawn once and handed to the Dataset frozen, without a copy; the
+    responses are summed over blocks of rows, so the call peaks near 1.2
+    times the bytes of X.
     """
     check_integer(n, "n", 1)
     check_integer(seed, "seed", 0)
@@ -331,8 +345,13 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
             mask = labels == j
             X[mask] = X[mask] @ np.linalg.cholesky(cov).T
 
+    X.setflags(write=False)
+
     theta = spec.theta_star
-    y = np.sum(X * theta.T[labels], axis=1)
+    y = np.empty(n)
+    for first in range(0, n, _RESPONSE_BLOCK):
+        rows = slice(first, first + _RESPONSE_BLOCK)
+        y[rows] = np.sum(X[rows] * theta.T[labels[rows]], axis=1)
     # The clean fractions are counts / n, so their minimum is min(counts) / n.
     y, r, corrupted = _corrupt(X, y, labels, spec.m, float(counts.min()) / n, corruption,
                                np.random.default_rng(corrupt_ss))
@@ -352,6 +371,11 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """Read a dataset CSV written by save_dataset; every error names the file.
+
+    The non-blank lines stream into one n x (d + 1) array, from which X and
+    y are copied once, so a load peaks near 2.2 times the bytes of X.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "y" or len(header) < 2:
@@ -359,13 +383,15 @@ def load_dataset(path: str) -> Dataset:
         d = len(header) - 1
         if header[1:] != [f"x{i}" for i in range(1, d + 1)]:
             raise ValueError(f"{path}: malformed feature column names")
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        raise ValueError(_locate_bad_field(path, header)) from None
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            data = np.loadtxt(itertools.chain([first], lines), dtype=float, delimiter=",",
+                              comments=None, ndmin=2)
+        except ValueError:
+            raise ValueError(_locate_bad_field(path, header)) from None
     if data.shape[1] != d + 1 or not np.isfinite(data).all():
         raise ValueError(_locate_bad_field(path, header))
     return Dataset(X=data[:, 1:], y=data[:, 0])

@@ -376,6 +376,11 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
     keeps the rounds and the support of its last iterate. The claimed
     support is removed before the next slot is attempted. Budget exhaustion
     leaves a slot unrecovered and flags the report partial.
+
+    Until a slot is claimed the search runs on dataset itself; after that it
+    holds one copy of the unclaimed rows. Each refit copies its selected
+    rows besides. Without a given subspace, estimate_subspace first holds
+    about twice the bytes of X for its SVD.
     """
     n, d = dataset.n, dataset.d
     if subspace is None:
@@ -407,7 +412,13 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         seed_j = int(component_seeds[j].generate_state(1)[0])
         candidates = generate_candidates(subspace, radius, epsilon,
                                          config.candidate_budget, seed_j)
-        sub = Dataset(X=dataset.X[working], y=dataset.y[working])
+        if working.size == n:
+            sub = dataset
+        else:
+            X_sub, y_sub = dataset.X[working], dataset.y[working]
+            X_sub.setflags(write=False)  # a fresh copy: Dataset keeps it rather than copy again
+            y_sub.setflags(write=False)
+            sub = Dataset(X=X_sub, y=y_sub)
         inner = IltsConfig(tau=tau_j, max_rounds=config.ilts_max_rounds,
                            tol=config.ilts_tol, rank_policy="fail")
         # (rounds, keep): run on to `rounds` in all, then the `keep` lowest-loss unfinished go on.

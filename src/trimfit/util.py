@@ -23,10 +23,16 @@ def ceil_count(x: float) -> int:
 
 
 def as_readonly(a: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous copy flagged read-only."""
-    out = np.ascontiguousarray(a)
-    if out is a:
-        out = out.copy()
+    """Return a C-contiguous read-only array holding a's values.
+
+    An array that is already C-contiguous, read-only and owns its memory is
+    returned as it is, so freezing a fresh array before handing it over holds
+    it once. Any other input, including every writable array and every view,
+    is copied, so later writes by the caller cannot reach the result.
+    """
+    if a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable:
+        return a
+    out = np.array(a, order="C")
     out.setflags(write=False)
     return out
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trimfit.model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
+from trimfit.model import (_RESPONSE_BLOCK, CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                            _allocate_counts, generate_mlrc, inject_corruptions,
                            load_dataset, load_truth, realized_gamma_star,
                            reconstruction_error, save_dataset, save_truth)
+from trimfit.pipeline import GlobalConfig, SubspaceEstimate, global_ilts
 
 
 def two_component_spec(d=3):
@@ -265,11 +267,93 @@ def test_dataset_arrays_are_read_only():
                                                n=300, seed=0),
                                 CorruptionSpec(0.1, "oblivious-random", 2.0), seed=-3),
      "seed must be at least 0"),
+    (lambda: Dataset(X=np.zeros((0, 3)), y=np.zeros(0)), "X has no rows: n must be at least 1"),
+    (lambda: Dataset(X=np.zeros((5, 0)), y=np.zeros(5)),
+     "X has no feature columns: d must be at least 1"),
 ], ids=["d-bool", "d-float", "d-zero", "m-float", "m-zero", "n-float", "n-zero",
-        "seed-negative", "seed-bool", "inject-seed-negative"])
+        "seed-negative", "seed-bool", "inject-seed-negative", "dataset-no-rows",
+        "dataset-no-features"])
 def test_model_counts_and_seeds_are_checked_by_name(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("view", [
+    lambda a: a, lambda a: a[:, ::2], lambda a: a[1:4], lambda a: a.T,
+    lambda a: frozen(a[1:4]),
+], ids=["writable", "strided", "row-view", "transposed", "frozen-view"])
+def test_dataset_copies_an_array_the_caller_can_still_write(view):
+    owner = np.arange(24.0).reshape(6, 4)
+    given = view(owner)
+    ds = Dataset(X=given, y=np.zeros(given.shape[0]))
+    kept = ds.X.copy()
+    owner += 1.0
+    assert np.array_equal(ds.X, kept)
+    assert ds.X.flags.c_contiguous and not ds.X.flags.writeable
+
+
+def test_dataset_shares_a_frozen_contiguous_array_it_owns():
+    X, y = frozen(np.arange(24.0).reshape(6, 4).copy()), frozen(np.zeros(6))
+    ds = Dataset(X=X, y=y)
+    assert np.shares_memory(ds.X, X) and np.shares_memory(ds.y, y)
+    generated, _ = generate_mlrc(two_component_spec(), CorruptionSpec(), n=50, seed=2)
+    assert np.shares_memory(Dataset(X=generated.X, y=generated.y).X, generated.X)
+
+
+@pytest.mark.parametrize("n", [1, _RESPONSE_BLOCK - 1, _RESPONSE_BLOCK, _RESPONSE_BLOCK + 1,
+                               3 * _RESPONSE_BLOCK + 5])
+@pytest.mark.parametrize("covariance", [False, True], ids=["identity", "covariance"])
+def test_blocked_responses_are_bit_equal_to_the_whole_matrix_sum(n, covariance):
+    # d = 13 takes numpy's unrolled pairwise sum, where a change of iteration order would show.
+    d, m = (1, 1) if n == 1 else (13, 3)
+    rng = np.random.default_rng(n)
+    cov = None
+    if covariance:
+        A = rng.standard_normal((d, d))
+        cov = [A @ A.T + np.eye(d)] + [None] * (m - 1)
+    spec = MixtureSpec(d=d, m=m, components=list(rng.standard_normal((m, d))),
+                       weights=[1 / m] * m, covariance=cov)
+    ds, truth = generate_mlrc(spec, CorruptionSpec(), n=n, seed=5)
+    whole = np.sum(ds.X * truth.theta_star.T[truth.partition], axis=1)
+    assert np.array_equal(ds.y.view(np.int64), whole.view(np.int64))
+
+
+def traced_peak(call):
+    """Peak bytes that call allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MEMORY_SPEC = MixtureSpec(d=50, m=2, components=list(np.eye(50)[:2]), weights=[0.5, 0.5])
+
+
+@pytest.fixture(scope="module")
+def memory_instance(tmp_path_factory):
+    ds, _ = generate_mlrc(MEMORY_SPEC, CorruptionSpec(), n=20_000, seed=0)
+    path = str(tmp_path_factory.mktemp("memory") / "inst.csv")
+    save_dataset(ds, path)
+    return ds, path
+
+
+@pytest.mark.parametrize("step, bound", [
+    (lambda ds, path: generate_mlrc(MEMORY_SPEC, CorruptionSpec(), n=20_000, seed=0), 1.5),
+    (lambda ds, path: load_dataset(path), 2.5),
+    (lambda ds, path: global_ilts(
+        ds, GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, radius=1.0, seed=0),
+        SubspaceEstimate(basis=np.eye(50)[:, :2], provenance="external")), 2.0),
+], ids=["generate", "load", "global"])
+def test_peak_memory_is_a_small_multiple_of_X(memory_instance, step, bound):
+    ds, path = memory_instance
+    assert traced_peak(lambda: step(ds, path)) <= bound * ds.X.nbytes
 
 
 def test_generate_rejects_undersized_n():

@@ -15,10 +15,10 @@ from scipy.optimize import linear_sum_assignment
 
 from trimfit import pipeline
 from trimfit.cli import _experiment_setup, report_to_dict
-from trimfit.diagnostics import (affine_error_estimate, feature_regularity_exact,
-                                 feature_regularity_sampled)
+from trimfit.diagnostics import (affine_error_estimate, contraction_bound_trace,
+                                 feature_regularity_exact, feature_regularity_sampled)
 from trimfit.gd import GdConfig, gd_inner_loop, largest_curvature
-from trimfit.ilts import IltsConfig, ilts_run, select_trimmed_set
+from trimfit.ilts import IltsConfig, contraction_ratio, ilts_run, select_trimmed_set
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.pipeline import (SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, GlobalConfig,
                               SubspaceEstimate, _augment, _bottleneck_matching,
@@ -506,6 +506,14 @@ SPLIT = (np.arange(20.0).reshape(10, 2), np.repeat([0, 1], 5))
 SPAN = SubspaceEstimate(basis=np.eye(3)[:, :2], provenance="external")
 
 
+@functools.cache
+def small_fit():
+    """A two-component instance, its truth and one ILTS trace on it."""
+    spec = MixtureSpec(d=2, m=2, components=[[1.0, 0.0], [0.0, 1.0]], weights=[0.5, 0.5])
+    ds, truth = generate_mlrc(spec, CorruptionSpec(), n=40, seed=0)
+    return ds, truth, ilts_run(ds, np.array([1.0, 0.1]), IltsConfig(tau=0.4))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: IltsConfig(tau=0.5, max_rounds=2.5), "max_rounds must be an integer, got 2.5"),
     (lambda: GdConfig(tau=0.5, max_rounds=2.5), "max_rounds must be an integer, got 2.5"),
@@ -535,11 +543,23 @@ SPAN = SubspaceEstimate(basis=np.eye(3)[:, :2], provenance="external")
     (lambda: feature_regularity_sampled(SPLIT[0], True, 5, seed=0),
      "k must be an integer, got True"),
     (lambda: default_delta(0), "n must be at least 1"),
+    (lambda: contraction_ratio(small_fit()[2], small_fit()[1], True),
+     "j must be an integer, got True"),
+    (lambda: contraction_ratio(small_fit()[2], small_fit()[1], 1.0),
+     "j must be an integer, got 1.0"),
+    (lambda: affine_error_estimate(*SPLIT, [0.3, 0.3], True, 0.5, 5, seed=0),
+     "j must be an integer, got True"),
+    (lambda: affine_error_estimate(*SPLIT, [0.3, 0.3], 1.0, 0.5, 5, seed=0),
+     "j must be an integer, got 1.0"),
+    (lambda: contraction_bound_trace(*small_fit(), True, 0.4), "j must be an integer, got True"),
+    (lambda: contraction_bound_trace(*small_fit(), 1.0, 0.4), "j must be an integer, got 1.0"),
 ], ids=["ilts-max-rounds", "gd-max-rounds", "gd-m-steps", "global-m", "global-budget",
         "global-ilts-max-rounds", "global-seed", "global-seed-bool", "regularity-seed",
         "affine-error-seed", "candidates-budget", "candidates-budget-bool", "candidates-seed",
         "subspace-m-bool", "inner-m-steps", "curvature-iterations", "select-k-bool",
-        "select-k-zero", "regularity-exact-k", "regularity-sampled-k-bool", "default-delta-n"])
+        "select-k-zero", "regularity-exact-k", "regularity-sampled-k-bool", "default-delta-n",
+        "contraction-ratio-j-bool", "contraction-ratio-j-float", "affine-error-j-bool",
+        "affine-error-j-float", "contraction-bound-j-bool", "contraction-bound-j-float"])
 def test_counts_and_seeds_fail_naming_the_field(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
