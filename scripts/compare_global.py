@@ -14,13 +14,15 @@ test instances from its tests/ and the benchmark setups from its bench/:
 
 For every run it prints the rows and rounds of each checkout, whether the
 candidate rows agree on (component, candidate, rounds, accepted, support),
-whether the theta_hat bytes agree, and whether epsilon_recovery and the
-matching agree. It then prints the slots the pinned `global` experiment of
-tests/test_cli.py recovers per repeat at budgets 4 and 8, for each checkout
-and for tests/reference.py::reference_global. Single-threaded BLAS; the stress
+whether the theta_hat bytes agree, whether epsilon_recovery and the
+matching agree, and whether the whole report agrees: a digest of
+trimfit.cli.report_to_dict, which holds the tallies, the radius, delta and
+their sources besides. It then prints the slots the pinned `global`
+experiment of tests/test_cli.py recovers per repeat at budgets 4 and 8, for
+each checkout and for tests/reference.py::reference_global. Single-threaded BLAS; the stress
 runs take a few seconds each.
 
-It exits 0 when every run agrees on all three counts and the recall tables
+It exits 0 when every run agrees on all four counts and the recall tables
 are equal, and 1 otherwise. Given this checkout itself (`.`), it checks that
 two fresh processes, each with its own hash seed, recover byte for byte the
 same.
@@ -38,13 +40,19 @@ import tempfile
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def _run(name, report):
+    from trimfit import cli
     rows = [tuple(int(v) for v in row[:5]) for row in report.candidate_outcomes]
     return name, {
         "rows": rows,
         "theta_hat": hashlib.sha256(report.theta_hat.tobytes()).hexdigest(),
         "epsilon": report.epsilon_recovery,
         "matching": report.matching,
+        "report": _digest(cli.report_to_dict(report)),
     }
 
 
@@ -87,6 +95,7 @@ def collect(root):
             "theta_hat": hashlib.sha256(json.dumps(doc["theta_hat"]).encode()).hexdigest(),
             "epsilon": doc["epsilon_recovery"],
             "matching": doc["matching"],
+            "report": _digest(doc),
         }))
 
     comps = list(np.random.default_rng(1).standard_normal((5, 20)))
@@ -140,14 +149,15 @@ def main(argv):
     same = [name for name, _ in found["other"]["runs"]] == [
         name for name, _ in found["this"]["runs"]]
     print("| run | other rows | other rounds | rows | rounds | rows equal | theta_hat equal "
-          "| epsilon, matching equal |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| epsilon, matching equal | report equal |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for (name, old), (_, new) in zip(found["other"]["runs"], found["this"]["runs"]):
         cells = [name]
         for run in (old, new):
             cells += [len(run["rows"]), sum(row[2] for row in run["rows"])]
         equal = [old["rows"] == new["rows"], old["theta_hat"] == new["theta_hat"],
-                 (old["epsilon"], old["matching"]) == (new["epsilon"], new["matching"])]
+                 (old["epsilon"], old["matching"]) == (new["epsilon"], new["matching"]),
+                 old["report"] == new["report"]]
         same = same and all(equal)
         cells += equal
         print("| " + " | ".join(str(c) for c in cells) + " |")

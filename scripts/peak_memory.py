@@ -1,4 +1,4 @@
-"""Peak memory of generation, CSV load and global recovery, as multiples of X.
+"""Peak memory of generation, CSV load and save, and global recovery, as multiples of X.
 
     python scripts/peak_memory.py [--n N] [--d D]
 
@@ -8,9 +8,12 @@ of weight 0.5, no corruption, seed 0.
 
 - generate: generate_mlrc of the instance;
 - load: load_dataset of its CSV, written beforehand by another process;
+- save: save_dataset of it to a new CSV;
 - global: global_ilts on it with the true span given as the subspace (m = 2,
-  tau 0.4, budget 8, radius 1, seed 0); the dataset is read from raw files
-  and built before the step starts.
+  tau 0.4, budget 8, radius 1, seed 0).
+
+For save and global the dataset is read from raw files and built before the
+step starts.
 
 For each step it prints two multiples of the bytes of X (8 n d): the
 tracemalloc peak of what the step allocates, and the rise of the process's
@@ -35,7 +38,7 @@ import tracemalloc
 # numpy and trimfit are imported inside the functions that the child processes
 # run, so that this process stays small (see main).
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STEPS = ("generate", "load", "global")
+STEPS = ("generate", "load", "save", "global")
 # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
 _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
@@ -65,6 +68,8 @@ def step(name, n, d, workdir):
         a.setflags(write=False)
     dataset = tf.Dataset(X=X, y=y)
     del X, y
+    if name == "save":
+        return lambda: tf.save_dataset(dataset, os.path.join(workdir, "saved.csv"))
     subspace = tf.SubspaceEstimate(basis=np.eye(d)[:, :2], provenance="external")
     config = tf.GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, radius=1.0, seed=0)
     return lambda: tf.global_ilts(dataset, config, subspace)

@@ -30,9 +30,10 @@ _PHANTOM_AXIS = 0
 
 _GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 
-# Rows per block of the response sum in generate_mlrc, which bounds its
-# temporaries to two blocks of rows; each row sums alone, so any size gives
-# the same bits.
+# Rows per block of the response sum in generate_mlrc and of the rows that
+# save_dataset formats at a time, which bounds their temporaries to a block
+# or two of rows; each row sums and prints alone, so any size gives the same
+# bits.
 _RESPONSE_BLOCK = 4096
 
 
@@ -366,8 +367,11 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
 def save_dataset(dataset: Dataset, path: str) -> None:
     header = ",".join(["y"] + [f"x{i}" for i in range(1, dataset.d + 1)])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack([dataset.y, dataset.X]), fmt="%.17g",
-                   delimiter=",", header=header, comments="")
+        fh.write(header + "\n")
+        for first in range(0, dataset.n, _RESPONSE_BLOCK):
+            rows = slice(first, first + _RESPONSE_BLOCK)
+            np.savetxt(fh, np.column_stack([dataset.y[rows], dataset.X[rows]]), fmt="%.17g",
+                       delimiter=",")
 
 
 def load_dataset(path: str) -> Dataset:

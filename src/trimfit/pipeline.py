@@ -80,13 +80,14 @@ class SubspaceEstimate:
 class GlobalConfig:
     """Settings for the full recovery loop.
 
-    A one-entry tau_list gives every component that fraction. delta = None
-    sets the acceptance threshold to default_delta(n) of the dataset, and
-    radius = None derives the candidate sphere radius from the data as the
-    0.95 quantile of |y_i| / ||x_i||; the report flags both defaults.
-    epsilon_net = None sets the net granularity to 0.2 times the radius. The
-    trimmed alternation inside the candidate loop runs with ilts_max_rounds
-    and ilts_tol.
+    A one-entry tau_list gives every component that fraction. plan_search
+    resolves the rest for a run: delta = None sets the acceptance threshold
+    to default_delta(n) of the dataset, radius = None derives the candidate
+    sphere radius from the data as the 0.95 quantile of |y_i| / ||x_i||, and
+    the report flags both defaults; epsilon_net = None sets the net
+    granularity to 0.2 times the radius; slot j's starts come from the j-th
+    SeedSequence child of seed. The trimmed alternation inside the candidate
+    loop runs with ilts_max_rounds and ilts_tol.
     """
 
     m: int
@@ -131,18 +132,15 @@ class RecoveryReport:
     (component, candidate, rounds, accepted, support_size), one per start
     that ran, in index order (see global_ilts): accepted is True only for the
     start that claimed the slot, and rounds and support_size describe the
-    start's last iterate, 0 for a rank-deficient start; recovered,
-    accepted_counts, candidates_tried and partial are tallies over these
-    rows, so a slot skipped for lack of rows tallies 0. matching,
-    per_component_errors and epsilon_recovery are present only when ground
-    truth was supplied; unrecovered slots contribute infinite errors.
+    start's last iterate, 0 for a rank-deficient start. recovered,
+    accepted_counts, candidates_tried and partial are read-only tallies of
+    these rows, so a slot skipped for lack of rows tallies 0. radius, delta
+    and their sources are plan_search's. matching, per_component_errors and
+    epsilon_recovery are present only when ground truth was supplied;
+    unrecovered slots contribute infinite errors.
     """
 
     theta_hat: np.ndarray
-    recovered: tuple
-    accepted_counts: tuple
-    candidates_tried: tuple
-    partial: bool
     radius: float
     radius_source: str
     delta: float
@@ -151,6 +149,25 @@ class RecoveryReport:
     matching: tuple | None = None
     per_component_errors: tuple | None = None
     epsilon_recovery: float | None = None
+
+    @property
+    def accepted_counts(self) -> tuple:
+        won = {row[0]: row[4] for row in self.candidate_outcomes if row[3]}
+        return tuple(won.get(j, 0) for j in range(self.theta_hat.shape[1]))
+
+    @property
+    def recovered(self) -> tuple:
+        won = {row[0] for row in self.candidate_outcomes if row[3]}
+        return tuple(j in won for j in range(self.theta_hat.shape[1]))
+
+    @property
+    def candidates_tried(self) -> tuple:
+        tried = Counter(row[0] for row in self.candidate_outcomes)
+        return tuple(tried[j] for j in range(self.theta_hat.shape[1]))
+
+    @property
+    def partial(self) -> bool:
+        return not all(self.recovered)
 
 
 def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
@@ -162,7 +179,12 @@ def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
     if not 1 <= m <= min(dataset.n, dataset.d):
         raise ValueError(f"m = {m} must lie in [1, min(n, d) = {min(dataset.n, dataset.d)}]")
     check_integer(m, "m", 1)
-    moments = dataset.X * dataset.y[:, None]
+    try:
+        with np.errstate(over="raise"):
+            moments = dataset.X * dataset.y[:, None]
+    except FloatingPointError:
+        raise ValueError("estimate_subspace: the moment rows y_i * x_i overflow float64; "
+                         "rescale X or y") from None
     if not np.any(moments):
         raise ValueError("all moment rows are zero (is y identically zero?)")
     _, _, vh = np.linalg.svd(moments, full_matrices=False)
@@ -359,6 +381,50 @@ def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):
     return _bottleneck_matching(_distance_matrix(theta_hat, theta_star))
 
 
+def plan_search(dataset: Dataset, config: GlobalConfig,
+                subspace: SubspaceEstimate | None = None, truth: GroundTruth | None = None):
+    """What a global run searches, as (settings, starts). settings holds
+    radius and delta with their sources, GlobalConfig's defaults applied;
+    starts(j) draws slot j's candidates from the slot's own SeedSequence
+    child, when the search reaches slot j."""
+    if subspace is None:
+        subspace = estimate_subspace(dataset, config.m)
+    if subspace.d != dataset.d:
+        raise ValueError("subspace dimension does not match the dataset")
+    if truth is not None and truth.theta_star.shape != (dataset.d, config.m):
+        raise ValueError("truth shape does not match the configured m")
+    if config.radius is None:
+        radius, radius_source = default_radius(dataset), "quantile-default"
+    else:
+        radius, radius_source = config.radius, "user"
+    epsilon = 0.2 * radius if config.epsilon_net is None else config.epsilon_net
+    if config.delta is None:
+        delta, delta_source = default_delta(dataset.n), "log-n-default"
+    else:
+        delta, delta_source = config.delta, "user"
+    seeds = np.random.SeedSequence(config.seed).spawn(config.m)
+
+    def starts(j):
+        return generate_candidates(subspace, radius, epsilon, config.candidate_budget,
+                                   int(seeds[j].generate_state(1)[0]))
+    return dict(radius=radius, radius_source=radius_source, delta=delta,
+                delta_source=delta_source), starts
+
+
+def recovery_report(theta_hat: np.ndarray, outcomes: list, settings: dict,
+                    truth: GroundTruth | None = None) -> RecoveryReport:
+    """The report of a finished search, scored against truth when it is given."""
+    report = RecoveryReport(theta_hat, candidate_outcomes=tuple(outcomes), **settings)
+    if truth is None:
+        return report
+    value, perm = epsilon_recovery(theta_hat, truth.theta_star)
+    recovered = report.recovered
+    errors = tuple(float(np.linalg.norm(theta_hat[:, a] - truth.theta_star[:, b]))
+                   if recovered[a] else math.inf for b, a in enumerate(perm))
+    return replace(report, matching=tuple(int(a) for a in perm), per_component_errors=errors,
+                   epsilon_recovery=float(value))
+
+
 def global_ilts(dataset: Dataset, config: GlobalConfig,
                 subspace: SubspaceEstimate | None = None,
                 truth: GroundTruth | None = None) -> RecoveryReport:
@@ -382,36 +448,18 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
     rows besides. Without a given subspace, estimate_subspace first holds
     about twice the bytes of X for its SVD.
     """
-    n, d = dataset.n, dataset.d
-    if subspace is None:
-        subspace = estimate_subspace(dataset, config.m)
-    if subspace.d != d:
-        raise ValueError("subspace dimension does not match the dataset")
-    if truth is not None and truth.theta_star.shape != (d, config.m):
-        raise ValueError("truth shape does not match the configured m")
-    if config.radius is None:
-        radius, radius_source = default_radius(dataset), "quantile-default"
-    else:
-        radius, radius_source = config.radius, "user"
-    epsilon = 0.2 * radius if config.epsilon_net is None else config.epsilon_net
-    if config.delta is None:
-        delta, delta_source = default_delta(n), "log-n-default"
-    else:
-        delta, delta_source = config.delta, "user"
-
+    settings, starts = plan_search(dataset, config, subspace, truth)
+    n, d, delta = dataset.n, dataset.d, settings["delta"]
     theta_hat = np.full((d, config.m), np.nan)
     outcomes = []
     working = np.arange(n)
-    component_seeds = np.random.SeedSequence(config.seed).spawn(config.m)
 
     for j in range(config.m):
         tau_j = config.tau_list[j]
         if floor_count(tau_j * working.size) < d:
             continue  # not enough rows left to fit this slot
         min_count = floor_count(tau_j * n)
-        seed_j = int(component_seeds[j].generate_state(1)[0])
-        candidates = generate_candidates(subspace, radius, epsilon,
-                                         config.candidate_budget, seed_j)
+        candidates = starts(j)
         if working.size == n:
             sub = dataset
         else:
@@ -460,35 +508,4 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
                 working = np.setdiff1d(working, working[claim[1]])
                 break
 
-    # The per-slot tallies restate the outcome rows; a skipped slot has none.
-    accepted = {j: support for j, _, _, ok, support in outcomes if ok}
-    tried = Counter(j for j, *_ in outcomes)
-    recovered = tuple(j in accepted for j in range(config.m))
-    matching = None
-    per_errors = None
-    eps_value = None
-    if truth is not None:
-        value, perm = epsilon_recovery(theta_hat, truth.theta_star)
-        matching = tuple(int(p) for p in perm)
-        per_errors = tuple(
-            float(np.linalg.norm(theta_hat[:, perm[b]] - truth.theta_star[:, b]))
-            if recovered[perm[b]] else math.inf
-            for b in range(config.m))
-        eps_value = float(value)
-
-    return RecoveryReport(
-        theta_hat=theta_hat,
-        recovered=recovered,
-        accepted_counts=tuple(accepted.get(j, 0) for j in range(config.m)),
-        candidates_tried=tuple(tried[j] for j in range(config.m)),
-        partial=not all(recovered),
-        radius=radius,
-        radius_source=radius_source,
-        delta=delta,
-        delta_source=delta_source,
-        candidate_outcomes=tuple(outcomes),
-        matching=matching,
-        per_component_errors=per_errors,
-        epsilon_recovery=eps_value,
-    )
-
+    return recovery_report(theta_hat, outcomes, settings, truth)

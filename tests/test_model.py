@@ -350,7 +350,8 @@ def memory_instance(tmp_path_factory):
     (lambda ds, path: global_ilts(
         ds, GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, radius=1.0, seed=0),
         SubspaceEstimate(basis=np.eye(50)[:, :2], provenance="external")), 2.0),
-], ids=["generate", "load", "global"])
+    (lambda ds, path: save_dataset(ds, path + ".saved"), 0.5),
+], ids=["generate", "load", "global", "save"])
 def test_peak_memory_is_a_small_multiple_of_X(memory_instance, step, bound):
     ds, path = memory_instance
     assert traced_peak(lambda: step(ds, path)) <= bound * ds.X.nbytes
@@ -466,6 +467,16 @@ def test_dataset_csv_round_trip_is_bit_exact(ds):
         back = load_dataset(path)
     assert np.array_equal(back.X.view(np.int64), ds.X.view(np.int64))
     assert np.array_equal(back.y.view(np.int64), ds.y.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [_RESPONSE_BLOCK - 1, _RESPONSE_BLOCK, _RESPONSE_BLOCK + 1,
+                               2 * _RESPONSE_BLOCK + 5])
+def test_dataset_csv_written_in_blocks_matches_the_row_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    ds = Dataset(X=rng.standard_normal((n, 2)), y=rng.standard_normal(n))
+    save_dataset(ds, str(tmp_path / "ds.csv"))
+    reference_save_dataset(ds, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", ["not-json", "format", "missing"])

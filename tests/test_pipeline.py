@@ -74,6 +74,22 @@ def test_estimate_subspace_recovers_span():
     assert dists[8000] < dists[1000]
 
 
+@pytest.mark.parametrize("scale, overflows", [(1e140, False), (1e160, True)])
+def test_estimate_subspace_names_an_overflow_of_the_moment_rows(scale, overflows):
+    # A moment row y_i x_i is of the order of scale squared: 1e280 is a double, 1e320 is not.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((500, 6))
+    y = X @ rng.standard_normal(6)
+    scaled = Dataset(X=X * scale, y=y * scale)
+    if overflows:
+        with pytest.raises(ValueError, match=r"^estimate_subspace: the moment rows y_i \* x_i "
+                                             r"overflow float64; rescale X or y$"):
+            estimate_subspace(scaled, 1)
+    else:
+        unscaled = estimate_subspace(Dataset(X=X, y=y), 1).basis
+        assert np.allclose(estimate_subspace(scaled, 1).basis, unscaled, rtol=0, atol=1e-12)
+
+
 def test_estimate_subspace_rejects_zero_response():
     ds = Dataset(X=np.eye(3), y=np.zeros(3))
     with pytest.raises(ValueError, match="zero"):
@@ -672,6 +688,25 @@ def test_screening_recovers_what_the_sequential_reference_does(case):
         if won and rows.get(won[0][:2], (0,) * 5)[2] == won[0][2]:
             assert rows[won[0][:2]] == won[0]
             assert report.theta_hat[:, j].tobytes() == reference.theta_hat[:, j].tobytes()
+
+
+@pytest.mark.parametrize("case", ["default-radius", "sweep-recovery"])
+def test_the_sequential_reference_draws_its_starts_by_the_same_rule(monkeypatch, case):
+    # A start rule changed in pipeline.generate_candidates (here: every start doubled)
+    # reaches both searches, slot by slot, with the same arguments.
+    ds, config, truth = SCREENING_CASES[case]()
+    real = pipeline.generate_candidates
+    calls = []
+
+    def doubled(subspace, *args):
+        calls[-1].append((subspace.basis.tobytes(),) + args)
+        return 2.0 * real(subspace, *args)
+
+    monkeypatch.setattr(pipeline, "generate_candidates", doubled)
+    for search in (global_ilts, reference_global):
+        calls.append([])
+        search(ds, config, truth=truth)
+    assert calls[0] and calls[0] == calls[1]
 
 
 def test_screening_finishes_the_three_lowest_prefix_losses_of_each_block():
