@@ -10,10 +10,12 @@ of weight 0.5, no corruption, seed 0.
 - load: load_dataset of its CSV, written beforehand by another process;
 - save: save_dataset of it to a new CSV;
 - global: global_ilts on it with the true span given as the subspace (m = 2,
-  tau 0.4, budget 8, radius 1, seed 0).
+  tau 0.4, budget 8, radius 1, seed 0);
+- global-default: the same call with neither a subspace nor a radius, so
+  that estimate_subspace and default_radius run first.
 
-For save and global the dataset is read from raw files and built before the
-step starts.
+For save and the global steps the dataset is read from raw files and built
+before the step starts.
 
 For each step it prints two multiples of the bytes of X (8 n d): the
 tracemalloc peak of what the step allocates, and the rise of the process's
@@ -26,6 +28,7 @@ thread. The defaults take about 5 s.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -38,7 +41,7 @@ import tracemalloc
 # numpy and trimfit are imported inside the functions that the child processes
 # run, so that this process stays small (see main).
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STEPS = ("generate", "load", "save", "global")
+STEPS = ("generate", "load", "save", "global", "global-default")
 # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
 _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
@@ -70,9 +73,11 @@ def step(name, n, d, workdir):
     del X, y
     if name == "save":
         return lambda: tf.save_dataset(dataset, os.path.join(workdir, "saved.csv"))
+    config = tf.GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, seed=0)
+    if name == "global-default":
+        return lambda: tf.global_ilts(dataset, config)
     subspace = tf.SubspaceEstimate(basis=np.eye(d)[:, :2], provenance="external")
-    config = tf.GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, radius=1.0, seed=0)
-    return lambda: tf.global_ilts(dataset, config, subspace)
+    return lambda: tf.global_ilts(dataset, dataclasses.replace(config, radius=1.0), subspace)
 
 
 def measure(name, n, d, workdir):
@@ -133,11 +138,11 @@ def main(argv=None):
         csv_bytes = child("prepare", args, workdir)["csv_bytes"]
         print(f"n = {args.n}, d = {args.d}: X is {x_bytes / 2**20:.1f} MB, "
               f"its CSV {csv_bytes / 2**20:.1f} MB")
-        print(f"{'step':<10}{'tracemalloc peak / X':>22}{'ru_maxrss rise / X':>20}"
+        print(f"{'step':<16}{'tracemalloc peak / X':>22}{'ru_maxrss rise / X':>20}"
               f"{'rise MB':>10}{'step s':>9}")
         for name in STEPS:
             got = child(name, args, workdir)
-            print(f"{name:<10}{got['traced_peak'] / x_bytes:>22.2f}"
+            print(f"{name:<16}{got['traced_peak'] / x_bytes:>22.2f}"
                   f"{got['rss_rise'] / x_bytes:>20.2f}{got['rss_rise'] / 2**20:>10.1f}"
                   f"{got['seconds']:>9.2f}")
     return 0

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import as_readonly, check_finite, check_integer, floor_count
+from .util import as_readonly, check_finite, check_integer, floor_count, row_blocks
 
 ADVERSARIES = ("none", "oblivious-random", "residual-targeted", "component-targeted")
 
@@ -29,12 +29,6 @@ ADVERSARIES = ("none", "oblivious-random", "residual-targeted", "component-targe
 _PHANTOM_AXIS = 0
 
 _GENERATOR_NAME = "numpy.random.Generator(PCG64)"
-
-# Rows per block of the response sum in generate_mlrc and of the rows that
-# save_dataset formats at a time, which bounds their temporaries to a block
-# or two of rows; each row sums and prints alone, so any size gives the same
-# bits.
-_RESPONSE_BLOCK = 4096
 
 
 def _generator_version() -> str:
@@ -350,8 +344,7 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
 
     theta = spec.theta_star
     y = np.empty(n)
-    for first in range(0, n, _RESPONSE_BLOCK):
-        rows = slice(first, first + _RESPONSE_BLOCK)
+    for rows in row_blocks(n):
         y[rows] = np.sum(X[rows] * theta.T[labels[rows]], axis=1)
     # The clean fractions are counts / n, so their minimum is min(counts) / n.
     y, r, corrupted = _corrupt(X, y, labels, spec.m, float(counts.min()) / n, corruption,
@@ -368,8 +361,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     header = ",".join(["y"] + [f"x{i}" for i in range(1, dataset.d + 1)])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for first in range(0, dataset.n, _RESPONSE_BLOCK):
-            rows = slice(first, first + _RESPONSE_BLOCK)
+        for rows in row_blocks(dataset.n):
             np.savetxt(fh, np.column_stack([dataset.y[rows], dataset.X[rows]]), fmt="%.17g",
                        delimiter=",")
 

@@ -11,6 +11,18 @@ import numpy as np
 # 899.9999999999999 in floating point, floor to the intended integer.
 _FLOOR_GUARD = 1e-9
 
+# Rows per block wherever a pass over the rows of X holds a temporary the width
+# of X: the response sum of generate_mlrc, the rows save_dataset formats at a
+# time, the moment Gram of estimate_subspace and the row norms of
+# default_radius. Each response, written row and row norm is computed alone,
+# so any size gives it the same bits; the Gram's sum depends on the size.
+ROW_BLOCK = 4096
+
+
+def row_blocks(n: int):
+    """Slices of ROW_BLOCK consecutive rows that cover range(n) in order."""
+    return (slice(first, first + ROW_BLOCK) for first in range(0, n, ROW_BLOCK))
+
 
 def floor_count(x: float) -> int:
     """Floor a nonnegative float to an integer count, guarding fp dust."""

@@ -7,7 +7,7 @@ import numpy as np
 
 from trimfit.ilts import IltsConfig, RankDeficientError, ilts_run
 from trimfit.model import Dataset
-from trimfit.pipeline import accept_component, plan_search, recovery_report
+from trimfit.pipeline import SubspaceEstimate, accept_component, plan_search, recovery_report
 from trimfit.util import floor_count
 
 
@@ -43,3 +43,22 @@ def reference_global(dataset, config, subspace=None, truth=None):
                 working = np.setdiff1d(working, working[support])
                 break
     return recovery_report(theta_hat, outcomes, settings, truth)
+
+
+def reference_subspace(dataset, m):
+    """estimate_subspace by the SVD of the n x d moment rows y_i * x_i: the top-m
+    right-singular vectors, each column's largest-magnitude entry made positive."""
+    _, _, vh = np.linalg.svd(dataset.X * dataset.y[:, None], full_matrices=False)
+    basis = vh[:m].T.copy()
+    for col in range(m):
+        pivot = int(np.argmax(np.abs(basis[:, col])))
+        if basis[pivot, col] < 0:
+            basis[:, col] = -basis[:, col]
+    return SubspaceEstimate(basis=basis, provenance="svd")
+
+
+def reference_radius(dataset):
+    """default_radius with the row norms of the whole of X taken in one call."""
+    norms = np.linalg.norm(dataset.X, axis=1)
+    mask = norms > 0
+    return float(np.quantile(np.abs(dataset.y[mask]) / norms[mask], 0.95))

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trimfit.model import (_RESPONSE_BLOCK, CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
+from trimfit.model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                            _allocate_counts, generate_mlrc, inject_corruptions,
                            load_dataset, load_truth, realized_gamma_star,
                            reconstruction_error, save_dataset, save_truth)
 from trimfit.pipeline import GlobalConfig, SubspaceEstimate, global_ilts
+from trimfit.util import ROW_BLOCK
 
 
 def two_component_spec(d=3):
@@ -305,8 +306,7 @@ def test_dataset_shares_a_frozen_contiguous_array_it_owns():
     assert np.shares_memory(Dataset(X=generated.X, y=generated.y).X, generated.X)
 
 
-@pytest.mark.parametrize("n", [1, _RESPONSE_BLOCK - 1, _RESPONSE_BLOCK, _RESPONSE_BLOCK + 1,
-                               3 * _RESPONSE_BLOCK + 5])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
 @pytest.mark.parametrize("covariance", [False, True], ids=["identity", "covariance"])
 def test_blocked_responses_are_bit_equal_to_the_whole_matrix_sum(n, covariance):
     # d = 13 takes numpy's unrolled pairwise sum, where a change of iteration order would show.
@@ -350,8 +350,11 @@ def memory_instance(tmp_path_factory):
     (lambda ds, path: global_ilts(
         ds, GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, radius=1.0, seed=0),
         SubspaceEstimate(basis=np.eye(50)[:, :2], provenance="external")), 2.0),
+    # No subspace and no radius: the moment Gram and the row norms go by blocks of rows.
+    (lambda ds, path: global_ilts(
+        ds, GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, seed=0)), 1.0),
     (lambda ds, path: save_dataset(ds, path + ".saved"), 0.5),
-], ids=["generate", "load", "global", "save"])
+], ids=["generate", "load", "global", "global-default", "save"])
 def test_peak_memory_is_a_small_multiple_of_X(memory_instance, step, bound):
     ds, path = memory_instance
     assert traced_peak(lambda: step(ds, path)) <= bound * ds.X.nbytes
@@ -469,8 +472,7 @@ def test_dataset_csv_round_trip_is_bit_exact(ds):
     assert np.array_equal(back.y.view(np.int64), ds.y.view(np.int64))
 
 
-@pytest.mark.parametrize("n", [_RESPONSE_BLOCK - 1, _RESPONSE_BLOCK, _RESPONSE_BLOCK + 1,
-                               2 * _RESPONSE_BLOCK + 5])
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5])
 def test_dataset_csv_written_in_blocks_matches_the_row_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     ds = Dataset(X=rng.standard_normal((n, 2)), y=rng.standard_normal(n))

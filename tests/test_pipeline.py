@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from reference import reference_global
+from reference import reference_global, reference_radius, reference_subspace
 from scipy.optimize import linear_sum_assignment
 
 from trimfit import pipeline
@@ -25,6 +25,7 @@ from trimfit.pipeline import (SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, GlobalCo
                               accept_component, default_delta, default_radius,
                               epsilon_recovery, estimate_subspace, generate_candidates,
                               global_ilts, subspace_distance)
+from trimfit.util import ROW_BLOCK
 
 
 def basis_at_angle(alpha):
@@ -75,19 +76,93 @@ def test_estimate_subspace_recovers_span():
 
 
 @pytest.mark.parametrize("scale, overflows", [(1e140, False), (1e160, True)])
-def test_estimate_subspace_names_an_overflow_of_the_moment_rows(scale, overflows):
+def test_estimate_subspace_survives_an_overflow_of_the_moment_rows(scale, overflows):
     # A moment row y_i x_i is of the order of scale squared: 1e280 is a double, 1e320 is not.
+    # The Gram is summed from X and y scaled by powers of two, so neither moves the basis.
     rng = np.random.default_rng(0)
     X = rng.standard_normal((500, 6))
     y = X @ rng.standard_normal(6)
     scaled = Dataset(X=X * scale, y=y * scale)
-    if overflows:
-        with pytest.raises(ValueError, match=r"^estimate_subspace: the moment rows y_i \* x_i "
-                                             r"overflow float64; rescale X or y$"):
-            estimate_subspace(scaled, 1)
+    with np.errstate(over="ignore"):
+        assert np.isinf(scaled.X * scaled.y[:, None]).any() == overflows
+    unscaled = estimate_subspace(Dataset(X=X, y=y), 1).basis
+    assert np.allclose(estimate_subspace(scaled, 1).basis, unscaled, rtol=0, atol=1e-12)
+
+
+def test_estimate_subspace_names_a_failed_eigh(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ValueError, match=r"^estimate_subspace: eigh of the moment Gram failed: "
+                                         r"Eigenvalues did not converge$"):
+        estimate_subspace(Dataset(X=np.eye(3), y=np.ones(3)), 1)
+
+
+def stress_instance():
+    """The reject call's data of the bench `sweep` workload at toy size, seed 0."""
+    rng = np.random.default_rng(0)
+    spec = MixtureSpec(d=20, m=5, components=list(rng.standard_normal((5, 20))),
+                       weights=[0.2] * 5)
+    return generate_mlrc(spec, CorruptionSpec(0.05, "oblivious-random", 2.0), n=1500,
+                         seed=0)[0], 5
+
+
+def anisotropic_instance():
+    """Features with covariance eigenvalues from 1e-2 to 1e2 in a random basis."""
+    rng = np.random.default_rng(1)
+    q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    cov = q @ np.diag(np.logspace(-2, 2, 10)) @ q.T
+    spec = MixtureSpec(d=10, m=2, components=list(rng.standard_normal((2, 10))),
+                       weights=[0.5, 0.5], covariance=[cov, cov])
+    return generate_mlrc(spec, CorruptionSpec(), n=3000, seed=1)[0], 2
+
+
+def two_component_rows(X, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal((X.shape[1], 2))
+    return Dataset(X=X, y=np.einsum("ij,ji->i", X, theta[:, rng.integers(0, 2, len(X))]))
+
+
+def duplicated_column_instance():
+    X = np.random.default_rng(2).standard_normal((2000, 8))
+    X[:, 3] = X[:, 0]
+    return two_component_rows(X, 2), 2
+
+
+def scaled_instance(scale):
+    """The overflow test's data, X and y scaled by scale; the SVD runs unscaled."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((500, 6))
+    return Dataset(X=X, y=X @ rng.standard_normal(6)), 1, scale
+
+
+SUBSPACE_FAMILIES = {
+    "sweep-stress": lambda: stress_instance() + (1.0,),
+    "anisotropic": lambda: anisotropic_instance() + (1.0,),
+    "duplicated-column": lambda: duplicated_column_instance() + (1.0,),
+    "n-below-d": lambda: (two_component_rows(
+        np.random.default_rng(3).standard_normal((6, 15)), 3), 2, 1.0),
+    # Moment Gram diag(1, 1, 0.25, 0): the top two tie, so only their span is defined.
+    "tied": lambda: (Dataset(X=np.diag([1.0, 1.0, 0.5, 0.0])[:3], y=np.ones(3)), 2, 1.0),
+    **{f"scale-{s:g}": lambda s=s: scaled_instance(s) for s in (1e-160, 1e140, 1e160, 1e300)},
+}
+
+
+@pytest.mark.parametrize("family", SUBSPACE_FAMILIES)
+def test_estimate_subspace_matches_the_svd_of_the_moment_rows(family):
+    ds, m, scale = SUBSPACE_FAMILIES[family]()
+    reference = reference_subspace(ds, m)
+    est = estimate_subspace(Dataset(X=ds.X * scale, y=ds.y * scale), m)
+    assert est.provenance == "svd"
+    # Eigenvalues of the moment Gram relative to the largest, the last padded with 0.
+    sv = np.linalg.svd(ds.X * ds.y[:, None], compute_uv=False)
+    eig = np.append(sv ** 2, 0.0) / sv[0] ** 2
+    if np.min(-np.diff(eig[:m + 1])) > 1e-3:
+        assert np.max(np.abs(est.basis - reference.basis)) <= 1e-12
     else:
-        unscaled = estimate_subspace(Dataset(X=X, y=y), 1).basis
-        assert np.allclose(estimate_subspace(scaled, 1).basis, unscaled, rtol=0, atol=1e-12)
+        assert eig[m - 1] - eig[m] > 1e-3
+        assert subspace_distance(est, reference.basis) <= 1e-12
 
 
 def test_estimate_subspace_rejects_zero_response():
@@ -128,6 +203,18 @@ def test_candidates_one_dimensional_span_poles():
     assert np.allclose(cands[1], [-2.0, 0.0, 0.0])
     only = generate_candidates(est, radius=2.0, epsilon=0.1, budget=1, seed=0)
     assert only.shape == (1, 3)
+
+
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_default_radius_by_blocks_is_bit_equal_to_the_whole_matrix_norm(n, scale):
+    # d = 13 takes numpy's unrolled pairwise sum, where a change of iteration order would show.
+    rng = np.random.default_rng(n)
+    for d in (1, 13, 50, 120):
+        X = rng.standard_normal((n, d)) * scale
+        X[::97] = 0.0  # rows left out of the quantile
+        ds = Dataset(X=X, y=rng.standard_normal(n))
+        assert default_radius(ds).hex() == reference_radius(ds).hex()
 
 
 def test_default_radius_quantile():
