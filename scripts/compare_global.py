@@ -12,15 +12,17 @@ test instances from its tests/ and the benchmark setups from its bench/:
 - stress-S: the ROADMAP stress recipe, seeds 0-9;
 - each SCREENING_CASES instance of tests/test_pipeline.py.
 
-For every run it prints the rows and rounds of each checkout, whether the
+For every run it prints the rows, rounds, recovered slots and
+epsilon_recovery (None without truth) of each checkout, whether the
 candidate rows agree on (component, candidate, rounds, accepted, support),
 whether the theta_hat bytes agree, whether epsilon_recovery and the
 matching agree, and whether the whole report agrees: a digest of
 trimfit.cli.report_to_dict, which holds the tallies, the radius, delta and
-their sources besides. It then prints the slots the pinned `global`
-experiment of tests/test_cli.py recovers per repeat at budgets 4 and 8, for
-each checkout and for tests/reference.py::reference_global. Single-threaded BLAS; the stress
-runs take a few seconds each.
+their sources besides. It then prints each checkout's rounds over all runs,
+and the slots the pinned `global` experiment of tests/test_cli.py recovers
+per repeat at budgets 4 and 8, for each checkout and for
+tests/reference.py::reference_global. Single-threaded BLAS; the stress runs
+take a few seconds each.
 
 It exits 0 when every run agrees on all four counts and the recall tables
 are equal, and 1 otherwise. Given this checkout itself (`.`), it checks that
@@ -49,6 +51,7 @@ def _run(name, report):
     rows = [tuple(int(v) for v in row[:5]) for row in report.candidate_outcomes]
     return name, {
         "rows": rows,
+        "slots": sum(report.recovered),
         "theta_hat": hashlib.sha256(report.theta_hat.tobytes()).hexdigest(),
         "epsilon": report.epsilon_recovery,
         "matching": report.matching,
@@ -92,6 +95,7 @@ def collect(root):
                 doc = json.load(fh)
         runs.append((f"cli-io-{seed}", {
             "rows": rows,
+            "slots": sum(doc["recovered"]),
             "theta_hat": hashlib.sha256(json.dumps(doc["theta_hat"]).encode()).hexdigest(),
             "epsilon": doc["epsilon_recovery"],
             "matching": doc["matching"],
@@ -148,19 +152,25 @@ def main(argv):
 
     same = [name for name, _ in found["other"]["runs"]] == [
         name for name, _ in found["this"]["runs"]]
-    print("| run | other rows | other rounds | rows | rounds | rows equal | theta_hat equal "
-          "| epsilon, matching equal | report equal |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("| run | other rows | other rounds | other slots | other epsilon | rows | rounds "
+          "| slots | epsilon | rows equal | theta_hat equal | epsilon, matching equal "
+          "| report equal |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for (name, old), (_, new) in zip(found["other"]["runs"], found["this"]["runs"]):
         cells = [name]
         for run in (old, new):
-            cells += [len(run["rows"]), sum(row[2] for row in run["rows"])]
+            cells += [len(run["rows"]), sum(row[2] for row in run["rows"]), run["slots"],
+                      "None" if run["epsilon"] is None else f"{run['epsilon']:.2e}"]
         equal = [old["rows"] == new["rows"], old["theta_hat"] == new["theta_hat"],
                  (old["epsilon"], old["matching"]) == (new["epsilon"], new["matching"]),
                  old["report"] == new["report"]]
         same = same and all(equal)
         cells += equal
         print("| " + " | ".join(str(c) for c in cells) + " |")
+    print()
+    for label in ("other", "this"):
+        rounds = sum(row[2] for _, run in found[label]["runs"] for row in run["rows"])
+        print(f"{label}: {rounds} rounds over all runs")
     print()
     print("| pinned `global` experiment | other | this |")
     print("|---|---|---|")

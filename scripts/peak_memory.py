@@ -12,7 +12,8 @@ of weight 0.5, no corruption, seed 0.
 - global: global_ilts on it with the true span given as the subspace (m = 2,
   tau 0.4, budget 8, radius 1, seed 0);
 - global-default: the same call with neither a subspace nor a radius, so
-  that estimate_subspace and default_radius run first.
+  that estimate_subspace and the response-matched scale of default_radius
+  run first.
 
 For save and the global steps the dataset is read from raw files and built
 before the step starts.

@@ -82,12 +82,12 @@ class GlobalConfig:
 
     A one-entry tau_list gives every component that fraction. plan_search
     resolves the rest for a run: delta = None sets the acceptance threshold
-    to default_delta(n) of the dataset, radius = None derives the candidate
-    sphere radius from the data as the 0.95 quantile of |y_i| / ||x_i||, and
-    the report flags both defaults; epsilon_net = None sets the net
-    granularity to 0.2 times the radius; slot j's starts come from the j-th
-    SeedSequence child of seed. The trimmed alternation inside the candidate
-    loop runs with ilts_max_rounds and ilts_tol.
+    to default_delta(n) of the dataset, radius = None moves each start to the
+    response-matched scale of default_radius, and the report flags both
+    defaults; epsilon_net = None sets the net granularity to 0.2 times the
+    radius; slot j's starts come from the j-th SeedSequence child of seed. The
+    trimmed alternation inside the candidate loop runs with ilts_max_rounds
+    and ilts_tol.
     """
 
     m: int
@@ -174,22 +174,29 @@ def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
     """Top-m right-singular basis of the moment rows y_i * x_i, which provenance
     "svd" names, taken as the top-m eigenvectors of their Gram
     sum_i y_i^2 x_i x_i^T (Yi, Caramanis & Sanghavi 2014). The Gram is summed
-    over blocks of ROW_BLOCK rows of X and y scaled by the powers of two that
-    bring max|X| and max|y| into [0.5, 1): exact, and it cannot overflow. It
-    squares the rows' condition number; measured bases differed from their
-    SVD's by at most 1.9e-13 per entry. Each column's largest-magnitude entry
-    is made positive.
+    over blocks of ROW_BLOCK moment rows scaled by the power of two that brings
+    max|y_i x_ij| into [0.5, 1): exact, and it neither overflows nor flushes
+    to zero. It squares the rows' condition number; measured bases differed
+    from their SVD's by at most 1.9e-13 per entry. Each column's
+    largest-magnitude entry is made positive.
     """
     if not 1 <= m <= min(dataset.n, dataset.d):
         raise ValueError(f"m = {m} must lie in [1, min(n, d) = {min(dataset.n, dataset.d)}]")
     check_integer(m, "m", 1)
-    # max|a| from max and min (np.abs would copy X); the -1022 floor keeps 2**-e finite.
+    # max|a| from max and min (np.abs would copy X); the -1022 floor keeps each scale finite.
     sx, sy = (2.0 ** -max(int(np.frexp(max(a.max(), -a.min()))[1]), -1022)
               for a in (dataset.X, dataset.y))
     gram, block = np.zeros((dataset.d, dataset.d)), np.empty((min(ROW_BLOCK, dataset.n), dataset.d))
+    peak, e = 0.0, 0
     for rows in row_blocks(dataset.n):
         moments = np.multiply(dataset.X[rows], sx, out=block[:dataset.n - rows.start])
         moments *= (dataset.y[rows] * sy)[:, None]
+        # Scaled by 2**-e, the largest |y_i x_ij| so far lies in [0.5, 1), so no square
+        # flushes to zero; the sum so far is rescaled whenever e moves.
+        peak = max(peak, moments.max(), -moments.min())
+        top = int(np.frexp(peak)[1])
+        gram, e = np.ldexp(gram, 2 * (e - top)), top
+        np.ldexp(moments, -e, out=moments)
         gram += moments.T @ moments
     if not np.any(gram):
         raise ValueError("all moment rows are zero (is y identically zero?)")
@@ -254,16 +261,30 @@ def generate_candidates(subspace: SubspaceEstimate, radius: float, epsilon: floa
     return radius * (z / norms) @ basis.T
 
 
-def default_radius(dataset: Dataset) -> float:
-    """0.95 quantile of |y_i| / ||x_i|| over rows with nonzero features."""
-    norms = np.concatenate([np.linalg.norm(dataset.X[r], axis=1) for r in row_blocks(dataset.n)])
-    mask = norms > 0
-    if not np.any(mask):
-        raise ValueError("all feature rows are zero")
-    value = float(np.quantile(np.abs(dataset.y[mask]) / norms[mask], 0.95))
-    if value <= 0:
-        raise ValueError("data-driven radius is zero (is y identically zero?)")
-    return value
+def default_radius(dataset: Dataset, subspace: SubspaceEstimate) -> tuple[float, np.ndarray]:
+    """(radius, L) of the response-matched starts in subspace's span: L L^T is the Gram of X B
+    scaled to trace m_tilde, and the start along the unit direction u = B w lies at radius /
+    ||L^T w|| = sqrt(sum y_i^2 / sum (x_i^T u)^2). Both sums run by blocks of ROW_BLOCK rows,
+    scaled by exact powers of two, so neither overflows nor flushes to zero."""
+    m_tilde = subspace.m_tilde
+    ex, ey = (int(np.frexp(max(a.max(), -a.min()))[1]) for a in (dataset.X, dataset.y))
+    gram, yy = np.zeros((m_tilde, m_tilde)), 0.0
+    for rows in row_blocks(dataset.n):
+        xb = np.ldexp(dataset.X[rows], -ex) @ subspace.basis
+        gram += xb.T @ xb
+        yy += float(np.square(np.ldexp(dataset.y[rows], -ey)).sum())
+    trace = float(np.trace(gram))
+    try:
+        factor = np.linalg.cholesky(gram * (m_tilde / trace))
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        raise ValueError("default_radius: X vanishes along a direction of the candidate span; "
+                         "give radius") from None
+    with np.errstate(over="ignore"):  # an overflow fails below, by name
+        radius = float(np.ldexp(math.sqrt(m_tilde * yy / trace), ey - ex))
+    if not 0 < radius < math.inf:
+        raise ValueError(f"default_radius: the response-matched radius is {radius} (y is zero, "
+                         "or out of a double's range from X); give radius")
+    return radius, factor
 
 
 def default_delta(n: int) -> float:
@@ -391,7 +412,7 @@ def plan_search(dataset: Dataset, config: GlobalConfig,
     """What a global run searches, as (settings, starts). settings holds
     radius and delta with their sources, GlobalConfig's defaults applied;
     starts(j) draws slot j's candidates from the slot's own SeedSequence
-    child, when the search reaches slot j."""
+    child when the search reaches slot j, at default_radius's scales if any."""
     if subspace is None:
         subspace = estimate_subspace(dataset, config.m)
     if subspace.d != dataset.d:
@@ -399,9 +420,9 @@ def plan_search(dataset: Dataset, config: GlobalConfig,
     if truth is not None and truth.theta_star.shape != (dataset.d, config.m):
         raise ValueError("truth shape does not match the configured m")
     if config.radius is None:
-        radius, radius_source = default_radius(dataset), "quantile-default"
+        (radius, factor), radius_source = default_radius(dataset, subspace), "response-matched"
     else:
-        radius, radius_source = config.radius, "user"
+        radius, factor, radius_source = config.radius, None, "user"
     epsilon = 0.2 * radius if config.epsilon_net is None else config.epsilon_net
     if config.delta is None:
         delta, delta_source = default_delta(dataset.n), "log-n-default"
@@ -410,8 +431,11 @@ def plan_search(dataset: Dataset, config: GlobalConfig,
     seeds = np.random.SeedSequence(config.seed).spawn(config.m)
 
     def starts(j):
-        return generate_candidates(subspace, radius, epsilon, config.candidate_budget,
-                                   int(seeds[j].generate_state(1)[0]))
+        drawn = generate_candidates(subspace, radius, epsilon, config.candidate_budget,
+                                    int(seeds[j].generate_state(1)[0]))
+        if factor is not None:  # start u to length radius / ||L^T w||, for w = B^T u / radius
+            drawn /= np.linalg.norm(drawn @ subspace.basis / radius @ factor, axis=1)[:, None]
+        return drawn
     return dict(radius=radius, radius_source=radius_source, delta=delta,
                 delta_source=delta_source), starts
 

@@ -13,9 +13,9 @@ _FLOOR_GUARD = 1e-9
 
 # Rows per block wherever a pass over the rows of X holds a temporary the width
 # of X: the response sum of generate_mlrc, the rows save_dataset formats at a
-# time, the moment Gram of estimate_subspace and the row norms of
-# default_radius. Each response, written row and row norm is computed alone,
-# so any size gives it the same bits; the Gram's sum depends on the size.
+# time, the moment Gram of estimate_subspace and the Gram of X B of
+# default_radius. Each response and written row is computed alone, so any
+# size gives it the same bits; the Grams' sums depend on the size.
 ROW_BLOCK = 4096
 
 

@@ -57,8 +57,11 @@ def reference_subspace(dataset, m):
     return SubspaceEstimate(basis=basis, provenance="svd")
 
 
-def reference_radius(dataset):
-    """default_radius with the row norms of the whole of X taken in one call."""
-    norms = np.linalg.norm(dataset.X, axis=1)
-    mask = norms > 0
-    return float(np.quantile(np.abs(dataset.y[mask]) / norms[mask], 0.95))
+def reference_radius(dataset, subspace):
+    """default_radius from the whole of X B in one product, unscaled: the radius
+    sqrt(m_tilde sum y_i^2 / trace((X B)^T X B)) and that Gram scaled to trace m_tilde."""
+    xb = dataset.X @ subspace.basis
+    gram = xb.T @ xb
+    trace = float(np.trace(gram))
+    m_tilde = subspace.m_tilde
+    return float(np.sqrt(m_tilde * (dataset.y @ dataset.y) / trace)), gram * (m_tilde / trace)

@@ -548,7 +548,8 @@ def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
     data, truth = generate(tmp_path)
     calls = []
     real = pipeline.default_radius
-    monkeypatch.setattr(pipeline, "default_radius", lambda ds: calls.append(1) or real(ds))
+    monkeypatch.setattr(pipeline, "default_radius",
+                        lambda ds, span: calls.append(1) or real(ds, span))
     prefix = tmp_path / "glob"
     assert main(["global", data, "--m", "2", "--tau", "0.35", "--budget", "400",
                  "--seed", "5", "--truth", truth, "--out-prefix", str(prefix)]) == 0
@@ -557,11 +558,12 @@ def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
     # then re-recorded when exact refits moved to the refined normal equations, and
     # the report's when it gained delta and delta_source, and both when candidates
     # were screened in blocks, and again when a start was tested the moment it
-    # finished and the candidates file lost its carried column.
+    # finished and the candidates file lost its carried column, and again when
+    # default starts moved to the response-matched scale.
     digests = [hashlib.sha256((tmp_path / f"glob.{suffix}").read_bytes()).hexdigest()
                for suffix in ("report.json", "candidates.csv")]
-    assert digests == ["b827ee5f2e3c2bde044a8b247b15dd3c7ee4eab5ef346a5be5fb25c6d7c2cf96",
-                       "0e42779a118c872b3ab58e6ac51af4121da44f0d80846e12d6aa5e1481277628"]
+    assert digests == ["6f306607fc9f857335f7bbf51432b03f9fb913d73a1b7c44e307ae33d01444a3",
+                       "6aa2be3899a66e81dd75888a22e34824fa44ca6b0924da2b0b96d17cb51781b2"]
 
 
 def test_fit_on_header_only_csv_names_the_file(tmp_path, capsys):
@@ -617,7 +619,9 @@ def test_every_output_file_is_pinned(tmp_path):
     # start 1 instead of start 0. They were re-recorded when a start was tested the
     # moment it finished and the carried column went: slot 1's start 0 converges
     # within the screening rounds and claims the slot alone, so that slot has 1
-    # row, not 8; the partial run's report kept its bytes.
+    # row, not 8; the partial run's report kept its bytes. The global reports were
+    # re-recorded when default starts moved to the response-matched scale: radius
+    # and radius_source changed, and slot 0's start 1 claims after 5 rounds, not 6.
     assert digests == {
         "truth.json": "147ac25b3ddb567c3173886f6d7da8ed7bfd0d4b8c2ef150ee6267bd626a4348",
         "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
@@ -629,10 +633,10 @@ def test_every_output_file_is_pinned(tmp_path):
             "2435d3b0ee120abcd006954941c4197fccb6549c04fdb427a297afcc31e39d55",
         "fit-no-truth.trace.csv":
             "aa324d472d661cd236badb8cdf36257a538372c85af0bd57c8ac3783e7b0b3ef",
-        "global.report.json": "b827ee5f2e3c2bde044a8b247b15dd3c7ee4eab5ef346a5be5fb25c6d7c2cf96",
+        "global.report.json": "6f306607fc9f857335f7bbf51432b03f9fb913d73a1b7c44e307ae33d01444a3",
         "global.candidates.csv":
-            "0e42779a118c872b3ab58e6ac51af4121da44f0d80846e12d6aa5e1481277628",
-        "partial.report.json": "fa0257ba6114d85773824f24db73bc9640074c5df5eaf1e4a0c2ab409c84c04d",
+            "6aa2be3899a66e81dd75888a22e34824fa44ca6b0924da2b0b96d17cb51781b2",
+        "partial.report.json": "98ba9a427483e56aa2783fcf9f084a51138dedac2fc28762611b7c9eda14bd4d",
         "partial.candidates.csv":
             "5c0fb1b6c7a1a8f45ded529972bbff8382fca9e1b9ae50775da3ec63562cd786",
         "diag.json": "7b8884d1c97f7958ef2194c0d46fc8c75f03fbbd00bedcbe4a579b448284dd62",
@@ -678,11 +682,12 @@ THREE_COMPONENT_MODEL = dict(GEN_CONFIG["model"], m=3, weights=[0.5, 0.3, 0.2],
     # finishes and fails, the other three run on, and start 2 claims the slot after
     # 16 rounds, as the sequential reference does; ranking every start after the
     # screening rounds left start 2 last and the slot unrecovered. Re-recorded when
-    # that rule came in.
+    # that rule came in, and when default starts moved to the response-matched scale:
+    # repeat 2 tries 9 starts, not 10, and repeats 0-2 end at other rounding-level errors.
     (THREE_COMPONENT_MODEL,
      {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18], "candidate_budget": 4},
-     ("08b8385e5689a970fcaef0d2bfbb20d4485e01a35159dd669a18e5cacca4a7ce",
-      "6285522b390f644274c88f6a1aa061820f72f8ad80328f6a11c65e046b2b23a3")),
+     ("fdc664e2488f66bab964c820fdc198eb811625df3635e9751f2324c484dc0f78",
+      "2308dc5b2c0c180f0715350d2d73f1101d7ae22cde3321e9ad027d55b0e85419")),
 ], ids=["ilts", "global"])
 def test_experiment_outputs_are_pinned(tmp_path, model, solver, digests):
     exp = {"version": 1, "name": "exp", "model": model, "corruption": GEN_CONFIG["corruption"],

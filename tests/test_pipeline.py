@@ -146,6 +146,9 @@ SUBSPACE_FAMILIES = {
     # Moment Gram diag(1, 1, 0.25, 0): the top two tie, so only their span is defined.
     "tied": lambda: (Dataset(X=np.diag([1.0, 1.0, 0.5, 0.0])[:3], y=np.ones(3)), 2, 1.0),
     **{f"scale-{s:g}": lambda s=s: scaled_instance(s) for s in (1e-160, 1e140, 1e160, 1e300)},
+    # Each moment row is 1e-200, though max|X| and max|y| are 1.
+    "underflow": lambda: (Dataset(X=np.array([[1.0], [1e-200]]), y=np.array([1e-200, 1.0])),
+                          1, 1.0),
 }
 
 
@@ -157,7 +160,7 @@ def test_estimate_subspace_matches_the_svd_of_the_moment_rows(family):
     assert est.provenance == "svd"
     # Eigenvalues of the moment Gram relative to the largest, the last padded with 0.
     sv = np.linalg.svd(ds.X * ds.y[:, None], compute_uv=False)
-    eig = np.append(sv ** 2, 0.0) / sv[0] ** 2
+    eig = np.append(sv / sv[0], 0.0) ** 2
     if np.min(-np.diff(eig[:m + 1])) > 1e-3:
         assert np.max(np.abs(est.basis - reference.basis)) <= 1e-12
     else:
@@ -207,23 +210,92 @@ def test_candidates_one_dimensional_span_poles():
 
 @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5])
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
-def test_default_radius_by_blocks_is_bit_equal_to_the_whole_matrix_norm(n, scale):
-    # d = 13 takes numpy's unrolled pairwise sum, where a change of iteration order would show.
+def test_default_radius_by_blocks_matches_the_whole_matrix_gram(n, scale):
     rng = np.random.default_rng(n)
     for d in (1, 13, 50, 120):
         X = rng.standard_normal((n, d)) * scale
-        X[::97] = 0.0  # rows left out of the quantile
+        X[::97] = 0.0  # zero rows add nothing to either sum
         ds = Dataset(X=X, y=rng.standard_normal(n))
-        assert default_radius(ds).hex() == reference_radius(ds).hex()
+        for m_tilde in sorted({1, min(d, 3)}):
+            basis = np.linalg.qr(rng.standard_normal((d, m_tilde)))[0]
+            span = SubspaceEstimate(basis=basis, provenance="external")
+            (radius, factor), (ref_radius, ref_gram) = (
+                f(ds, span) for f in (default_radius, reference_radius))
+            assert radius == pytest.approx(ref_radius, rel=1e-13)
+            assert np.allclose(factor @ factor.T, ref_gram, rtol=0, atol=1e-13 * m_tilde)
 
 
-def test_default_radius_quantile():
+def test_default_radius_is_the_ratio_of_the_responses_rms_to_the_features():
     X = np.ones((100, 1))
     y = np.arange(1.0, 101.0)
-    ds = Dataset(X=X, y=y)
-    assert default_radius(ds) == pytest.approx(np.quantile(y, 0.95))
-    with pytest.raises(ValueError, match="zero"):
-        default_radius(Dataset(X=np.ones((3, 1)), y=np.zeros(3)))
+    span = SubspaceEstimate(basis=np.ones((1, 1)), provenance="external")
+    radius, factor = default_radius(Dataset(X=X, y=y), span)
+    assert radius == pytest.approx(math.sqrt(np.mean(y ** 2)), rel=1e-15)
+    assert factor.tolist() == [[1.0]]
+    with pytest.raises(ValueError, match=r"^default_radius: the response-matched radius is 0\.0 "
+                                         r"\(y is zero, or out of a double's range from X\); "
+                                         r"give radius$"):
+        default_radius(Dataset(X=np.ones((3, 1)), y=np.zeros(3)), span)
+    with pytest.raises(ValueError, match=r"^default_radius: the response-matched radius is inf "):
+        default_radius(Dataset(X=np.full((3, 1), 1e-300), y=np.full(3, 1e300)), span)
+
+
+def response_matched_starts(ds, m, subspace=None):
+    """Every slot's starts of a default-radius global run on ds."""
+    config = GlobalConfig(m=m, tau_list=(1 / m,), candidate_budget=40, epsilon_net=0.5, seed=3)
+    settings, starts = pipeline.plan_search(ds, config, subspace)
+    assert settings["radius_source"] == "response-matched"
+    return settings["radius"], np.vstack([starts(j) for j in range(m)])
+
+
+@pytest.mark.parametrize("family", ["sweep-stress", "anisotropic"])
+def test_every_default_start_predicts_the_responses_mean_square(family):
+    ds, m = SUBSPACE_FAMILIES[family]()[:2]
+    _, starts = response_matched_starts(ds, m)
+    assert starts.shape == (m * 40, ds.d)
+    predicted = np.sum(np.square(ds.X @ starts.T), axis=0)
+    assert np.max(np.abs(predicted / (ds.y @ ds.y) - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_default_starts_survive_extreme_magnitudes(scale):
+    # X B and y at 1e160 square to 1e320, which overflows, and at 1e-160 to 1e-320, a
+    # subnormal; summed after scaling by powers of two, neither moves the starts.
+    ds, m = SUBSPACE_FAMILIES["sweep-stress"]()[:2]
+    span = estimate_subspace(ds, m)
+    radius, starts = response_matched_starts(ds, m, span)
+    scaled = response_matched_starts(Dataset(X=ds.X * scale, y=ds.y * scale), m, span)
+    assert scaled[0] == pytest.approx(radius, rel=1e-13)
+    assert np.allclose(scaled[1], starts, rtol=0, atol=1e-13 * radius)
+
+
+def test_a_user_radius_keeps_the_drawn_starts():
+    ds, config, _ = SCREENING_CASES["end-to-end"]()
+    span = estimate_subspace(ds, config.m)
+    settings, starts = pipeline.plan_search(ds, config, span)
+    assert (settings["radius"], settings["radius_source"]) == (1.0, "user")
+    seeds = np.random.SeedSequence(config.seed).spawn(config.m)
+    for j in range(config.m):
+        drawn = generate_candidates(span, 1.0, config.epsilon_net, config.candidate_budget,
+                                    int(seeds[j].generate_state(1)[0]))
+        assert starts(j).tobytes() == drawn.tobytes()
+
+
+@pytest.mark.parametrize("columns", [[2], [1, 2], [0, 2]])
+def test_a_span_where_the_features_vanish_fails_by_name(columns):
+    # Column 2 of X is zero: the span of e2 is orthogonal to every row, and e1, e2
+    # or e0, e2 hold a direction with no predictions, which no scale can match.
+    X = np.random.default_rng(4).standard_normal((50, 3))
+    X[:, 2] = 0.0
+    ds = Dataset(X=X, y=X[:, 0])
+    span = SubspaceEstimate(basis=np.eye(3)[:, columns], provenance="external")
+    config = GlobalConfig(m=len(columns), tau_list=(0.5,), candidate_budget=4, seed=0)
+    with pytest.raises(ValueError, match="^default_radius: X vanishes along a direction of the "
+                                         "candidate span; give radius$"):
+        global_ilts(ds, config, span)
+    # The estimated span of three components holds e2 too.
+    with pytest.raises(ValueError, match="^default_radius: X vanishes"):
+        global_ilts(ds, GlobalConfig(m=3, tau_list=(0.3,), candidate_budget=4, seed=0))
 
 
 def test_accept_component_threshold_exact():
@@ -591,7 +663,7 @@ def test_global_default_radius_flagged():
     cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.3), delta=1e-5,
                        candidate_budget=500, epsilon_net=0.2, seed=4)
     report = global_ilts(ds, cfg)
-    assert report.radius_source == "quantile-default"
+    assert report.radius_source == "response-matched"
     assert report.radius > 0
 
 
