@@ -37,6 +37,9 @@ EXACT_SUBSET_BUDGET = 2_000_000
 # multiply it by this documented safety factor.
 PSI_PLUS_INFLATION = 2.0
 
+# contraction_bound_trace skips rounds within DIST_FLOOR * (1 + ||theta_j||) of theta_j.
+DIST_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class RegularityEstimate:
@@ -155,16 +158,45 @@ def _pair_value(in_proj: np.ndarray, out_proj: np.ndarray, slack: int) -> int:
     return int(np.argmax(~ok))
 
 
+def _unit(rows: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("zero direction vector")
+    return rows / norms
+
+
+def _split(X: np.ndarray, partition: np.ndarray, tau_j, j: int):
+    """(X_in, X_out, slack): the rows of component j, the other rows, and the
+    slack ceil((tau_star_j - tau_j) * n) for the kept fraction tau_j."""
+    n = X.shape[0]
+    mask = partition == j
+    n_j = int(np.count_nonzero(mask))
+    if n_j == 0:
+        raise ValueError(f"component {j} has no samples")
+    if n_j == n:
+        raise ValueError("every sample belongs to component j; no outside rows")
+    tau_star_j = n_j / n
+    if not 0 < tau_j < tau_star_j:
+        raise ValueError(f"tau[{j}] = {tau_j} must lie in (0, {tau_star_j})")
+    return X[mask], X[~mask], ceil_count((tau_star_j - float(tau_j)) * n)
+
+
+def _affine_count(X_in: np.ndarray, X_out: np.ndarray, v_in: np.ndarray, v_out: np.ndarray,
+                  slack: int) -> int:
+    """Largest _pair_value over the direction pairs (v_in[i], v_out[i])."""
+    in_proj = np.abs(X_in @ v_in.T)
+    out_proj = np.abs(X_out @ v_out.T)
+    return max(_pair_value(in_proj[:, col], out_proj[:, col], slack)
+               for col in range(v_in.shape[0]))
+
+
 def affine_error_estimate(X: np.ndarray, partition: np.ndarray, tau, j: int,
-                          delta: float, directions: int, seed: int,
-                          extra_pairs=None) -> AffineErrorEstimate:
+                          delta: float, directions: int, seed: int) -> AffineErrorEstimate:
     """Sampled affine-error count for component j at norm ratio delta.
 
     Directions are drawn uniformly; each pair scales the in-component
     direction to norm delta and the out-of-component direction to norm 1.
-    extra_pairs supplies additional (in_direction, out_direction) pairs that
-    are rescaled the same way, letting callers probe informed directions.
-    The reported value is the maximum over the pool, a lower bound on the
+    The reported value is the maximum over the pairs, a lower bound on the
     direction-free quantity, and is nondecreasing in delta on a fixed seed.
     """
     X = np.asarray(X, dtype=float)
@@ -180,42 +212,11 @@ def affine_error_estimate(X: np.ndarray, partition: np.ndarray, tau, j: int,
     if not 0 <= j < tau.size:
         raise ValueError(f"j = {j} must lie in [0, {tau.size})")
     check_integer(j, "j", 0)
-    mask = partition == j
-    n_j = int(np.count_nonzero(mask))
-    if n_j == 0:
-        raise ValueError(f"component {j} has no samples")
-    if n_j == n:
-        raise ValueError("every sample belongs to component j; no outside rows")
-    tau_star_j = n_j / n
-    if not 0 < tau[j] < tau_star_j:
-        raise ValueError(f"tau[{j}] = {tau[j]} must lie in (0, {tau_star_j})")
-    slack = ceil_count((tau_star_j - float(tau[j])) * n)
-
-    X_in = X[mask]
-    X_out = X[~mask]
-    rng = np.random.default_rng(seed)
-
-    def unit(rows: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise ValueError("zero direction vector")
-        return rows / norms
-
-    v_in = delta * unit(rng.standard_normal((directions, d)))
-    v_out = unit(rng.standard_normal((directions, d)))
-    if extra_pairs:
-        extra_in = delta * unit(np.array([p[0] for p in extra_pairs], dtype=float))
-        extra_out = unit(np.array([p[1] for p in extra_pairs], dtype=float))
-        v_in = np.vstack([v_in, extra_in])
-        v_out = np.vstack([v_out, extra_out])
-
-    in_proj = np.abs(X_in @ v_in.T)
-    out_proj = np.abs(X_out @ v_out.T)
-    best = 0
-    for col in range(v_in.shape[0]):
-        best = max(best, _pair_value(in_proj[:, col], out_proj[:, col], slack))
-    return AffineErrorEstimate(delta=float(delta), j=j, value=best,
-                               directions=v_in.shape[0], mode="sampled")
+    X_in, X_out, slack = _split(X, partition, tau[j], j)
+    v_in, v_out = np.random.default_rng(seed).standard_normal((2, directions, d))
+    value = _affine_count(X_in, X_out, delta * _unit(v_in), _unit(v_out), slack)
+    return AffineErrorEstimate(delta=float(delta), j=j, value=value,
+                               directions=int(directions), mode="sampled")
 
 
 def contraction_bound(psi_plus_value: float, psi_minus_value: float) -> float:
@@ -241,16 +242,16 @@ def _psi_plus_at(X: np.ndarray, count: int, trials: int, seed: int) -> float:
 
 def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverTrace,
                             j: int, tau: float, seed: int = 0, directions: int = 64,
-                            trials: int = 200, dist_floor: float = 1e-9) -> list[dict]:
+                            trials: int = 200) -> list[dict]:
     """Compare observed per-round contraction against the assembled bound.
 
     For each usable round t the observed ratio dist_{t+1}/dist_t toward
     component j is paired with the factor
     2 * psi_plus(min(n, V + corrupted_count)) / psi_minus(floor(tau * n)),
     where V is the sampled affine-error count at
-    delta_t = 2 * dist_t / (Q_j * ||theta_j||), probed with informed
-    directions toward the other components. Rounds with
-    dist_t < dist_floor * (1 + ||theta_j||) are skipped: near floating-point
+    delta_t = 2 * dist_t / (Q_j * ||theta_j||) over the clean rows, probed
+    with informed directions toward the other components. Rounds with
+    dist_t < DIST_FLOOR * (1 + ||theta_j||) are skipped: near floating-point
     convergence the observed ratio measures round-off, not contraction.
     in_region records whether delta_t <= 1; outside that range the bound is
     evaluated at delta = 1 and is not meaningful.
@@ -262,7 +263,7 @@ def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverT
     scale = float(np.linalg.norm(theta_j))
     if scale == 0:
         raise ValueError("component j has zero norm")
-    n = dataset.n
+    n, d = dataset.n, dataset.d
     k = floor_count(tau * n)
     n_bad = int(np.count_nonzero(truth.corrupted))
     dists = np.linalg.norm(trace.iterates - theta_j, axis=1)
@@ -278,17 +279,13 @@ def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverT
         q_j = None
 
     clean = ~truth.corrupted
-    X_clean = dataset.X[clean]
-    part_clean = truth.partition[clean]
-    n_clean = X_clean.shape[0]
-    # Fractions handed to the affine-error scan are rescaled so the slack
-    # term ceil((tau_star_j - tau_j) * n) is computed against the full n
-    # even though corrupted rows are excluded from the projections.
-    tau_adj = np.zeros(truth.m)
-    tau_adj[j] = tau * n / n_clean
+    # The scan takes the clean rows only. As a fraction of them, tau * n / n_clean puts
+    # the slack ceil((tau_star_j - tau_j) * n_clean) at n_j - tau * n rows, as over all n.
+    tau_clean = tau * n / (n - n_bad)
+    split = None
 
     records = []
-    floor = dist_floor * (1.0 + scale)
+    floor = DIST_FLOOR * (1.0 + scale)
     for t in range(len(dists) - 1):
         if dists[t] < max(floor, 1e-14):
             continue
@@ -300,15 +297,21 @@ def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverT
         else:
             delta_t = 2.0 * float(dists[t]) / (q_j * scale)
             in_region = delta_t <= 1.0
+            delta = min(delta_t, 1.0)
+            if not 0 < delta <= 1:
+                raise ValueError("delta must lie in (0, 1]")
+            if split is None:  # split at the first round scanned: a trace with none never fails
+                check_integer(directions, "directions", 1)
+                split = _split(dataset.X[clean], truth.partition[clean], tau_clean, j)
+            # Under the sampled pairs go the informed ones: theta_t toward theta_j, against
+            # theta_t toward each other component.
             theta_t = trace.iterates[t]
-            pairs = [(theta_j - theta_t, truth.theta_star[:, l] - theta_t)
-                     for l in range(truth.m) if l != j
-                     and np.linalg.norm(truth.theta_star[:, l] - theta_t) > 0
-                     and np.linalg.norm(theta_j - theta_t) > 0]
-            est = affine_error_estimate(X_clean, part_clean, tau_adj, j,
-                                        min(delta_t, 1.0), directions, seed + t,
-                                        extra_pairs=pairs)
-            v_count = est.value
+            toward = [truth.theta_star[:, l] - theta_t for l in range(truth.m)
+                      if l != j and np.linalg.norm(truth.theta_star[:, l] - theta_t) > 0]
+            v_in, v_out = np.random.default_rng(seed + t).standard_normal((2, directions, d))
+            v_in = delta * _unit(np.vstack([v_in] + [theta_j - theta_t] * len(toward)))
+            X_in, X_out, slack = split
+            v_count = _affine_count(X_in, X_out, v_in, _unit(np.vstack([v_out] + toward)), slack)
         count = min(n, v_count + n_bad)
         psi_plus = _psi_plus_at(dataset.X, count, trials, seed + 7919 + t)
         records.append({

@@ -86,15 +86,15 @@ def stopping_steps(lam: float, w: float, c_u: float = 1.0) -> int:
     return max(1, math.ceil(steps))
 
 
-def largest_curvature(gram: np.ndarray, iterations: int = POWER_ITERATIONS) -> float:
-    """Power-iteration estimate of the top eigenvalue of a mean Gram matrix G."""
-    check_integer(iterations, "iterations", 1)
+def largest_curvature(gram: np.ndarray) -> float:
+    """Estimate of the top eigenvalue of a mean Gram matrix G by POWER_ITERATIONS
+    steps of power iteration."""
     # Dividing G v by a power of two near G's largest entry is exact, and keeps its
     # norm from overflowing while G is finite.
     scale = math.ldexp(1.0, int(np.frexp(np.abs(gram).max())[1]) - 1)
     v = np.ones(gram.shape[0]) / math.sqrt(gram.shape[0])
     est = 0.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         w = gram @ v / scale
         est = float(np.linalg.norm(w))
         # v has no zero entry, so an inf or NaN anywhere in G shows here at once.

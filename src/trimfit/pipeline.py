@@ -37,9 +37,9 @@ _COMPARE_TOL = 1e-8
 # continuation is bit-identical to one uninterrupted run, since each round builds
 # its system afresh. On the ROADMAP stress recipe, seeds 0-9, screening recovered
 # every slot the sequential search did with 51-58% fewer rounds, in 1.8-2.8x less
-# time; on the bench `sweep` reject call it runs 452 rounds per pass where the
-# sequential search ran 719. The table is in ROADMAP, under "Measurements",
-# "Candidate screening".
+# time; on the bench `sweep` reject call, seeds 0-2, it runs 398, 405 and 377 rounds
+# per pass where the sequential search runs 672, 683 and 643. The table is in
+# ROADMAP, under "Measurements", "Candidate screening".
 SCREEN_BLOCK = 8
 SCREEN_ROUNDS = 2
 SCREEN_KEEP = 3
@@ -175,28 +175,31 @@ def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
     "svd" names, taken as the top-m eigenvectors of their Gram
     sum_i y_i^2 x_i x_i^T (Yi, Caramanis & Sanghavi 2014). The Gram is summed
     over blocks of ROW_BLOCK moment rows scaled by the power of two that brings
-    max|y_i x_ij| into [0.5, 1): exact, and it neither overflows nor flushes
-    to zero. It squares the rows' condition number; measured bases differed
-    from their SVD's by at most 1.9e-13 per entry. Each column's
-    largest-magnitude entry is made positive.
+    max|y_i x_ij| into [0.5, 1), found from each row's exponents: exact, and it
+    neither overflows nor flushes to zero. It squares the rows' condition
+    number; measured bases differed from their SVD's by at most 1.9e-13 per
+    entry. Each column's largest-magnitude entry is made positive.
     """
     if not 1 <= m <= min(dataset.n, dataset.d):
         raise ValueError(f"m = {m} must lie in [1, min(n, d) = {min(dataset.n, dataset.d)}]")
     check_integer(m, "m", 1)
-    # max|a| from max and min (np.abs would copy X); the -1022 floor keeps each scale finite.
-    sx, sy = (2.0 ** -max(int(np.frexp(max(a.max(), -a.min()))[1]), -1022)
-              for a in (dataset.X, dataset.y))
     gram, block = np.zeros((dataset.d, dataset.d)), np.empty((min(ROW_BLOCK, dataset.n), dataset.d))
-    peak, e = 0.0, 0
+    e = -(1 << 16)  # below the exponent of any nonzero moment
     for rows in row_blocks(dataset.n):
-        moments = np.multiply(dataset.X[rows], sx, out=block[:dataset.n - rows.start])
-        moments *= (dataset.y[rows] * sy)[:, None]
-        # Scaled by 2**-e, the largest |y_i x_ij| so far lies in [0.5, 1), so no square
-        # flushes to zero; the sum so far is rescaled whenever e moves.
-        peak = max(peak, moments.max(), -moments.min())
-        top = int(np.frexp(peak)[1])
+        X, moments = dataset.X[rows], block[:dataset.n - rows.start]
+        # max_j |x_ij| by one reduceat: a max along axis 1 takes 2-3x as long on short rows.
+        absx = np.abs(X, out=moments).ravel()
+        fx, ex = np.frexp(np.maximum.reduceat(absx, np.arange(0, absx.size, dataset.d)))
+        fy, ey = np.frexp(dataset.y[rows])
+        # Row i's largest |y_i x_ij| is fm * 2**(ex + ey + em) exactly, and zero where fm is.
+        # Scaled by 2**-e, the largest so far lies in [0.5, 1), so no square flushes to
+        # zero; the sum so far is rescaled whenever e moves.
+        fm, em = np.frexp(fx * fy)
+        top = int(np.max(ex + ey + em, initial=e, where=fm != 0))
         gram, e = np.ldexp(gram, 2 * (e - top)), top
-        np.ldexp(moments, -e, out=moments)
+        # x_ij 2**(ey - e) is at most 2 in a nonzero row; a zero row takes no scale.
+        np.ldexp(X, np.where(fm != 0, ey - e, 0)[:, None], out=moments)
+        moments *= fy[:, None]
         gram += moments.T @ moments
     if not np.any(gram):
         raise ValueError("all moment rows are zero (is y identically zero?)")
@@ -297,24 +300,17 @@ def default_delta(n: int) -> float:
     return value
 
 
-def accept_component(dataset: Dataset, theta: np.ndarray, tau_j: float, delta: float,
-                     min_count: int | None = None):
+def accept_component(dataset: Dataset, theta: np.ndarray, delta: float, need: int):
     """Threshold acceptance test.
 
     Returns (accepted, support) where support holds every index with squared
     residual strictly below delta**2 and accepted is True when the support
-    reaches floor(tau_j * n), or min_count when supplied; a count below 1
-    is rejected, since it would accept an empty support.
+    holds at least need rows; need must be at least 1, since 0 would accept
+    an empty support.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    if not 0 < tau_j <= 1:
-        raise ValueError("tau_j must lie in (0, 1]")
-    if min_count is not None:
-        check_integer(min_count, "min_count", 1)
-    need = floor_count(tau_j * dataset.n) if min_count is None else min_count
-    if need < 1:
-        raise ValueError(f"floor(tau_j * n) = {need}; an empty support would be accepted")
+    check_integer(need, "need", 1)
     theta = np.asarray(theta, dtype=float)
     check_finite(theta, "theta")
     res2 = np.square(dataset.y - dataset.X @ theta)
@@ -486,7 +482,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
         tau_j = config.tau_list[j]
         if floor_count(tau_j * working.size) < d:
             continue  # not enough rows left to fit this slot
-        min_count = floor_count(tau_j * n)
+        need = floor_count(tau_j * n)
         candidates = starts(j)
         if working.size == n:
             sub = dataset
@@ -515,8 +511,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
                     if not trace.converged and rounds < inner.max_rounds:
                         last[c_idx] = trace.final, rounds, trace.trimmed_losses[-1]
                         continue
-                    ok, support = accept_component(sub, trace.final, tau_j, delta,
-                                                   min_count=min_count)
+                    ok, support = accept_component(sub, trace.final, delta, need)
                     rows.append((j, c_idx, rounds, bool(ok), int(support.size)))
                     if ok:
                         claim = trace.final, support
@@ -528,7 +523,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
                 running = sorted(alive[i] for i in np.argsort(losses, kind="stable")[:keep])
             # A start left unfinished, screened out or behind the claim, ends where it stopped.
             for c_idx, (theta, rounds, _) in last.items():
-                _, support = accept_component(sub, theta, tau_j, delta, min_count=min_count)
+                _, support = accept_component(sub, theta, delta, need)
                 rows.append((j, c_idx, rounds, False, int(support.size)))
             outcomes.extend(sorted(rows))
             if claim is not None:

@@ -35,8 +35,8 @@ def reference_global(dataset, config, subspace=None, truth=None):
             except RankDeficientError:
                 outcomes.append((j, c_idx, 0, False, 0))
                 continue
-            ok, support = accept_component(sub, trace.final, tau_j, settings["delta"],
-                                           min_count=floor_count(tau_j * n))
+            ok, support = accept_component(sub, trace.final, settings["delta"],
+                                           floor_count(tau_j * n))
             outcomes.append((j, c_idx, trace.rounds_used, bool(ok), int(support.size)))
             if ok:
                 theta_hat[:, j] = trace.final

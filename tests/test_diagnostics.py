@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trimfit.diagnostics import (EXACT_SUBSET_BUDGET, _pair_value,
+from trimfit.diagnostics import (EXACT_SUBSET_BUDGET, _affine_count, _pair_value,
                                  affine_error_estimate, contraction_bound,
                                  contraction_bound_trace,
                                  feature_regularity_exact,
@@ -112,13 +112,18 @@ def test_affine_error_grows_with_tau():
 
 
 def test_affine_error_informed_pairs_only_help():
+    # The count is the best over the pairs, so a pair stacked under the sampled ones
+    # (as contraction_bound_trace stacks its informed pairs) can only raise it.
     X, partition = affine_fixture()
-    base = affine_error_estimate(X, partition, [0.4, 0.4], 0, 0.3, 32, seed=2)
-    probe = [(np.ones(3), -np.ones(3))]
-    boosted = affine_error_estimate(X, partition, [0.4, 0.4], 0, 0.3, 32, seed=2,
-                                    extra_pairs=probe)
-    assert boosted.value >= base.value
-    assert boosted.directions == base.directions + 1
+    X_in, X_out = X[partition == 0], X[partition == 1]
+    rng = np.random.default_rng(2)
+    v_in, v_out = 0.3 * rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
+    probe_in = np.ones((1, 3)) / math.sqrt(3)
+    probe_out = -probe_in
+    base = _affine_count(X_in, X_out, v_in, v_out, 40)
+    boosted = _affine_count(X_in, X_out, np.vstack([v_in, probe_in]),
+                            np.vstack([v_out, probe_out]), 40)
+    assert boosted == max(base, _affine_count(X_in, X_out, probe_in, probe_out, 40)) > base
 
 
 def test_affine_error_validation():

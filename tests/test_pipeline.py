@@ -17,7 +17,7 @@ from trimfit import pipeline
 from trimfit.cli import _experiment_setup, report_to_dict
 from trimfit.diagnostics import (affine_error_estimate, contraction_bound_trace,
                                  feature_regularity_exact, feature_regularity_sampled)
-from trimfit.gd import GdConfig, gd_inner_loop, largest_curvature
+from trimfit.gd import GdConfig, gd_inner_loop
 from trimfit.ilts import IltsConfig, contraction_ratio, ilts_run, select_trimmed_set
 from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
 from trimfit.pipeline import (SCREEN_BLOCK, SCREEN_KEEP, SCREEN_ROUNDS, GlobalConfig,
@@ -149,6 +149,10 @@ SUBSPACE_FAMILIES = {
     # Each moment row is 1e-200, though max|X| and max|y| are 1.
     "underflow": lambda: (Dataset(X=np.array([[1.0], [1e-200]]), y=np.array([1e-200, 1.0])),
                           1, 1.0),
+    # Moment rows (2, 0) and (0, 1) from entries at 1e300 and 1e-300: scaled by max|X|
+    # and max|y| instead of row by row, both would flush to zero.
+    "row-scales": lambda: (Dataset(X=np.array([[1e300, 0.0], [0.0, 1e-300]]),
+                                   y=np.array([2e-300, 1e300])), 1, 1.0),
 }
 
 
@@ -166,6 +170,28 @@ def test_estimate_subspace_matches_the_svd_of_the_moment_rows(family):
     else:
         assert eig[m - 1] - eig[m] > 1e-3
         assert subspace_distance(est, reference.basis) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_span_and_radius_follow_a_power_of_two_scaling_exactly(k):
+    # Scaling X or y by 2**k is exact, so the basis and the factor keep every bit and the
+    # radius moves by exactly 2**-k with X, 2**k with y. The rows of block b are scaled by
+    # 2**(4 b), so the running scale of the moment Gram moves at every block.
+    rng = np.random.default_rng(0)
+    spec = MixtureSpec(d=20, m=5, components=list(rng.standard_normal((5, 20))),
+                       weights=[0.2] * 5)
+    ds = generate_mlrc(spec, CorruptionSpec(0.05, "oblivious-random", 2.0),
+                       n=2 * ROW_BLOCK + 5, seed=0)[0]
+    ds = Dataset(X=np.ldexp(ds.X, 4 * (np.arange(ds.n) // ROW_BLOCK)[:, None]), y=ds.y)
+    span = estimate_subspace(ds, 5)
+    radius, factor = default_radius(ds, span)
+    for scaled, shift in ((Dataset(X=np.ldexp(ds.X, k), y=ds.y), -k),
+                          (Dataset(X=ds.X, y=np.ldexp(ds.y, k)), k)):
+        est = estimate_subspace(scaled, 5)
+        assert est.basis.tobytes() == span.basis.tobytes()
+        scaled_radius, scaled_factor = default_radius(scaled, est)
+        assert scaled_radius == math.ldexp(radius, shift)
+        assert scaled_factor.tobytes() == factor.tobytes()
 
 
 def test_estimate_subspace_rejects_zero_response():
@@ -302,20 +328,17 @@ def test_accept_component_threshold_exact():
     ds = Dataset(X=np.eye(3), y=np.array([0.1, 0.2, 0.3]))
     theta = np.zeros(3)
     # strict inequality: residual 0.2 does not pass delta = 0.2
-    ok, support = accept_component(ds, theta, tau_j=1 / 3, delta=0.2)
+    ok, support = accept_component(ds, theta, delta=0.2, need=1)
     assert ok and list(support) == [0]
-    ok, support = accept_component(ds, theta, tau_j=1 / 3, delta=0.2, min_count=2)
+    ok, support = accept_component(ds, theta, delta=0.2, need=2)
     assert not ok
-    ok, support = accept_component(ds, theta, tau_j=1.0, delta=0.31)
+    ok, support = accept_component(ds, theta, delta=0.31, need=3)
     assert ok and list(support) == [0, 1, 2]
     # A count below 1 would accept an empty support, so it fails by name.
-    five = Dataset(X=np.eye(5), y=np.ones(5))
-    with pytest.raises(ValueError, match=re.escape("floor(tau_j * n) = 0;")):
-        accept_component(five, np.zeros(5), tau_j=0.1, delta=1e-3)
-    for min_count, message in ((0, "at least 1"), (-1, "at least 1"),
-                               (2.5, "an integer, got 2.5"), (True, "an integer, got True")):
-        with pytest.raises(ValueError, match=f"^min_count must be {message}$"):
-            accept_component(ds, theta, tau_j=1 / 3, delta=0.2, min_count=min_count)
+    for need, message in ((0, "at least 1"), (-1, "at least 1"),
+                          (2.5, "an integer, got 2.5"), (True, "an integer, got True")):
+        with pytest.raises(ValueError, match=f"^need must be {message}$"):
+            accept_component(ds, theta, delta=0.2, need=need)
 
 
 def test_epsilon_recovery_permutation_invariant():
@@ -629,8 +652,8 @@ def test_default_delta_on_one_sample_asks_for_delta():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda ds, est: accept_component(ds, np.zeros(3), 0.5, math.nan), "delta"),
-    (lambda ds, est: accept_component(ds, np.zeros(3), 0.5, math.inf), "delta"),
+    (lambda ds, est: accept_component(ds, np.zeros(3), math.nan, 1), "delta"),
+    (lambda ds, est: accept_component(ds, np.zeros(3), math.inf, 1), "delta"),
     (lambda ds, est: generate_candidates(est, math.nan, 0.1, 10, 0), "radius"),
     (lambda ds, est: generate_candidates(est, math.inf, 0.1, 10, 0), "radius"),
     (lambda ds, est: generate_candidates(est, 1.0, math.nan, 10, 0), "epsilon"),
@@ -710,7 +733,6 @@ def small_fit():
     (lambda: estimate_subspace(Dataset(*SPLIT), True), "m must be an integer, got True"),
     (lambda: gd_inner_loop(np.eye(2), np.zeros(2), np.zeros(2), 0.1, 2.5),
      "m_steps must be an integer, got 2.5"),
-    (lambda: largest_curvature(np.eye(2), iterations=0), "iterations must be at least 1"),
     (lambda: select_trimmed_set(Dataset(*SPLIT), np.zeros(2), True),
      "k must be an integer, got True"),
     (lambda: select_trimmed_set(Dataset(*SPLIT), np.zeros(2), 0), "k = 0 must lie in [1, 10]"),
@@ -731,7 +753,7 @@ def small_fit():
 ], ids=["ilts-max-rounds", "gd-max-rounds", "gd-m-steps", "global-m", "global-budget",
         "global-ilts-max-rounds", "global-seed", "global-seed-bool", "regularity-seed",
         "affine-error-seed", "candidates-budget", "candidates-budget-bool", "candidates-seed",
-        "subspace-m-bool", "inner-m-steps", "curvature-iterations", "select-k-bool",
+        "subspace-m-bool", "inner-m-steps", "select-k-bool",
         "select-k-zero", "regularity-exact-k", "regularity-sampled-k-bool", "default-delta-n",
         "contraction-ratio-j-bool", "contraction-ratio-j-float", "affine-error-j-bool",
         "affine-error-j-float", "contraction-bound-j-bool", "contraction-bound-j-float"])
@@ -894,7 +916,7 @@ def test_screening_finishes_the_three_lowest_prefix_losses_of_each_block():
             for c in kept:
                 traces[c] = ilts_run(ds, starts[c], whole)
             for c in block:
-                support = accept_component(ds, traces[c].final, 0.9, config.delta)[1]
+                support = accept_component(ds, traces[c].final, config.delta, 1)[1]
                 expected.append((j, c, traces[c].rounds_used, False, support.size))
         assert [row for row in report.candidate_outcomes if row[0] == j] == expected
     # Ranking the finished starts too would have changed which ones run on.
