@@ -16,15 +16,18 @@ For every run it prints the rows, rounds, recovered slots and
 epsilon_recovery (None without truth) of each checkout, whether the
 candidate rows agree on (component, candidate, rounds, accepted, support),
 whether the theta_hat bytes agree, whether epsilon_recovery and the
-matching agree, and whether the whole report agrees: a digest of
+matching agree, whether the whole report agrees: a digest of
 trimfit.cli.report_to_dict, which holds the tallies, the radius, delta and
-their sources besides. It then prints each checkout's rounds over all runs,
-and the slots the pinned `global` experiment of tests/test_cli.py recovers
-per repeat at budgets 4 and 8, for each checkout and for
-tests/reference.py::reference_global. Single-threaded BLAS; the stress runs
-take a few seconds each.
+their sources besides, and whether the span and the scale agree: a digest
+of the estimate_subspace basis of the run's data and m and of the
+default_radius (radius, L) on it, or of the error either raises, taken
+whether or not the run itself used them. It then prints each checkout's
+rounds over all runs, and the slots the pinned `global` experiment of
+tests/test_cli.py recovers per repeat at budgets 4 and 8, for each
+checkout and for tests/reference.py::reference_global. Single-threaded
+BLAS; the stress runs take a few seconds each.
 
-It exits 0 when every run agrees on all four counts and the recall tables
+It exits 0 when every run agrees on all five counts and the recall tables
 are equal, and 1 otherwise. Given this checkout itself (`.`), it checks that
 two fresh processes, each with its own hash seed, recover byte for byte the
 same.
@@ -46,10 +49,27 @@ def _digest(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _run(name, report):
+def _span_and_scale(dataset, m):
+    """Digest of the span estimate_subspace gives and of default_radius on it, or of the
+    error message where either fails."""
+    import numpy as np
+    from trimfit import pipeline
+    parts = []
+    try:
+        span = pipeline.estimate_subspace(dataset, m)
+        parts.append(span.basis.tobytes())
+        radius, factor = pipeline.default_radius(dataset, span)
+        parts += [np.float64(radius).tobytes(), factor.tobytes()]
+    except ValueError as err:
+        parts.append(str(err).encode())
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def _run(name, report, dataset, m):
     from trimfit import cli
     rows = [tuple(int(v) for v in row[:5]) for row in report.candidate_outcomes]
     return name, {
+        "span_scale": _span_and_scale(dataset, m),
         "rows": rows,
         "slots": sum(report.recovered),
         "theta_hat": hashlib.sha256(report.theta_hat.tobytes()).hexdigest(),
@@ -76,8 +96,9 @@ def collect(root):
         state = sweep.setup(seed, None, "full")
         for key in ("reject", "recover"):
             dataset, truth = state[key]
-            runs.append(_run(f"sweep-{seed}-{key}", tf.global_ilts(
-                dataset, state[key + "_config"], truth=truth)))
+            config = state[key + "_config"]
+            runs.append(_run(f"sweep-{seed}-{key}", tf.global_ilts(dataset, config, truth=truth),
+                             dataset, config.m))
 
     cli_io = workloads.CliIo()
     for seed in range(6):
@@ -93,7 +114,9 @@ def collect(root):
                 rows = [tuple(int(v) for v in row[:5]) for row in list(csv.reader(fh))[1:]]
             with open(prefix + ".report.json", encoding="ascii") as fh:
                 doc = json.load(fh)
+            span_scale = _span_and_scale(tf.load_dataset(state["csv"]), 3)
         runs.append((f"cli-io-{seed}", {
+            "span_scale": span_scale,
             "rows": rows,
             "slots": sum(doc["recovered"]),
             "theta_hat": hashlib.sha256(json.dumps(doc["theta_hat"]).encode()).hexdigest(),
@@ -109,11 +132,12 @@ def collect(root):
             stress, tf.CorruptionSpec(0.05, "oblivious-random", 2.0), n=20000, seed=seed)
         config = tf.GlobalConfig(m=5, tau_list=(0.15,), delta=1e-4, candidate_budget=2000,
                                  epsilon_net=0.5, seed=seed)
-        runs.append(_run(f"stress-{seed}", tf.global_ilts(dataset, config, truth=truth)))
+        runs.append(_run(f"stress-{seed}", tf.global_ilts(dataset, config, truth=truth),
+                         dataset, config.m))
 
     for case, build in test_pipeline.SCREENING_CASES.items():
         dataset, config, truth = build()
-        runs.append(_run(case, tf.global_ilts(dataset, config, truth=truth)))
+        runs.append(_run(case, tf.global_ilts(dataset, config, truth=truth), dataset, config.m))
 
     recall = {}
     for budget in (4, 8):
@@ -154,8 +178,8 @@ def main(argv):
         name for name, _ in found["this"]["runs"]]
     print("| run | other rows | other rounds | other slots | other epsilon | rows | rounds "
           "| slots | epsilon | rows equal | theta_hat equal | epsilon, matching equal "
-          "| report equal |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
+          "| report equal | span, scale equal |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for (name, old), (_, new) in zip(found["other"]["runs"], found["this"]["runs"]):
         cells = [name]
         for run in (old, new):
@@ -163,7 +187,7 @@ def main(argv):
                       "None" if run["epsilon"] is None else f"{run['epsilon']:.2e}"]
         equal = [old["rows"] == new["rows"], old["theta_hat"] == new["theta_hat"],
                  (old["epsilon"], old["matching"]) == (new["epsilon"], new["matching"]),
-                 old["report"] == new["report"]]
+                 old["report"] == new["report"], old["span_scale"] == new["span_scale"]]
         same = same and all(equal)
         cells += equal
         print("| " + " | ".join(str(c) for c in cells) + " |")

@@ -119,10 +119,8 @@ def _load_inputs(dataset_path: str, truth_path: str | None):
     if not truth_path:
         return dataset, None
     truth = model_mod.load_truth(truth_path)
-    if (truth.n, truth.theta_star.shape[0]) != (dataset.n, dataset.d):
-        raise ValueError(
-            f"{truth_path} has n = {truth.n}, d = {truth.theta_star.shape[0]} but "
-            f"{dataset_path} has n = {dataset.n}, d = {dataset.d}")
+    with _config_errors(dataset_path), _named_errors({"truth": truth_path}):
+        model_mod.check_truth(dataset, truth)
     return dataset, truth
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ilts import SolverTrace
-from .model import Dataset, GroundTruth
+from .model import Dataset, GroundTruth, check_truth
 from .util import ceil_count, check_integer, floor_count
 
 # Exact regularity enumerates at most this many subsets.
@@ -263,20 +263,26 @@ def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverT
     scale = float(np.linalg.norm(theta_j))
     if scale == 0:
         raise ValueError("component j has zero norm")
+    check_truth(dataset, truth)
     n, d = dataset.n, dataset.d
     k = floor_count(tau * n)
     n_bad = int(np.count_nonzero(truth.corrupted))
+    if n_bad == n:
+        raise ValueError("every row is corrupted; the trace has no clean rows to scan")
+    if truth.m >= 2:
+        _, per = q_separation(truth.theta_star)
+        q_j = per[j]
+        if q_j == 0:
+            raise ValueError(f"component {j} coincides with another (Q_j = 0); "
+                             "the affine-error delta is undefined")
+    else:
+        q_j = None
+
     dists = np.linalg.norm(trace.iterates - theta_j, axis=1)
 
     psi_minus = feature_regularity_sampled(dataset.X, k, trials, seed).psi_minus
     if psi_minus <= 0:
         raise ValueError("sampled psi_minus is zero; bound undefined")
-
-    if truth.m >= 2:
-        _, per = q_separation(truth.theta_star)
-        q_j = per[j]
-    else:
-        q_j = None
 
     clean = ~truth.corrupted
     # The scan takes the clean rows only. As a fraction of them, tau * n / n_clean puts
@@ -298,8 +304,6 @@ def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverT
             delta_t = 2.0 * float(dists[t]) / (q_j * scale)
             in_region = delta_t <= 1.0
             delta = min(delta_t, 1.0)
-            if not 0 < delta <= 1:
-                raise ValueError("delta must lie in (0, 1]")
             if split is None:  # split at the first round scanned: a trace with none never fails
                 check_integer(directions, "directions", 1)
                 split = _split(dataset.X[clean], truth.partition[clean], tau_clean, j)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, GroundTruth
+from .model import Dataset, GroundTruth, check_truth
 from .util import check_finite, check_integer, floor_count
 
 # Relative cutoff under which singular values count as zero when deciding
@@ -311,6 +311,8 @@ def _alternate(dataset: Dataset, theta0: np.ndarray, config, refit,
     """
     k = selection_size(config, dataset.n, dataset.d)
     theta = start_vector(theta0, dataset.d)
+    if truth is not None:
+        check_truth(dataset, truth)
     carry = NormalCarry(dataset)
 
     iterates = [theta.copy()]

@@ -206,6 +206,13 @@ class GroundTruth:
                      for j in range(self.m))
 
 
+def check_truth(dataset: Dataset, truth: GroundTruth) -> None:
+    """Reject a truth that does not describe dataset's n rows of d features, naming both."""
+    if (truth.n, truth.theta_star.shape[0]) != (dataset.n, dataset.d):
+        raise ValueError(f"truth has n = {truth.n}, d = {truth.theta_star.shape[0]} but the "
+                         f"dataset has n = {dataset.n}, d = {dataset.d}")
+
+
 def realized_gamma_star(truth: GroundTruth) -> float:
     """Corrupted count divided by n * min_j tau_star[j]."""
     n_bad = int(np.count_nonzero(truth.corrupted))
@@ -222,6 +229,7 @@ def reconstruction_error(dataset: Dataset, truth: GroundTruth) -> float:
 
     Returned value is normalized by 1 + |y_i| per sample.
     """
+    check_truth(dataset, truth)
     pred = np.sum(dataset.X * truth.theta_star.T[truth.partition], axis=1) + truth.r
     return float(np.max(np.abs(dataset.y - pred) / (1.0 + np.abs(dataset.y))))
 
@@ -287,6 +295,7 @@ def inject_corruptions(dataset: Dataset, truth: GroundTruth,
     corrupted the inputs themselves are returned.
     """
     check_integer(seed, "seed", 0)
+    check_truth(dataset, truth)
     if np.any(truth.corrupted):
         raise ValueError("input truth already carries corruptions")
     y, r, corrupted = _corrupt(dataset.X, dataset.y, truth.partition, truth.m,

@@ -13,6 +13,7 @@ candidate budget for a slot flags a partial result instead of raising.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -170,37 +171,40 @@ class RecoveryReport:
         return not all(self.recovered)
 
 
+def _exact_gram(X: np.ndarray, rows_of, width: int) -> tuple[np.ndarray, int]:
+    """(G, e) with G 2**(2 e) = sum_i (r_i 2**s_i)(r_i 2**s_i)^T over blocks of ROW_BLOCK rows of
+    X, each passed to rows_of(rows, xs, fx, ex) as xs = X[rows] 2**-ex, for fx 2**ex each row's
+    largest |x_ij|, in one reused buffer. rows_of returns the rows r_i, width wide, with their
+    exponents s_i and largest |r_ij|. They are summed at the e that puts the largest |r_ij| 2**s_i
+    so far in [0.5, 1), the sum rescaled when e moves: exact, and no square overflows."""
+    n, d = X.shape
+    gram, block = np.zeros((width, width)), np.empty((min(ROW_BLOCK, n), d))
+    e = -(1 << 16)  # below the exponent of any nonzero row
+    for rows in row_blocks(n):
+        x, xs = X[rows], block[:n - rows.start]
+        # max_j |x_ij| by one reduceat: a max along axis 1 takes 2-3x as long on short rows.
+        fx, ex = np.frexp(np.maximum.reduceat(np.abs(x, out=xs).ravel(), np.arange(0, x.size, d)))
+        r, s, peak = rows_of(rows, np.ldexp(x, -ex[:, None], out=xs), fx, ex)
+        top = int(np.max(s + np.frexp(peak)[1], initial=e, where=peak != 0))
+        gram, e = np.ldexp(gram, 2 * (e - top)), top
+        gram += np.ldexp(r, (s - e)[:, None], out=r).T @ r  # a zero row stays zero
+    return gram, e
+
+
 def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
-    """Top-m right-singular basis of the moment rows y_i * x_i, which provenance
-    "svd" names, taken as the top-m eigenvectors of their Gram
-    sum_i y_i^2 x_i x_i^T (Yi, Caramanis & Sanghavi 2014). The Gram is summed
-    over blocks of ROW_BLOCK moment rows scaled by the power of two that brings
-    max|y_i x_ij| into [0.5, 1), found from each row's exponents: exact, and it
-    neither overflows nor flushes to zero. It squares the rows' condition
-    number; measured bases differed from their SVD's by at most 1.9e-13 per
-    entry. Each column's largest-magnitude entry is made positive.
-    """
+    """Top-m right-singular basis of the moment rows y_i * x_i, which provenance "svd" names,
+    taken as the top-m eigenvectors of their Gram sum_i y_i^2 x_i x_i^T (Yi, Caramanis &
+    Sanghavi 2014), which _exact_gram sums from the rows x_i 2**-ex_i frac(y_i) at the exponent
+    ex_i + ey_i of their largest |x_ij| and of y_i. Measured bases differed from their SVD's by
+    at most 1.9e-13 per entry. Each column's largest-magnitude entry is made positive."""
+    def moment_rows(rows, xs, fx, ex):
+        fy, ey = np.frexp(dataset.y[rows])
+        xs *= fy[:, None]
+        return xs, ex + ey, fx * np.abs(fy)
     if not 1 <= m <= min(dataset.n, dataset.d):
         raise ValueError(f"m = {m} must lie in [1, min(n, d) = {min(dataset.n, dataset.d)}]")
     check_integer(m, "m", 1)
-    gram, block = np.zeros((dataset.d, dataset.d)), np.empty((min(ROW_BLOCK, dataset.n), dataset.d))
-    e = -(1 << 16)  # below the exponent of any nonzero moment
-    for rows in row_blocks(dataset.n):
-        X, moments = dataset.X[rows], block[:dataset.n - rows.start]
-        # max_j |x_ij| by one reduceat: a max along axis 1 takes 2-3x as long on short rows.
-        absx = np.abs(X, out=moments).ravel()
-        fx, ex = np.frexp(np.maximum.reduceat(absx, np.arange(0, absx.size, dataset.d)))
-        fy, ey = np.frexp(dataset.y[rows])
-        # Row i's largest |y_i x_ij| is fm * 2**(ex + ey + em) exactly, and zero where fm is.
-        # Scaled by 2**-e, the largest so far lies in [0.5, 1), so no square flushes to
-        # zero; the sum so far is rescaled whenever e moves.
-        fm, em = np.frexp(fx * fy)
-        top = int(np.max(ex + ey + em, initial=e, where=fm != 0))
-        gram, e = np.ldexp(gram, 2 * (e - top)), top
-        # x_ij 2**(ey - e) is at most 2 in a nonzero row; a zero row takes no scale.
-        np.ldexp(X, np.where(fm != 0, ey - e, 0)[:, None], out=moments)
-        moments *= fy[:, None]
-        gram += moments.T @ moments
+    gram = _exact_gram(dataset.X, moment_rows, dataset.d)[0]
     if not np.any(gram):
         raise ValueError("all moment rows are zero (is y identically zero?)")
     try:
@@ -254,28 +258,24 @@ def generate_candidates(subspace: SubspaceEstimate, radius: float, epsilon: floa
     if m_tilde == 1:
         poles = np.vstack([radius * basis[:, 0], -radius * basis[:, 0]])
         return poles[:min(count, 2)]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, m_tilde))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    while np.any(norms == 0):  # measure-zero guard
-        bad = norms[:, 0] == 0
-        z[bad] = rng.standard_normal((int(bad.sum()), m_tilde))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return radius * (z / norms) @ basis.T
+    z = np.random.default_rng(seed).standard_normal((count, m_tilde))
+    return radius * (z / np.linalg.norm(z, axis=1, keepdims=True)) @ basis.T
 
 
 def default_radius(dataset: Dataset, subspace: SubspaceEstimate) -> tuple[float, np.ndarray]:
     """(radius, L) of the response-matched starts in subspace's span: L L^T is the Gram of X B
     scaled to trace m_tilde, and the start along the unit direction u = B w lies at radius /
-    ||L^T w|| = sqrt(sum y_i^2 / sum (x_i^T u)^2). Both sums run by blocks of ROW_BLOCK rows,
-    scaled by exact powers of two, so neither overflows nor flushes to zero."""
+    ||L^T w|| = sqrt(sum y_i^2 / sum (x_i^T u)^2). _exact_gram sums the Gram of the rows
+    (x_i 2**-ex_i) B at ex_i; sum y_i^2 runs by the same blocks, y scaled by max|y_i|'s exponent."""
+    def projected_rows(rows, xs, fx, ex):
+        xb = xs @ subspace.basis
+        # max_j |xb_ij| column by column: a max along axis 1 is 10x slower at this width.
+        return xb, ex, functools.reduce(np.maximum, np.abs(xb).T)
     m_tilde = subspace.m_tilde
-    ex, ey = (int(np.frexp(max(a.max(), -a.min()))[1]) for a in (dataset.X, dataset.y))
-    gram, yy = np.zeros((m_tilde, m_tilde)), 0.0
-    for rows in row_blocks(dataset.n):
-        xb = np.ldexp(dataset.X[rows], -ex) @ subspace.basis
-        gram += xb.T @ xb
-        yy += float(np.square(np.ldexp(dataset.y[rows], -ey)).sum())
+    gram, e = _exact_gram(dataset.X, projected_rows, m_tilde)
+    ey = int(np.frexp(max(dataset.y.max(), -dataset.y.min()))[1])
+    yy = sum(float(np.square(np.ldexp(dataset.y[rows], -ey)).sum())
+             for rows in row_blocks(dataset.n))
     trace = float(np.trace(gram))
     try:
         factor = np.linalg.cholesky(gram * (m_tilde / trace))
@@ -283,7 +283,7 @@ def default_radius(dataset: Dataset, subspace: SubspaceEstimate) -> tuple[float,
         raise ValueError("default_radius: X vanishes along a direction of the candidate span; "
                          "give radius") from None
     with np.errstate(over="ignore"):  # an overflow fails below, by name
-        radius = float(np.ldexp(math.sqrt(m_tilde * yy / trace), ey - ex))
+        radius = float(np.ldexp(math.sqrt(m_tilde * yy / trace), ey - e))
     if not 0 < radius < math.inf:
         raise ValueError(f"default_radius: the response-matched radius is {radius} (y is zero, "
                          "or out of a double's range from X); give radius")

@@ -384,6 +384,12 @@ def test_diagnose_q_separation_needs_truth(tmp_path, capsys):
     assert "--truth" in capsys.readouterr().err
 
 
+def test_diagnose_affine_error_needs_truth(tmp_path, capsys):
+    data, _ = generate(tmp_path)
+    assert main(["diagnose", data, "--affine-error"]) == 1
+    assert capsys.readouterr().err == "error: --affine-error needs --truth\n"
+
+
 def test_experiment_end_to_end(tmp_path):
     exp = {
         "version": 1,

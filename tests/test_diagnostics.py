@@ -11,7 +11,7 @@ from trimfit.diagnostics import (EXACT_SUBSET_BUDGET, _affine_count, _pair_value
                                  feature_regularity_exact,
                                  feature_regularity_sampled, q_separation)
 from trimfit.ilts import IltsConfig, ilts_run
-from trimfit.model import CorruptionSpec, MixtureSpec, generate_mlrc
+from trimfit.model import CorruptionSpec, Dataset, GroundTruth, MixtureSpec, generate_mlrc
 
 
 def test_q_separation_frozen_example():
@@ -28,6 +28,8 @@ def test_q_separation_validation():
         q_separation(np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError, match="zero-norm"):
         q_separation(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"^theta_star must be d x m$"):
+        q_separation(np.ones(3))
 
 
 def test_regularity_exact_identity_design():
@@ -138,6 +140,11 @@ def test_affine_error_validation():
     for j in (2, -1):
         with pytest.raises(ValueError, match=rf"^j = {j} must lie in \[0, 2\)$"):
             affine_error_estimate(X, partition, [0.4, 0.4], j, 0.2, 16, seed=0)
+    with pytest.raises(ValueError, match=r"^partition must have one label per row$"):
+        affine_error_estimate(X, partition[1:], [0.4, 0.4], 0, 0.2, 16, seed=0)
+    with pytest.raises(ValueError, match=r"^every sample belongs to component j; no outside rows$"):
+        affine_error_estimate(X, np.zeros(X.shape[0], dtype=int), [0.4, 0.4], 0, 0.2,
+                              16, seed=0)
 
 
 def test_contraction_bound_arithmetic():
@@ -186,6 +193,49 @@ def test_contraction_bound_trace_of_one_component():
     records = contraction_bound_trace(ds, truth, trace, j=0, tau=0.8, seed=0)
     assert records == [{"round": 0, "ratio": 0.0, "bound": 0.0, "delta": 0.0,
                         "affine_count": 0, "in_region": True}]
+
+
+def two_component_trace(theta_star, corrupted=None, n=60):
+    """Dataset, truth and an ILTS trace on rows labelled alternately 0 and 1 by theta_star."""
+    theta_star = np.asarray(theta_star, dtype=float)
+    X = np.random.default_rng(3).standard_normal((n, theta_star.shape[0]))
+    partition = np.arange(n) % 2
+    ds = Dataset(X=X, y=np.einsum("ij,ji->i", X, theta_star[:, partition]))
+    truth = GroundTruth(theta_star=theta_star, partition=partition,
+                        corrupted=np.zeros(n, bool) if corrupted is None else corrupted,
+                        r=np.zeros(n))
+    return ds, truth, ilts_run(ds, np.full(theta_star.shape[0], 0.5), IltsConfig(tau=0.4))
+
+
+@pytest.mark.parametrize("theta_star, corrupted, j, message", [
+    ([[1.0, 1.0], [0.0, 0.0]], None, 0,
+     r"^component 0 coincides with another \(Q_j = 0\); the affine-error delta is undefined$"),
+    ([[1.0, 0.0], [0.0, 1.0]], np.ones(60, bool), 0,
+     r"^every row is corrupted; the trace has no clean rows to scan$"),
+    ([[1.0, 0.0], [0.0, 1.0]], None, 2, r"^j = 2 must lie in \[0, 2\)$"),
+    ([[0.0, 1.0], [0.0, 1.0]], None, 0, r"^component j has zero norm$"),
+], ids=["coinciding-components", "every-row-corrupted", "j-out-of-range", "zero-norm"])
+def test_contraction_bound_trace_names_an_undefined_bound(theta_star, corrupted, j, message):
+    ds, truth, trace = two_component_trace(theta_star, corrupted)
+    with pytest.raises(ValueError, match=message):
+        contraction_bound_trace(ds, truth, trace, j=j, tau=0.3)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_contraction_bound_trace_of_another_truth_fails_naming_both_shapes(m):
+    spec = MixtureSpec(d=2, m=m, components=[[1.0, 0.0], [-1.0, 0.5]][:m], weights=[1 / m] * m)
+    ds, truth = generate_mlrc(spec, CorruptionSpec(), n=200, seed=0)
+    other = generate_mlrc(spec, CorruptionSpec(), n=150, seed=1)[1]
+    trace = ilts_run(ds, np.zeros(2), IltsConfig(tau=0.4), truth=truth)
+    with pytest.raises(ValueError, match=r"^truth has n = 150, d = 2 but the dataset has "
+                                         r"n = 200, d = 2$"):
+        contraction_bound_trace(ds, other, trace, j=0, tau=0.4)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_regularity_exact_rejects_k_out_of_range(k):
+    with pytest.raises(ValueError, match=rf"^k = {k} must lie in \[1, 3\]$"):
+        feature_regularity_exact(np.eye(3), k)
 
 
 def test_exact_budget_constant_unchanged():

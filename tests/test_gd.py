@@ -171,6 +171,11 @@ def test_adaptive_schedule_takes_more_steps_as_movement_shrinks():
     assert trace.inner_steps[-1] > first
 
 
+def test_largest_curvature_of_all_zero_rows_fails_by_name():
+    with pytest.raises(ValueError, match=r"^selected rows are all zero; curvature undefined$"):
+        largest_curvature(np.zeros((3, 3)))
+
+
 def test_gd_config_validation():
     with pytest.raises(ValueError):
         GdConfig(tau=0.4, eta=-1.0)

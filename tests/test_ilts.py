@@ -12,7 +12,7 @@ from trimfit.gd import GdConfig, gd_ilts_run
 from trimfit.ilts import (RANK_RCOND, IltsConfig, RankDeficientError, SolverTrace,
                           _smallest_k, contraction_ratio, ilts_run, least_squares,
                           select_trimmed_set, trimmed_loss)
-from trimfit.model import CorruptionSpec, Dataset, MixtureSpec, generate_mlrc
+from trimfit.model import CorruptionSpec, Dataset, GroundTruth, MixtureSpec, generate_mlrc
 from trimfit.pipeline import SCREEN_ROUNDS
 from trimfit.util import floor_count
 
@@ -336,6 +336,11 @@ def test_solver_validates_inputs():
         IltsConfig(tau=0.0)
     with pytest.raises(ValueError, match="max_rounds"):
         IltsConfig(tau=0.5, max_rounds=0)
+    policy = r"^rank_policy must be one of \('fail', 'min-norm'\)$"
+    with pytest.raises(ValueError, match=policy):
+        IltsConfig(tau=0.5, rank_policy="pinv")
+    with pytest.raises(ValueError, match=policy):
+        least_squares(ds, np.arange(3), rank_policy="pinv")
     cfg = IltsConfig(tau=0.5)
     with pytest.raises(ValueError, match="theta0 has 2 entries, expected d = 1"):
         ilts_run(ds, np.zeros(2), cfg)
@@ -343,6 +348,17 @@ def test_solver_validates_inputs():
     wide = Dataset(X=np.eye(6), y=np.zeros(6))
     with pytest.raises(ValueError, match="< d"):
         ilts_run(wide, np.zeros(6), IltsConfig(tau=0.5))
+
+
+@pytest.mark.parametrize("run", [ilts_run, lambda ds, theta0, cfg, truth: gd_ilts_run(
+    ds, theta0, GdConfig(tau=cfg.tau), truth=truth)], ids=["exact", "gd"])
+def test_a_truth_of_other_data_fails_naming_both_shapes(run):
+    ds, truth = one_dim_instance()
+    wide = GroundTruth(theta_star=np.vstack([truth.theta_star, truth.theta_star]),
+                       partition=truth.partition, corrupted=truth.corrupted, r=truth.r)
+    with pytest.raises(ValueError, match=rf"^truth has n = {ds.n}, d = 2 but the dataset has "
+                                         rf"n = {ds.n}, d = 1$"):
+        run(ds, np.array([0.6]), IltsConfig(tau=0.4), truth=wide)
 
 
 def test_trace_shapes_and_distances():

@@ -121,6 +121,16 @@ def test_inject_refuses_double_corruption():
         inject_corruptions(ds, truth, corr, seed=4)
 
 
+def test_a_truth_of_other_data_fails_naming_both_shapes():
+    ds, _ = generate_mlrc(two_component_spec(), CorruptionSpec(), n=200, seed=3)
+    other = generate_mlrc(two_component_spec(), CorruptionSpec(), n=150, seed=4)[1]
+    message = r"^truth has n = 150, d = 3 but the dataset has n = 200, d = 3$"
+    with pytest.raises(ValueError, match=message):
+        reconstruction_error(ds, other)
+    with pytest.raises(ValueError, match=message):
+        inject_corruptions(ds, other, CorruptionSpec(0.1, "oblivious-random", 2.0), seed=0)
+
+
 def test_residual_targeted_hits_smallest_responses():
     spec = two_component_spec()
     clean_ds, clean_truth = generate_mlrc(spec, CorruptionSpec(), n=120, seed=17)

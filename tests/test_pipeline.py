@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -45,6 +46,8 @@ def test_subspace_distance_validates_orthonormal():
     est = SubspaceEstimate(basis=basis_at_angle(0.3), provenance="external")
     with pytest.raises(ValueError, match="orthonormal"):
         subspace_distance(est, np.array([[2.0], [0.0]]))
+    with pytest.raises(ValueError, match=r"^u_true must be d x k$"):
+        subspace_distance(est, np.eye(3)[:, :1])
 
 
 def test_estimate_subspace_sign_canonical():
@@ -192,6 +195,104 @@ def test_span_and_radius_follow_a_power_of_two_scaling_exactly(k):
         scaled_radius, scaled_factor = default_radius(scaled, est)
         assert scaled_radius == math.ldexp(radius, shift)
         assert scaled_factor.tobytes() == factor.tobytes()
+
+
+def sweep_setups(seed):
+    """Both calls' data of the bench `sweep` workload at full size, with their m."""
+    rng = np.random.default_rng(seed)
+    stress = MixtureSpec(d=20, m=5, components=list(rng.standard_normal((5, 20))),
+                         weights=[0.2] * 5)
+    easy = MixtureSpec(d=20, m=3, components=list(np.linalg.qr(rng.standard_normal((20, 3)))[0].T),
+                       weights=[1 / 3] * 3)
+    corruption = CorruptionSpec(0.05, "oblivious-random", 2.0)
+    return {"reject": (generate_mlrc(stress, corruption, n=10_000, seed=seed)[0], 5),
+            "recover": (generate_mlrc(easy, corruption, n=10_000, seed=seed + 1)[0], 3)}
+
+
+def stress_recipe(seed):
+    """The ROADMAP stress recipe (as in scripts/compare_global.py), with its m."""
+    spec = MixtureSpec(d=20, m=5, components=list(np.random.default_rng(1).standard_normal(
+        (5, 20))), weights=[0.2] * 5)
+    return generate_mlrc(spec, CorruptionSpec(0.05, "oblivious-random", 2.0), n=20_000,
+                         seed=seed)[0], 5
+
+
+def span_and_scale_digests():
+    """sha256 of each instance's estimate_subspace basis and default_radius (radius, L)."""
+    instances = {}
+    for family, build in SUBSPACE_FAMILIES.items():
+        ds, m, scale = build()
+        instances[family] = Dataset(X=ds.X * scale, y=ds.y * scale), m
+    for seed in range(3):
+        instances.update({f"sweep-{seed}-{key}": value
+                          for key, value in sweep_setups(seed).items()})
+        instances[f"stress-{seed}"] = stress_recipe(seed)
+    digests = {}
+    for name, (ds, m) in instances.items():
+        span = estimate_subspace(ds, m)
+        radius, factor = default_radius(ds, span)
+        digests[name] = hashlib.sha256(span.basis.tobytes() + np.float64(radius).tobytes()
+                                       + factor.tobytes()).hexdigest()
+    return digests
+
+
+# Recorded before estimate_subspace and default_radius shared one exact Gram.
+SPAN_AND_SCALE_DIGESTS = {
+    "sweep-stress": "4ca9db9fbfc5e512b3cda2bba78eebbd224473b5e691ef2ec42c17b1729efddf",
+    "anisotropic": "0c8977a91c38b45dd073e76ca6a1624de77b1fdec144769197e8bbc2b6642f7f",
+    "duplicated-column": "8cbfa61854f77b0e3b600064fd00d8edaf77455eefd4688ca549d287fc91081a",
+    "n-below-d": "735587195d225512a99dae65118eacc6da427d59436807ee74513165adf780c7",
+    "tied": "d032fae27b77be57a209bd6fb53852bea3e88e6c7282a4e615184924e261316d",
+    "scale-1e-160": "887dc4d3be9a187f60c53233c256a757689d2582bc9170be306f0a3e6feacc45",
+    "scale-1e+140": "bb60c189e35c1f426316645bd07511c51d9156ff93543e65dbc2ce3d5007d27c",
+    "scale-1e+160": "cbf1097596b0a20eedd8a2110679383ddfa3b1f14d80ad37b3427b9d7232907f",
+    "scale-1e+300": "f3e2097dd09bebd9d1311a077a908804986e61fdfc5cedec78e1891b45c4292a",
+    "underflow": "cc143326a2646c605ea66139d7b440df7cbde18c050f1f8cf4dd30f42cfe7123",
+    "row-scales": "d8bd4eab9a59f75ac3b0df775019ad62d3f249ad2868e75a1c83af798ebc914a",
+    "sweep-0-reject": "51ca9669518c62acb9d3e190acdd9074256702c86e5d047d9b23437c490452a3",
+    "sweep-0-recover": "0e334c0497e506b3665d90993cf1f4df5100cabda9ca5351c9cd9063253ae973",
+    "stress-0": "f1684c1dc973f0b1d5b27346574f531105afe9c5a0b61893253c5dd0a0c3e151",
+    "sweep-1-reject": "de7b406cc7a8629457e03541dda552aa2e7f8c6de66c0ab92f277b85485924be",
+    "sweep-1-recover": "416331da482176da104d1ec6b9d9365b9219f1d354614aa791a4fe8987ff1e71",
+    "stress-1": "cbc4614962426ce0939a25447ed0a09a7e4ff9cb780945dcf25ed79ab39a18b7",
+    "sweep-2-reject": "bc57d90e491aee364bde2f77c8ac93bec8f550f6583e53416943834b55fffe9c",
+    "sweep-2-recover": "8fc524c71ca54268b697993465e4cff174d985e75204dccd379989cd3abac0b4",
+    "stress-2": "bd4ea26111d64d650088276ad5978d57e8df13f579796df721577f93247a1f00",
+}
+
+
+def test_span_and_scale_keep_their_bits():
+    assert span_and_scale_digests() == SPAN_AND_SCALE_DIGESTS
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 2.0 ** 600, 2.0 ** -600],
+                         ids=["1e155", "1e200", "1e300", "2^600", "2^-600"])
+def test_a_feature_outside_the_span_does_not_move_the_scale(scale):
+    # The span leaves out column 0, so no unit of that column moves the radius or the factor.
+    # A scale taken from X's largest entry fails here: from 1e155 up the other columns underflow.
+    X = np.random.default_rng(0).standard_normal((500, 4))
+    y = X @ np.array([0.0, 1.0, -1.0, 0.5])
+    span = SubspaceEstimate(basis=np.eye(4)[:, 1:3], provenance="external")
+    radius, factor = default_radius(Dataset(X=X, y=y), span)
+    X[:, 0] *= scale
+    scaled_radius, scaled_factor = default_radius(Dataset(X=X, y=y), span)
+    assert scaled_radius == radius
+    assert scaled_factor.tobytes() == factor.tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: estimate_subspace(Dataset(X=np.eye(3), y=np.ones(3)), 0),
+     r"^m = 0 must lie in \[1, min\(n, d\) = 3\]$"),
+    (lambda: estimate_subspace(Dataset(X=np.eye(3)[:2], y=np.ones(2)), 3),
+     r"^m = 3 must lie in \[1, min\(n, d\) = 2\]$"),
+    (lambda: pipeline.plan_search(Dataset(X=np.eye(3), y=np.ones(3)),
+                                  GlobalConfig(m=1, tau_list=(0.5,), candidate_budget=2, seed=0),
+                                  SubspaceEstimate(basis=np.eye(2)[:, :1], provenance="external")),
+     r"^subspace dimension does not match the dataset$"),
+], ids=["m-zero", "m-above-n", "subspace-of-another-d"])
+def test_a_span_of_the_wrong_size_fails_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_estimate_subspace_rejects_zero_response():
@@ -775,6 +876,11 @@ def test_subspace_estimate_validation():
         SubspaceEstimate(basis=np.array([[1.0], [1.0]]), provenance="external")
     with pytest.raises(ValueError, match="provenance"):
         SubspaceEstimate(basis=np.eye(2), provenance="guess")
+    with pytest.raises(ValueError, match=r"^basis must be d x m_tilde$"):
+        SubspaceEstimate(basis=np.ones(3), provenance="external")
+    for basis in (np.ones((3, 0)), np.eye(4)[:2]):
+        with pytest.raises(ValueError, match=r"^basis must have between 1 and d columns$"):
+            SubspaceEstimate(basis=basis, provenance="external")
 
 
 def test_subspace_estimate_leaves_the_callers_array_writeable():
