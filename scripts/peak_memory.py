@@ -1,4 +1,4 @@
-"""Peak memory of generation, CSV load and save, and global recovery, as multiples of X.
+"""Peak memory of generation, CSV load and save, fits and global recovery, as multiples of X.
 
     python scripts/peak_memory.py [--n N] [--d D]
 
@@ -13,9 +13,11 @@ of weight 0.5, no corruption, seed 0.
   tau 0.4, budget 8, radius 1, seed 0);
 - global-default: the same call with neither a subspace nor a radius, so
   that estimate_subspace and the response-matched scale of default_radius
-  run first.
+  run first;
+- fit, fit-gd: ilts_run and gd_ilts_run on it at tau 0.4 and their other
+  defaults, from a start near component 0.
 
-For save and the global steps the dataset is read from raw files and built
+For save, the fits and the global steps the dataset is read from raw files and built
 before the step starts.
 
 For each step it prints two multiples of the bytes of X (8 n d): the
@@ -42,7 +44,7 @@ import tracemalloc
 # numpy and trimfit are imported inside the functions that the child processes
 # run, so that this process stays small (see main).
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STEPS = ("generate", "load", "save", "global", "global-default")
+STEPS = ("generate", "load", "save", "global", "global-default", "fit", "fit-gd")
 # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
 _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
@@ -74,6 +76,11 @@ def step(name, n, d, workdir):
     del X, y
     if name == "save":
         return lambda: tf.save_dataset(dataset, os.path.join(workdir, "saved.csv"))
+    start = np.eye(d)[0] + 0.3 * np.random.default_rng(0).standard_normal(d) / np.sqrt(d)
+    if name == "fit":
+        return lambda: tf.ilts_run(dataset, start, tf.IltsConfig(tau=0.4))
+    if name == "fit-gd":
+        return lambda: tf.gd_ilts_run(dataset, start, tf.GdConfig(tau=0.4))
     config = tf.GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, seed=0)
     if name == "global-default":
         return lambda: tf.global_ilts(dataset, config)

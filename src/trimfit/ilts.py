@@ -20,6 +20,10 @@ once a build reaches CARRY_MIN_WORK multiply-adds (k d^2), the carry updates
 the last round's system by the swapped rows, G += X_in^T X_in - X_out^T X_out
 and b likewise, save in the cases NormalCarry lists; below the gate it builds
 afresh every round.
+
+Builds, updates and the refinement read their rows in blocks of at most
+GATHER_BYTES of X and sum the blocks' products; a selection of one block is
+gathered once per round for both. Only the orthogonal fallback gathers X_S whole.
 """
 
 from __future__ import annotations
@@ -55,6 +59,14 @@ CARRY_MIN_WORK = 1e7
 # (|in| + |out|) (d + SWAP_GATHER_COST) <= k d: about a fifth of k swapped at
 # d = 20 and three fifths at d = 100, the measured break-evens.
 SWAP_GATHER_COST = 70
+
+# A refit gathers its rows of X in blocks of at most this many bytes,
+# max(1, GATHER_BYTES // 8d) rows each. The bench fit-wide peak resident size
+# (n = 30,000, d = 100, k = 12,000; 77.9 MB with X_S gathered whole) by block:
+# 256 KiB to 1 MiB 68.3-68.5 MB, the floor that generating X sets; 2 MiB
+# 68.6 MB; util.ROW_BLOCK's 4,096 rows (3.1 MiB here) 69.6 MB; 4 MiB 71.6 MB.
+# The sums of a selection of more than one block depend on this size.
+GATHER_BYTES = 1 << 20
 
 
 class RankDeficientError(RuntimeError):
@@ -166,11 +178,19 @@ def trimmed_loss(dataset: Dataset, theta: np.ndarray, subset: np.ndarray) -> flo
     return _loss(dataset.y - dataset.X @ np.asarray(theta, dtype=float), subset)
 
 
-def _gather(dataset: Dataset, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The selected rows (X_S, y_S); an empty selection is an error."""
-    if len(subset) == 0:
-        raise ValueError("empty selection")
-    return dataset.X.take(subset, axis=0), dataset.y.take(subset)
+def _block_sum(dataset: Dataset, subset: np.ndarray, product) -> tuple:
+    """The sum over subset's blocks of max(1, GATHER_BYTES // 8d) rows (X_B, y_B), in
+    order, of the arrays product(X_B, y_B) returns; an empty subset is one empty block."""
+    size, total = max(1, GATHER_BYTES // (8 * dataset.d)), None
+    for first in range(0, max(len(subset), 1), size):
+        part = subset[first:first + size]
+        terms = product(dataset.X.take(part, axis=0), dataset.y.take(part))
+        total = terms if total is None else tuple(a + b for a, b in zip(total, terms))
+    return total
+
+
+def _normal(X_B: np.ndarray, y_B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return X_B.T @ X_B, X_B.T @ y_B
 
 
 class NormalCarry:
@@ -201,7 +221,7 @@ class NormalCarry:
         self._swapped = (0.0, 0.0)
 
     def _build(self, X_S: np.ndarray, y_S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return X_S.T @ X_S, X_S.T @ y_S
+        return _normal(X_S, y_S)
 
     def _update(self, subset: np.ndarray, member: np.ndarray):
         """The previous system updated to subset, whose rows member marks, or None
@@ -221,17 +241,21 @@ class NormalCarry:
         # Negated, so that a NaN weight (an overflowed row) also forces a build.
         if not all(acc <= w[subset].sum() for acc, w in zip(self._swapped, self._weights)):
             return None
-        X_in, X_out = X.take(entering, axis=0), X.take(leaving, axis=0)
+        (G_in, b_in), (G_out, b_out) = (_block_sum(self._dataset, part, _normal)
+                                        for part in (entering, leaving))
         gram, rhs = self._system
-        gram = gram + (X_in.T @ X_in - X_out.T @ X_out)
-        rhs = rhs + (X_in.T @ y.take(entering) - X_out.T @ y.take(leaving))
+        gram = gram + (G_in - G_out)
+        rhs = rhs + (b_in - b_out)
         if np.isfinite(gram).all() and np.isfinite(rhs).all():
             return gram, rhs
         return None
 
     def system(self, subset: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """(X_S^T X_S, X_S^T y_S) for subset; rows is (X_S, y_S) when the caller has
-        already gathered it, used only by a fresh build."""
+        already gathered it, used only by a fresh build, which otherwise sums
+        _build over the blocks of _block_sum."""
+        if len(subset) == 0:
+            raise ValueError("empty selection")
         member = system = None
         with np.errstate(over="ignore", invalid="ignore"):
             if len(subset) * self._dataset.d ** 2 >= CARRY_MIN_WORK:
@@ -240,7 +264,8 @@ class NormalCarry:
                 if self._member is not None:
                     system = self._update(subset, member)
             if system is None:
-                system = self._build(*(_gather(self._dataset, subset) if rows is None else rows))
+                system = (self._build(*rows) if rows is not None
+                          else _block_sum(self._dataset, subset, self._build))
                 self._swapped = (0.0, 0.0)
         self._subset, self._member, self._system = subset, member, system
         return system
@@ -272,18 +297,23 @@ def least_squares(dataset: Dataset, subset: np.ndarray, rank_policy: str = "fail
     times the largest treated as zero.
 
     (G, b) comes from carry, the run's NormalCarry (a fresh one when None), which
-    applies the CARRY_MIN_WORK gate; X_S and y_S are gathered either way, for
-    the refinement step and the fallback.
+    applies the CARRY_MIN_WORK gate. The refinement sums X_B^T (y_B - X_B theta)
+    over the blocks the build reads; only the fallback gathers X_S whole.
     """
     if rank_policy not in RANK_POLICIES:
         raise ValueError(f"rank_policy must be one of {RANK_POLICIES}")
-    X_S, y_S = _gather(dataset, subset)
-    gram, rhs = (carry or NormalCarry(dataset)).system(subset, (X_S, y_S))
+    one_block = 8 * dataset.d * len(subset) <= GATHER_BYTES
+    rows = (dataset.X.take(subset, axis=0), dataset.y.take(subset)) if one_block else None
+    gram, rhs = (carry or NormalCarry(dataset)).system(subset, rows)
     if np.isfinite(gram).all() and np.isfinite(rhs).all():
         eig = np.linalg.eigvalsh(gram)
         if eig[0] > GRAM_RCOND * eig[-1]:
             theta = np.linalg.solve(gram, rhs)
-            return theta + np.linalg.solve(gram, X_S.T @ (y_S - X_S @ theta))
+            def correction(X_B, y_B):
+                return (X_B.T @ (y_B - X_B @ theta),)
+            step, = correction(*rows) if rows else _block_sum(dataset, subset, correction)
+            return theta + np.linalg.solve(gram, step)
+    X_S, y_S = rows or (dataset.X.take(subset, axis=0), dataset.y.take(subset))
     theta, _, rank, _ = np.linalg.lstsq(X_S, y_S, rcond=RANK_RCOND)
     if rank < dataset.d and rank_policy == "fail":
         raise RankDeficientError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ilts import IltsConfig, RankDeficientError, ilts_run
-from .model import Dataset, GroundTruth
+from .model import Dataset, GroundTruth, check_truth
 from .util import ROW_BLOCK, as_readonly, check_finite, check_integer, floor_count, row_blocks
 
 PROVENANCES = ("svd", "external")
@@ -409,12 +409,14 @@ def plan_search(dataset: Dataset, config: GlobalConfig,
     radius and delta with their sources, GlobalConfig's defaults applied;
     starts(j) draws slot j's candidates from the slot's own SeedSequence
     child when the search reaches slot j, at default_radius's scales if any."""
+    if truth is not None:
+        check_truth(dataset, truth)
+        if truth.m != config.m:
+            raise ValueError("truth shape does not match the configured m")
     if subspace is None:
         subspace = estimate_subspace(dataset, config.m)
     if subspace.d != dataset.d:
         raise ValueError("subspace dimension does not match the dataset")
-    if truth is not None and truth.theta_star.shape != (dataset.d, config.m):
-        raise ValueError("truth shape does not match the configured m")
     if config.radius is None:
         (radius, factor), radius_source = default_radius(dataset, subspace), "response-matched"
     else:
@@ -469,8 +471,8 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
     leaves a slot unrecovered and flags the report partial.
 
     Until a slot is claimed the search runs on dataset itself; after that it
-    holds one copy of the unclaimed rows. Each refit copies its selected
-    rows besides.
+    holds one copy of the unclaimed rows. Each refit reads its selected rows
+    in blocks of at most ilts.GATHER_BYTES besides.
     """
     settings, starts = plan_search(dataset, config, subspace, truth)
     n, d, delta = dataset.n, dataset.d, settings["delta"]
@@ -528,7 +530,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
             outcomes.extend(sorted(rows))
             if claim is not None:
                 theta_hat[:, j] = claim[0]
-                working = np.setdiff1d(working, working[claim[1]])
+                working = np.delete(working, claim[1])
                 break
 
     return recovery_report(theta_hat, outcomes, settings, truth)

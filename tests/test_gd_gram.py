@@ -1,6 +1,6 @@
 """Gram-form GD kernels against the matvec form they replaced, the carried normal
-system against fresh builds, each round's recorded loss against trimmed_loss, and
-non-finite inputs."""
+system against fresh builds, refits from blocks of rows against one-block refits,
+each round's recorded loss against trimmed_loss, and non-finite inputs."""
 
 import math
 
@@ -381,3 +381,100 @@ def test_configs_reject_nan(make):
 def test_gd_config_rejects_infinite_scales(field):
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         GdConfig(tau=0.5, **{field: math.inf})
+
+
+# Rows per block when the gather is cut down: a selection of 96 rows spans four blocks.
+BLOCK_ROWS = 30
+
+BLOCKED_ROWS = ROWS + [huge_rows, huge_responses, overflowing_rows]
+
+
+def small_blocks(patch, ds):
+    """Cut GATHER_BYTES down to BLOCK_ROWS rows of ds; returns the row counts of the
+    blocks that the carry's builds read."""
+    patch.setattr(ilts, "GATHER_BYTES", 8 * ds.d * BLOCK_ROWS)
+    sizes = []
+    build = NormalCarry._build
+
+    def recorded(self, X_S, y_S):
+        sizes.append(len(y_S))
+        return build(self, X_S, y_S)
+
+    patch.setattr(NormalCarry, "_build", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", BLOCKED_ROWS, ids=lambda f: f.__name__)
+def test_blocked_systems_stay_within_1e_13_of_one_product(monkeypatch, rows):
+    # The random walk of the carried test, with up to 40 rows swapped, so that builds
+    # and updates alike sum several blocks; carry_everywhere checks each system.
+    rng = np.random.default_rng(71)
+    ds = Dataset(*rows(rng))
+    counts = carry_everywhere(monkeypatch)
+    sizes = small_blocks(monkeypatch, ds)
+    updates = []
+    update = NormalCarry._update
+    monkeypatch.setattr(NormalCarry, "_update", lambda self, subset, member: updates.append(
+        update(self, subset, member)) or updates[-1])
+    carry = NormalCarry(ds)
+    subset = np.sort(rng.choice(ds.n, 96, replace=False))
+    for _ in range(100):
+        carry.system(subset)
+        outside = np.setdiff1d(np.arange(ds.n), subset)
+        swap = int(rng.integers(1, 41))
+        kept = np.delete(subset, rng.choice(len(subset), swap, replace=False))
+        subset = np.sort(np.concatenate([kept, rng.choice(outside, swap, replace=False)]))
+    fresh = counts["calls"] - sum(u is not None for u in updates)
+    assert counts["calls"] == 100 and 1 <= fresh < 100
+    assert max(sizes) == BLOCK_ROWS and len(sizes) == 4 * fresh
+
+
+@pytest.mark.parametrize("rows", BLOCKED_ROWS, ids=lambda f: f.__name__)
+def test_blocked_refit_stays_within_1e_12_of_the_one_block_refit(monkeypatch, rows):
+    rng = np.random.default_rng(72)
+    ds = Dataset(*rows(rng))
+    fallbacks = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: fallbacks.append(1) or lstsq(*a, **k))
+    for _ in range(5):
+        # Row 0 in every selection, so that each overflowing selection overflows.
+        subset = np.union1d([0], rng.choice(np.arange(1, ds.n), 95, replace=False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fallbacks.clear()
+            whole = ilts.least_squares(ds, subset, "min-norm")
+            one_block = len(fallbacks)
+            with monkeypatch.context() as patch:
+                small_blocks(patch, ds)
+                blocked = ilts.least_squares(ds, subset, "min-norm")
+        assert len(fallbacks) == 2 * one_block
+        if rows in (rank_deficient_rows, overflowing_rows):
+            assert one_block == 1 and blocked.tobytes() == whole.tobytes()
+        assert np.linalg.norm(blocked - whole) <= RELATIVE_GAP * np.linalg.norm(whole)
+
+
+@pytest.mark.parametrize("rows", BLOCKED_ROWS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solver", ["exact", "fixed", "adaptive"])
+@pytest.mark.parametrize("carried", [False, True], ids=["gate", "carried"])
+def test_blocked_runs_keep_their_rounds_and_selections(monkeypatch, rows, solver, carried):
+    rng = np.random.default_rng(73)
+    ds = Dataset(*rows(rng))
+    theta0 = rng.standard_normal(ds.d)
+    if solver == "exact":
+        run, config = ilts_run, IltsConfig(tau=0.4, max_rounds=8, tol=0.0,
+                                           rank_policy="min-norm")
+    else:
+        run, config = gd_ilts_run, GdConfig(tau=0.4, schedule=solver, m_steps=30,
+                                            max_rounds=8, tol=0.0)
+    if carried:
+        monkeypatch.setattr(ilts, "CARRY_MIN_WORK", 0)
+    k = floor_count(config.tau * ds.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = run(ds, theta0, config)
+        with monkeypatch.context() as patch:
+            sizes = small_blocks(patch, ds)
+            blocked = run(ds, theta0, config)
+        assert max(sizes) == BLOCK_ROWS
+        assert (blocked.rounds_used, blocked.converged) == (whole.rounds_used, whole.converged)
+        for got, want in zip(blocked.iterates, whole.iterates):
+            assert np.array_equal(select_trimmed_set(ds, got, k), select_trimmed_set(ds, want, k))
+            assert np.linalg.norm(got - want) <= RELATIVE_GAP * np.linalg.norm(want)

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from trimfit.gd import GdConfig, gd_ilts_run
+from trimfit.ilts import IltsConfig, ilts_run
 from trimfit.model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                            _allocate_counts, generate_mlrc, inject_corruptions,
                            load_dataset, load_truth, realized_gamma_star,
@@ -348,6 +350,11 @@ def memory_spec(d):
     return MixtureSpec(d=d, m=2, components=list(np.eye(d)[:2]), weights=[0.5, 0.5])
 
 
+def fit_start(d):
+    """A start near component 0 of memory_spec(d)."""
+    return np.eye(d)[0] + 0.3 * np.random.default_rng(0).standard_normal(d) / np.sqrt(d)
+
+
 @pytest.fixture(scope="module")
 def memory_instance(tmp_path_factory):
     """(dataset, CSV path) of the instance with d features, built once per d."""
@@ -373,7 +380,10 @@ def memory_instance(tmp_path_factory):
     (50, lambda ds, path: global_ilts(
         ds, GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, seed=0)), 1.0),
     (5, lambda ds, path: save_dataset(ds, path + ".saved"), 0.5),
-], ids=["generate", "load", "global", "global-default", "save"])
+    # tau = 0.4: each refit reads its 8,000 selected rows in blocks, never X_S whole.
+    (50, lambda ds, path: ilts_run(ds, fit_start(50), IltsConfig(tau=0.4)), 0.4),
+    (50, lambda ds, path: gd_ilts_run(ds, fit_start(50), GdConfig(tau=0.4)), 0.4),
+], ids=["generate", "load", "global", "global-default", "save", "fit", "fit-gd"])
 def test_peak_memory_is_a_small_multiple_of_X(memory_instance, d, step, bound):
     ds, path = memory_instance(d)
     assert traced_peak(lambda: step(ds, path)) <= bound * ds.X.nbytes

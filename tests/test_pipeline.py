@@ -722,6 +722,24 @@ def test_truth_of_the_wrong_m_fails_before_the_first_candidate(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("d, n", [(6, 150), (4, 300)], ids=["fewer-rows", "another-d"])
+def test_a_truth_of_other_data_fails_naming_both_shapes(monkeypatch, d, n):
+    # A truth of fewer rows has the dataset's d and m, so only n tells it apart; one of
+    # another d has the configured m, which must not be blamed.
+    ds, _ = three_component_instance(seed=19, n=300)
+    spec = MixtureSpec(d=d, m=3, components=list(np.eye(d)[:3]), weights=[1 / 3] * 3)
+    other = generate_mlrc(spec, CorruptionSpec(), n=n, seed=20)[1]
+    calls = []
+    real = pipeline.ilts_run
+    monkeypatch.setattr(pipeline, "ilts_run", lambda *a: calls.append(1) or real(*a))
+    cfg = GlobalConfig(m=3, tau_list=(0.3,), candidate_budget=20, seed=4, radius=1.0)
+    message = f"^truth has n = {n}, d = {d} but the dataset has n = 300, d = 6$"
+    for run in (global_ilts, reference_global):
+        with pytest.raises(ValueError, match=message):
+            run(ds, cfg, truth=other)
+    assert calls == []
+
+
 def test_default_delta_and_one_tau_give_the_spelled_out_run():
     ds, truth = three_component_instance(seed=19)
     explicit = 10.0 * 1e-6 * math.sqrt(math.log(ds.n))
