@@ -15,10 +15,12 @@ of weight 0.5, no corruption, seed 0.
   that estimate_subspace and the response-matched scale of default_radius
   run first;
 - fit, fit-gd: ilts_run and gd_ilts_run on it at tau 0.4 and their other
-  defaults, from a start near component 0.
+  defaults, from a start near component 0;
+- reconstruction: reconstruction_error of it against its truth.
 
-For save, the fits and the global steps the dataset is read from raw files and built
-before the step starts.
+For save, the fits, the global steps and reconstruction the dataset is read from raw
+files and built before the step starts, and for reconstruction its truth sidecar is
+loaded too.
 
 For each step it prints two multiples of the bytes of X (8 n d): the
 tracemalloc peak of what the step allocates, and the rise of the process's
@@ -44,7 +46,8 @@ import tracemalloc
 # numpy and trimfit are imported inside the functions that the child processes
 # run, so that this process stays small (see main).
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STEPS = ("generate", "load", "save", "global", "global-default", "fit", "fit-gd")
+STEPS = ("generate", "load", "save", "global", "global-default", "fit", "fit-gd",
+         "reconstruction")
 # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
 _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
@@ -76,6 +79,9 @@ def step(name, n, d, workdir):
     del X, y
     if name == "save":
         return lambda: tf.save_dataset(dataset, os.path.join(workdir, "saved.csv"))
+    if name == "reconstruction":
+        truth = tf.load_truth(os.path.join(workdir, "truth.json"))
+        return lambda: tf.reconstruction_error(dataset, truth)
     start = np.eye(d)[0] + 0.3 * np.random.default_rng(0).standard_normal(d) / np.sqrt(d)
     if name == "fit":
         return lambda: tf.ilts_run(dataset, start, tf.IltsConfig(tau=0.4))
@@ -84,7 +90,7 @@ def step(name, n, d, workdir):
     config = tf.GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, seed=0)
     if name == "global-default":
         return lambda: tf.global_ilts(dataset, config)
-    subspace = tf.SubspaceEstimate(basis=np.eye(d)[:, :2], provenance="external")
+    subspace = tf.SubspaceEstimate(basis=np.eye(d)[:, :2])
     return lambda: tf.global_ilts(dataset, dataclasses.replace(config, radius=1.0), subspace)
 
 
@@ -103,10 +109,11 @@ def measure(name, n, d, workdir):
 
 
 def prepare(n, d, workdir):
-    """Write the instance's CSV and its raw X and y; return the CSV's size."""
+    """Write the instance's CSV, its truth and its raw X and y; return the CSV's size."""
     import trimfit as tf
-    dataset, _ = instance(n, d)
+    dataset, truth = instance(n, d)
     tf.save_dataset(dataset, os.path.join(workdir, "data.csv"))
+    tf.save_truth(truth, os.path.join(workdir, "truth.json"))
     dataset.X.tofile(os.path.join(workdir, "X"))
     dataset.y.tofile(os.path.join(workdir, "y"))
     return {"csv_bytes": os.path.getsize(os.path.join(workdir, "data.csv"))}

@@ -289,7 +289,7 @@ def _load_subspace(path: str, d: int) -> pipe.SubspaceEstimate:
         basis = np.column_stack([np.asarray(c, dtype=float) for c in doc["basis"]])
         if basis.shape[0] != d:
             raise ValueError(f"basis columns have {basis.shape[0]} entries, expected d = {d}")
-        return pipe.SubspaceEstimate(basis=basis, provenance="external")
+        return pipe.SubspaceEstimate(basis=basis)
 
 
 def cmd_global(args) -> int:

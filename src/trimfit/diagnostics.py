@@ -99,9 +99,9 @@ def feature_regularity_exact(X: np.ndarray, k: int) -> RegularityEstimate:
     """Exact psi_plus(k), psi_minus(k) by enumerating every size-k subset."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
+    check_integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
-    check_integer(k, "k", 1)
     total = math.comb(n, k)
     if total > EXACT_SUBSET_BUDGET:
         raise ValueError(
@@ -127,9 +127,9 @@ def feature_regularity_sampled(X: np.ndarray, k: int, trials: int,
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
+    check_integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
-    check_integer(k, "k", 1)
     check_integer(trials, "trials", 1)
     check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -209,9 +209,9 @@ def affine_error_estimate(X: np.ndarray, partition: np.ndarray, tau, j: int,
     check_integer(directions, "directions", 1)
     check_integer(seed, "seed", 0)
     tau = np.asarray(tau, dtype=float)
+    check_integer(j, "j")
     if not 0 <= j < tau.size:
         raise ValueError(f"j = {j} must lie in [0, {tau.size})")
-    check_integer(j, "j", 0)
     X_in, X_out, slack = _split(X, partition, tau[j], j)
     v_in, v_out = np.random.default_rng(seed).standard_normal((2, directions, d))
     value = _affine_count(X_in, X_out, delta * _unit(v_in), _unit(v_out), slack)
@@ -256,9 +256,9 @@ def contraction_bound_trace(dataset: Dataset, truth: GroundTruth, trace: SolverT
     in_region records whether delta_t <= 1; outside that range the bound is
     evaluated at delta = 1 and is not meaningful.
     """
+    check_integer(j, "j")
     if not 0 <= j < truth.m:
         raise ValueError(f"j = {j} must lie in [0, {truth.m})")
-    check_integer(j, "j", 0)
     theta_j = truth.theta_star[:, j]
     scale = float(np.linalg.norm(theta_j))
     if scale == 0:

@@ -166,9 +166,9 @@ def select_trimmed_set(dataset: Dataset, theta: np.ndarray, k: int) -> np.ndarra
     above inf. Both tie among themselves by index.
     """
     n = dataset.n
+    check_integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must lie in [1, {n}]")
-    check_integer(k, "k", 1)
     return _select(dataset, np.asarray(theta, dtype=float), k)[0]
 
 
@@ -404,9 +404,9 @@ def contraction_ratio(trace: SolverTrace, truth: GroundTruth, j: int) -> list[fl
     Entry t is dist(theta_{t+1}) / dist(theta_t); rounds whose denominator
     falls below 1e-14 are omitted. Fewer than two iterates give [].
     """
+    check_integer(j, "j")
     if not 0 <= j < truth.m:
         raise ValueError(f"component index {j} out of range")
-    check_integer(j, "j", 0)
     target = truth.theta_star[:, j]
     dists = np.linalg.norm(trace.iterates - target, axis=1)
     ratios = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -230,8 +231,16 @@ def reconstruction_error(dataset: Dataset, truth: GroundTruth) -> float:
     Returned value is normalized by 1 + |y_i| per sample.
     """
     check_truth(dataset, truth)
-    pred = np.sum(dataset.X * truth.theta_star.T[truth.partition], axis=1) + truth.r
+    pred = _clean_responses(dataset.X, truth.theta_star, truth.partition) + truth.r
     return float(np.max(np.abs(dataset.y - pred) / (1.0 + np.abs(dataset.y))))
+
+
+def _clean_responses(X: np.ndarray, theta: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """<x_i, theta[:, labels_i]> for each row i, by blocks of rows, each multiplied in place."""
+    y = np.empty(X.shape[0])
+    for rows in row_blocks(X.shape[0]):
+        y[rows] = np.sum(operator.imul(theta.T[labels[rows]], X[rows]), axis=1)
+    return y
 
 
 def _allocate_counts(weights: Sequence[float], n: int) -> np.ndarray:
@@ -351,15 +360,12 @@ def generate_mlrc(spec: MixtureSpec, corruption: CorruptionSpec, n: int, seed: i
 
     X.setflags(write=False)
 
-    theta = spec.theta_star
-    y = np.empty(n)
-    for rows in row_blocks(n):
-        y[rows] = np.sum(X[rows] * theta.T[labels[rows]], axis=1)
+    y = _clean_responses(X, spec.theta_star, labels)
     # The clean fractions are counts / n, so their minimum is min(counts) / n.
     y, r, corrupted = _corrupt(X, y, labels, spec.m, float(counts.min()) / n, corruption,
                                np.random.default_rng(corrupt_ss))
     return Dataset(X=X, y=y), GroundTruth(
-        theta_star=theta, partition=labels, corrupted=corrupted, r=r, seed=seed)
+        theta_star=spec.theta_star, partition=labels, corrupted=corrupted, r=r, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from .ilts import IltsConfig, RankDeficientError, ilts_run
 from .model import Dataset, GroundTruth, check_truth
 from .util import ROW_BLOCK, as_readonly, check_finite, check_integer, floor_count, row_blocks
 
-PROVENANCES = ("svd", "external")
-
 # Entrywise orthonormality tolerance for stored bases.
 _BASIS_TOL = 1e-10
 # Orthonormality tolerance accepted on comparison inputs.
@@ -51,7 +49,6 @@ class SubspaceEstimate:
     """Orthonormal basis of the estimated component span."""
 
     basis: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         basis = as_readonly(np.asarray(self.basis, dtype=float))
@@ -64,8 +61,6 @@ class SubspaceEstimate:
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(m_tilde))) > _BASIS_TOL:
             raise ValueError("basis columns are not orthonormal")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}")
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -192,18 +187,18 @@ def _exact_gram(X: np.ndarray, rows_of, width: int) -> tuple[np.ndarray, int]:
 
 
 def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
-    """Top-m right-singular basis of the moment rows y_i * x_i, which provenance "svd" names,
-    taken as the top-m eigenvectors of their Gram sum_i y_i^2 x_i x_i^T (Yi, Caramanis &
-    Sanghavi 2014), which _exact_gram sums from the rows x_i 2**-ex_i frac(y_i) at the exponent
-    ex_i + ey_i of their largest |x_ij| and of y_i. Measured bases differed from their SVD's by
-    at most 1.9e-13 per entry. Each column's largest-magnitude entry is made positive."""
+    """Top-m right-singular basis of the moment rows y_i * x_i, taken as the top-m eigenvectors
+    of their Gram sum_i y_i^2 x_i x_i^T (Yi, Caramanis & Sanghavi 2014), which _exact_gram sums
+    from the rows x_i 2**-ex_i frac(y_i) at the exponent ex_i + ey_i of their largest |x_ij|
+    and of y_i. Measured bases differed from their SVD's by at most 1.9e-13 per entry. Each
+    column's largest-magnitude entry is made positive."""
     def moment_rows(rows, xs, fx, ex):
         fy, ey = np.frexp(dataset.y[rows])
         xs *= fy[:, None]
         return xs, ex + ey, fx * np.abs(fy)
+    check_integer(m, "m")
     if not 1 <= m <= min(dataset.n, dataset.d):
         raise ValueError(f"m = {m} must lie in [1, min(n, d) = {min(dataset.n, dataset.d)}]")
-    check_integer(m, "m", 1)
     gram = _exact_gram(dataset.X, moment_rows, dataset.d)[0]
     if not np.any(gram):
         raise ValueError("all moment rows are zero (is y identically zero?)")
@@ -212,7 +207,7 @@ def estimate_subspace(dataset: Dataset, m: int) -> SubspaceEstimate:
     except np.linalg.LinAlgError as err:
         raise ValueError(f"estimate_subspace: eigh of the moment Gram failed: {err}") from None
     basis *= np.sign(basis[np.argmax(np.abs(basis), axis=0), range(m)])
-    return SubspaceEstimate(basis=basis, provenance="svd")
+    return SubspaceEstimate(basis=basis)
 
 
 def subspace_distance(estimate: SubspaceEstimate, u_true: np.ndarray) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from .gd import SCHEDULES
 from .ilts import RANK_POLICIES
 from .model import ADVERSARIES
-from .pipeline import PROVENANCES
 
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
 
@@ -69,7 +68,7 @@ SUBSPACE_FILE_SCHEMA = {
     "required": ["basis"],
     "properties": {
         "basis": {"type": "array", "items": _NUMBER_ARRAY},
-        "provenance": {"enum": list(PROVENANCES)},
+        "provenance": {"enum": ["svd", "external"]},
     },
     "additionalProperties": False,
 }

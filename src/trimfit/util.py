@@ -11,11 +11,11 @@ import numpy as np
 # 899.9999999999999 in floating point, floor to the intended integer.
 _FLOOR_GUARD = 1e-9
 
-# Rows per block wherever a pass over the rows of X holds a temporary the width
-# of X: the response sum of generate_mlrc, the rows save_dataset formats at a
-# time, and pipeline._exact_gram, the one Gram of estimate_subspace's moment
-# rows and of default_radius's X B. Each response and written row is computed
-# alone, so any size gives it the same bits; the Grams' sums depend on it.
+# Rows per block wherever a pass over the rows of X holds a temporary the width of X: the clean
+# responses of generate_mlrc and reconstruction_error, the rows save_dataset formats at a time,
+# and pipeline._exact_gram, the one Gram of estimate_subspace's moment rows and of
+# default_radius's X B. Each response and written row is computed alone, so any size gives it the
+# same bits; the Grams' sums depend on it.
 ROW_BLOCK = 4096
 
 
@@ -49,12 +49,12 @@ def as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_integer(value, name: str, minimum: int) -> None:
-    """Reject a value that is not an integer of at least minimum, naming it.
+def check_integer(value, name: str, minimum: int | None = None) -> None:
+    """Reject a value that is not an integer, or one below minimum when given, naming it.
     numpy integers pass; bools and integral floats such as 3.0 do not."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
 
 

@@ -54,7 +54,7 @@ def reference_subspace(dataset, m):
         pivot = int(np.argmax(np.abs(basis[:, col])))
         if basis[pivot, col] < 0:
             basis[:, col] = -basis[:, col]
-    return SubspaceEstimate(basis=basis, provenance="svd")
+    return SubspaceEstimate(basis=basis)
 
 
 def reference_radius(dataset, subspace):

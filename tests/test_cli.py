@@ -312,7 +312,8 @@ def test_global_records_a_rank_deficient_candidate(tmp_path):
 
 def test_global_external_subspace(tmp_path):
     data, truth = generate(tmp_path)
-    sub = {"basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+    # provenance is accepted and ignored
+    sub = {"basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "provenance": "svd"}
     sub_path = tmp_path / "basis.json"
     sub_path.write_text(json.dumps(sub))
     code = main(["global", data, "--m", "2", "--tau", "0.35", "--budget", "400",
@@ -326,10 +327,12 @@ def test_global_external_subspace(tmp_path):
 def test_bad_external_subspace_names_the_file(tmp_path, capsys):
     data, _ = generate(tmp_path)
     sub_path = tmp_path / "basis.json"
-    for basis, message in (
-            ([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], "basis columns are not orthonormal"),
-            ([[1.0, 0.0], [0.0, 1.0]], "basis columns have 2 entries, expected d = 3")):
-        sub_path.write_text(json.dumps({"basis": basis}))
+    for doc, message in (
+            ({"basis": [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]}, "basis columns are not orthonormal"),
+            ({"basis": [[1.0, 0.0], [0.0, 1.0]]}, "basis columns have 2 entries, expected d = 3"),
+            ({"basis": [[1.0, 0.0, 0.0]], "provenance": "guess"},
+             "'guess' is not one of ['svd', 'external'] (at provenance)")):
+        sub_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["global", data, "--m", "2", "--tau", "0.4", "--budget", "5", "--seed", "0",
                      "--subspace", str(sub_path), "--out-prefix", str(tmp_path / "ext")]) == 1

@@ -10,8 +10,9 @@ from trimfit.diagnostics import (EXACT_SUBSET_BUDGET, _affine_count, _pair_value
                                  contraction_bound_trace,
                                  feature_regularity_exact,
                                  feature_regularity_sampled, q_separation)
-from trimfit.ilts import IltsConfig, ilts_run
+from trimfit.ilts import IltsConfig, contraction_ratio, ilts_run, select_trimmed_set
 from trimfit.model import CorruptionSpec, Dataset, GroundTruth, MixtureSpec, generate_mlrc
+from trimfit.pipeline import estimate_subspace
 
 
 def test_q_separation_frozen_example():
@@ -207,18 +208,22 @@ def two_component_trace(theta_star, corrupted=None, n=60):
     return ds, truth, ilts_run(ds, np.full(theta_star.shape[0], 0.5), IltsConfig(tau=0.4))
 
 
-@pytest.mark.parametrize("theta_star, corrupted, j, message", [
-    ([[1.0, 1.0], [0.0, 0.0]], None, 0,
+@pytest.mark.parametrize("theta_star, corrupted, j, tau, message", [
+    ([[1.0, 1.0], [0.0, 0.0]], None, 0, 0.3,
      r"^component 0 coincides with another \(Q_j = 0\); the affine-error delta is undefined$"),
-    ([[1.0, 0.0], [0.0, 1.0]], np.ones(60, bool), 0,
+    ([[1.0, 0.0], [0.0, 1.0]], np.ones(60, bool), 0, 0.3,
      r"^every row is corrupted; the trace has no clean rows to scan$"),
-    ([[1.0, 0.0], [0.0, 1.0]], None, 2, r"^j = 2 must lie in \[0, 2\)$"),
-    ([[0.0, 1.0], [0.0, 1.0]], None, 0, r"^component j has zero norm$"),
-], ids=["coinciding-components", "every-row-corrupted", "j-out-of-range", "zero-norm"])
-def test_contraction_bound_trace_names_an_undefined_bound(theta_star, corrupted, j, message):
+    ([[1.0, 0.0], [0.0, 1.0]], None, 2, 0.3, r"^j = 2 must lie in \[0, 2\)$"),
+    ([[0.0, 1.0], [0.0, 1.0]], None, 0, 0.3, r"^component j has zero norm$"),
+    # floor(tau n) = 2 rows of d = 3 features: every kept Gram is singular.
+    ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], None, 0, 2 / 60,
+     r"^sampled psi_minus is zero; bound undefined$"),
+], ids=["coinciding-components", "every-row-corrupted", "j-out-of-range", "zero-norm",
+        "fewer-kept-rows-than-features"])
+def test_contraction_bound_trace_names_an_undefined_bound(theta_star, corrupted, j, tau, message):
     ds, truth, trace = two_component_trace(theta_star, corrupted)
     with pytest.raises(ValueError, match=message):
-        contraction_bound_trace(ds, truth, trace, j=j, tau=0.3)
+        contraction_bound_trace(ds, truth, trace, j=j, tau=tau)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -230,6 +235,25 @@ def test_contraction_bound_trace_of_another_truth_fails_naming_both_shapes(m):
     with pytest.raises(ValueError, match=r"^truth has n = 150, d = 2 but the dataset has "
                                          r"n = 200, d = 2$"):
         contraction_bound_trace(ds, other, trace, j=0, tau=0.4)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda ds, truth, trace, v: select_trimmed_set(ds, np.zeros(2), v), "k"),
+    (lambda ds, truth, trace, v: contraction_ratio(trace, truth, v), "j"),
+    (lambda ds, truth, trace, v: estimate_subspace(ds, v), "m"),
+    (lambda ds, truth, trace, v: feature_regularity_exact(ds.X, v), "k"),
+    (lambda ds, truth, trace, v: feature_regularity_sampled(ds.X, v, 10, 0), "k"),
+    (lambda ds, truth, trace, v: affine_error_estimate(ds.X, truth.partition, [0.3, 0.3], v,
+                                                      0.5, 8, 0), "j"),
+    (lambda ds, truth, trace, v: contraction_bound_trace(ds, truth, trace, j=v, tau=0.3), "j"),
+], ids=["select_trimmed_set", "contraction_ratio", "estimate_subspace",
+        "feature_regularity_exact", "feature_regularity_sampled", "affine_error_estimate",
+        "contraction_bound_trace"])
+@pytest.mark.parametrize("value", [None, "3"])
+def test_counts_and_indices_that_are_not_integers_are_named(call, name, value):
+    ds, truth, trace = two_component_trace([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(ds, truth, trace, value)
 
 
 @pytest.mark.parametrize("k", [0, 4])

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from trimfit.gd import GdConfig, gd_ilts_run
 from trimfit.ilts import IltsConfig, ilts_run
 from trimfit.model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
-                           _allocate_counts, generate_mlrc, inject_corruptions,
+                           _allocate_counts, component_counts, generate_mlrc, inject_corruptions,
                            load_dataset, load_truth, realized_gamma_star,
                            reconstruction_error, save_dataset, save_truth)
 from trimfit.pipeline import GlobalConfig, SubspaceEstimate, global_ilts
@@ -334,6 +334,12 @@ def test_blocked_responses_are_bit_equal_to_the_whole_matrix_sum(n, covariance):
     ds, truth = generate_mlrc(spec, CorruptionSpec(), n=n, seed=5)
     whole = np.sum(ds.X * truth.theta_star.T[truth.partition], axis=1)
     assert np.array_equal(ds.y.view(np.int64), whole.view(np.int64))
+    # reconstruction_error sums through the same blocks; a truth that misses the data makes
+    # every bit of its error count.
+    other = GroundTruth(theta_star=truth.theta_star * 1.001, partition=truth.partition,
+                        corrupted=truth.corrupted, r=truth.r)
+    pred = np.sum(ds.X * other.theta_star.T[truth.partition], axis=1)
+    assert reconstruction_error(ds, other) == np.max(np.abs(ds.y - pred) / (1.0 + np.abs(ds.y)))
 
 
 def traced_peak(call):
@@ -357,36 +363,39 @@ def fit_start(d):
 
 @pytest.fixture(scope="module")
 def memory_instance(tmp_path_factory):
-    """(dataset, CSV path) of the instance with d features, built once per d."""
+    """(dataset, truth, CSV path) of the instance with d features, built once per d."""
     @functools.cache
     def build(d):
-        ds, _ = generate_mlrc(memory_spec(d), CorruptionSpec(), n=20_000, seed=0)
+        ds, truth = generate_mlrc(memory_spec(d), CorruptionSpec(), n=20_000, seed=0)
         path = str(tmp_path_factory.mktemp("memory") / "inst.csv")
         save_dataset(ds, path)
-        return ds, path
+        return ds, truth, path
     return build
 
 
 # save runs at d = 5, where formatting the text costs a tenth of d = 50: the blocked
 # writer peaks at 0.3x X there, and a whole-matrix column_stack writer at 1.24x.
 @pytest.mark.parametrize("d, step, bound", [
-    (50, lambda ds, path: generate_mlrc(memory_spec(50), CorruptionSpec(), n=20_000, seed=0),
-     1.5),
-    (50, lambda ds, path: load_dataset(path), 2.5),
-    (50, lambda ds, path: global_ilts(
+    (50, lambda ds, truth, path: generate_mlrc(memory_spec(50), CorruptionSpec(), n=20_000,
+                                               seed=0), 1.5),
+    (50, lambda ds, truth, path: load_dataset(path), 2.5),
+    (50, lambda ds, truth, path: global_ilts(
         ds, GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, radius=1.0, seed=0),
-        SubspaceEstimate(basis=np.eye(50)[:, :2], provenance="external")), 2.0),
+        SubspaceEstimate(basis=np.eye(50)[:, :2])), 2.0),
     # No subspace and no radius: the moment Gram and the row norms go by blocks of rows.
-    (50, lambda ds, path: global_ilts(
+    (50, lambda ds, truth, path: global_ilts(
         ds, GlobalConfig(m=2, tau_list=(0.4,), candidate_budget=8, seed=0)), 1.0),
-    (5, lambda ds, path: save_dataset(ds, path + ".saved"), 0.5),
+    (5, lambda ds, truth, path: save_dataset(ds, path + ".saved"), 0.5),
     # tau = 0.4: each refit reads its 8,000 selected rows in blocks, never X_S whole.
-    (50, lambda ds, path: ilts_run(ds, fit_start(50), IltsConfig(tau=0.4)), 0.4),
-    (50, lambda ds, path: gd_ilts_run(ds, fit_start(50), GdConfig(tau=0.4)), 0.4),
-], ids=["generate", "load", "global", "global-default", "save", "fit", "fit-gd"])
+    (50, lambda ds, truth, path: ilts_run(ds, fit_start(50), IltsConfig(tau=0.4)), 0.4),
+    (50, lambda ds, truth, path: gd_ilts_run(ds, fit_start(50), GdConfig(tau=0.4)), 0.4),
+    # The clean responses go by blocks of rows: 0.23x X, where a whole-matrix product is 1.02x.
+    (50, lambda ds, truth, path: reconstruction_error(ds, truth), 0.3),
+], ids=["generate", "load", "global", "global-default", "save", "fit", "fit-gd",
+        "reconstruction"])
 def test_peak_memory_is_a_small_multiple_of_X(memory_instance, d, step, bound):
-    ds, path = memory_instance(d)
-    assert traced_peak(lambda: step(ds, path)) <= bound * ds.X.nbytes
+    ds, truth, path = memory_instance(d)
+    assert traced_peak(lambda: step(ds, truth, path)) <= bound * ds.X.nbytes
 
 
 def test_generate_rejects_undersized_n():
@@ -407,6 +416,73 @@ def test_ground_truth_label_range_checked():
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         Dataset(X=np.array([[1.0], [np.nan]]), y=np.array([0.0, 1.0]))
+
+
+E2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(components=E2[:1]), "expected 2 components, got 1"),
+    (dict(weights=[1.0]), "expected 2 weights, got 1"),
+    (dict(covariance=[None]), "expected 2 covariance entries, got 1"),
+    (dict(components=[[1.0, 0.0, 0.0], [0.0, 1.0]]), "component 0 must be a length-2 vector"),
+    (dict(covariance=[None, np.eye(3)]), "covariance 1 must be 2 x 2"),
+    (dict(covariance=[[[1.0, 0.5], [0.0, 1.0]], None]), "covariance 0 is not symmetric"),
+], ids=["components", "weights", "covariances", "component-length", "covariance-shape",
+        "covariance-asymmetric"])
+def test_mixture_spec_rejections_name_the_fault(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MixtureSpec(**dict(dict(d=2, m=2, components=E2, weights=[0.5, 0.5]), **fields))
+
+
+@pytest.mark.parametrize("X, y, message", [
+    (np.ones(3), np.ones(3), "X must be a 2-d array"),
+    (np.ones((3, 1)), np.ones(2), "y must be 1-d with one entry per row of X"),
+    (np.ones((3, 1)), np.ones((3, 1)), "y must be 1-d with one entry per row of X"),
+], ids=["X-1d", "y-short", "y-2d"])
+def test_dataset_rejections_name_the_fault(X, y, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(X=X, y=y)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(theta_star=np.ones(2)), "theta_star must be d x m"),
+    (dict(partition=[0, 1, 0]), "partition, corrupted and r must share length n"),
+    (dict(corrupted=[False]), "partition, corrupted and r must share length n"),
+    (dict(r=[0.0, 0.0, 0.0]), "partition, corrupted and r must share length n"),
+], ids=["theta-1d", "partition", "corrupted", "r"])
+def test_ground_truth_rejections_name_the_fault(fields, message):
+    valid = dict(theta_star=np.eye(2), partition=[0, 1], corrupted=[False, False], r=[0.0, 0.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GroundTruth(**dict(valid, **fields))
+
+
+def write_bad_header(tmp_path):
+    path = tmp_path / "names.csv"
+    path.write_text("y,x1,x3\n1.0,2.0,3.0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: realized_gamma_star(GroundTruth(
+        theta_star=np.eye(2), partition=[0, 1, 1], corrupted=[True, False, False],
+        r=[1.0, 0.0, 0.0])), "smallest component has no uncorrupted samples"),
+    (lambda tmp: generate_mlrc(MixtureSpec(d=1, m=1, components=[[1.0]], weights=[1.0]),
+                               CorruptionSpec(5.0, "oblivious-random"), n=10, seed=0),
+     "corrupted count 50 exceeds n = 10"),
+    (lambda tmp: generate_mlrc(two_component_spec(d=2), CorruptionSpec(1.5, "component-targeted"),
+                               n=10, seed=0),
+     "corrupted count 7 exceeds smallest component size 5"),
+    (lambda tmp: component_counts(MixtureSpec(d=1, m=3, components=[[1.0], [2.0], [3.0]],
+                                              weights=[1 / 3] * 3), 2),
+     "n = 2 must be at least m = 3"),
+    (lambda tmp: load_dataset(write_bad_header(tmp)), "{path}: malformed feature column names"),
+], ids=["fully-corrupted-component", "more-corrupted-than-n", "more-targeted-than-component",
+        "fewer-rows-than-components", "feature-names"])
+def test_generation_and_loading_rejections_name_the_fault(tmp_path, make, message):
+    message = message.format(path=tmp_path / "names.csv")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(tmp_path)
 
 
 def write_csv(tmp_path, text):

@@ -35,15 +35,15 @@ def basis_at_angle(alpha):
 
 def test_subspace_distance_rotation():
     # a one-column basis rotated by alpha misses e1 by exactly sin(alpha)
-    est = SubspaceEstimate(basis=basis_at_angle(math.pi / 6), provenance="external")
+    est = SubspaceEstimate(basis=basis_at_angle(math.pi / 6))
     u_true = np.array([[1.0], [0.0]])
     assert subspace_distance(est, u_true) == pytest.approx(0.5, abs=1e-12)
-    aligned = SubspaceEstimate(basis=basis_at_angle(0.0), provenance="external")
+    aligned = SubspaceEstimate(basis=basis_at_angle(0.0))
     assert subspace_distance(aligned, u_true) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subspace_distance_validates_orthonormal():
-    est = SubspaceEstimate(basis=basis_at_angle(0.3), provenance="external")
+    est = SubspaceEstimate(basis=basis_at_angle(0.3))
     with pytest.raises(ValueError, match="orthonormal"):
         subspace_distance(est, np.array([[2.0], [0.0]]))
     with pytest.raises(ValueError, match=r"^u_true must be d x k$"):
@@ -56,7 +56,6 @@ def test_estimate_subspace_sign_canonical():
                        weights=[0.5, 0.5])
     ds, _ = generate_mlrc(spec, CorruptionSpec(), n=2000, seed=3)
     est = estimate_subspace(ds, 2)
-    assert est.provenance == "svd"
     for col in range(2):
         pivot = np.argmax(np.abs(est.basis[:, col]))
         assert est.basis[pivot, col] > 0
@@ -164,7 +163,6 @@ def test_estimate_subspace_matches_the_svd_of_the_moment_rows(family):
     ds, m, scale = SUBSPACE_FAMILIES[family]()
     reference = reference_subspace(ds, m)
     est = estimate_subspace(Dataset(X=ds.X * scale, y=ds.y * scale), m)
-    assert est.provenance == "svd"
     # Eigenvalues of the moment Gram relative to the largest, the last padded with 0.
     sv = np.linalg.svd(ds.X * ds.y[:, None], compute_uv=False)
     eig = np.append(sv / sv[0], 0.0) ** 2
@@ -272,7 +270,7 @@ def test_a_feature_outside_the_span_does_not_move_the_scale(scale):
     # A scale taken from X's largest entry fails here: from 1e155 up the other columns underflow.
     X = np.random.default_rng(0).standard_normal((500, 4))
     y = X @ np.array([0.0, 1.0, -1.0, 0.5])
-    span = SubspaceEstimate(basis=np.eye(4)[:, 1:3], provenance="external")
+    span = SubspaceEstimate(basis=np.eye(4)[:, 1:3])
     radius, factor = default_radius(Dataset(X=X, y=y), span)
     X[:, 0] *= scale
     scaled_radius, scaled_factor = default_radius(Dataset(X=X, y=y), span)
@@ -287,7 +285,7 @@ def test_a_feature_outside_the_span_does_not_move_the_scale(scale):
      r"^m = 3 must lie in \[1, min\(n, d\) = 2\]$"),
     (lambda: pipeline.plan_search(Dataset(X=np.eye(3), y=np.ones(3)),
                                   GlobalConfig(m=1, tau_list=(0.5,), candidate_budget=2, seed=0),
-                                  SubspaceEstimate(basis=np.eye(2)[:, :1], provenance="external")),
+                                  SubspaceEstimate(basis=np.eye(2)[:, :1])),
      r"^subspace dimension does not match the dataset$"),
 ], ids=["m-zero", "m-above-n", "subspace-of-another-d"])
 def test_a_span_of_the_wrong_size_fails_by_name(call, message):
@@ -304,7 +302,7 @@ def test_estimate_subspace_rejects_zero_response():
 def test_candidate_count_covering_cap():
     # 3 R / epsilon = 12 in a 2-d span caps the draw count at 144
     basis = np.eye(4)[:, :2]
-    est = SubspaceEstimate(basis=basis, provenance="external")
+    est = SubspaceEstimate(basis=basis)
     cands = generate_candidates(est, radius=2.0, epsilon=0.5, budget=10000, seed=0)
     assert cands.shape == (144, 4)
     # the budget binds when smaller than the covering cap
@@ -317,7 +315,7 @@ def test_candidate_count_covering_cap():
 
 def test_candidates_live_on_sphere_inside_span():
     basis = np.linalg.qr(np.random.default_rng(8).standard_normal((6, 2)))[0]
-    est = SubspaceEstimate(basis=basis, provenance="external")
+    est = SubspaceEstimate(basis=basis)
     cands = generate_candidates(est, radius=1.5, epsilon=0.3, budget=100, seed=4)
     norms = np.linalg.norm(cands, axis=1)
     assert np.allclose(norms, 1.5, atol=1e-10)
@@ -326,7 +324,7 @@ def test_candidates_live_on_sphere_inside_span():
 
 
 def test_candidates_one_dimensional_span_poles():
-    est = SubspaceEstimate(basis=np.eye(3)[:, :1], provenance="external")
+    est = SubspaceEstimate(basis=np.eye(3)[:, :1])
     cands = generate_candidates(est, radius=2.0, epsilon=0.1, budget=500, seed=0)
     assert cands.shape == (2, 3)
     assert np.allclose(cands[0], [2.0, 0.0, 0.0])
@@ -345,7 +343,7 @@ def test_default_radius_by_blocks_matches_the_whole_matrix_gram(n, scale):
         ds = Dataset(X=X, y=rng.standard_normal(n))
         for m_tilde in sorted({1, min(d, 3)}):
             basis = np.linalg.qr(rng.standard_normal((d, m_tilde)))[0]
-            span = SubspaceEstimate(basis=basis, provenance="external")
+            span = SubspaceEstimate(basis=basis)
             (radius, factor), (ref_radius, ref_gram) = (
                 f(ds, span) for f in (default_radius, reference_radius))
             assert radius == pytest.approx(ref_radius, rel=1e-13)
@@ -355,7 +353,7 @@ def test_default_radius_by_blocks_matches_the_whole_matrix_gram(n, scale):
 def test_default_radius_is_the_ratio_of_the_responses_rms_to_the_features():
     X = np.ones((100, 1))
     y = np.arange(1.0, 101.0)
-    span = SubspaceEstimate(basis=np.ones((1, 1)), provenance="external")
+    span = SubspaceEstimate(basis=np.ones((1, 1)))
     radius, factor = default_radius(Dataset(X=X, y=y), span)
     assert radius == pytest.approx(math.sqrt(np.mean(y ** 2)), rel=1e-15)
     assert factor.tolist() == [[1.0]]
@@ -415,7 +413,7 @@ def test_a_span_where_the_features_vanish_fails_by_name(columns):
     X = np.random.default_rng(4).standard_normal((50, 3))
     X[:, 2] = 0.0
     ds = Dataset(X=X, y=X[:, 0])
-    span = SubspaceEstimate(basis=np.eye(3)[:, columns], provenance="external")
+    span = SubspaceEstimate(basis=np.eye(3)[:, columns])
     config = GlobalConfig(m=len(columns), tau_list=(0.5,), candidate_budget=4, seed=0)
     with pytest.raises(ValueError, match="^default_radius: X vanishes along a direction of the "
                                          "candidate span; give radius$"):
@@ -781,7 +779,7 @@ def test_default_delta_on_one_sample_asks_for_delta():
         "candidates-radius-inf", "candidates-epsilon-nan", "candidates-epsilon-inf"])
 def test_entry_points_reject_non_finite_scales(call, message):
     ds = Dataset(X=np.eye(3), y=np.array([0.1, 0.2, 0.3]))
-    est = SubspaceEstimate(basis=np.eye(3)[:, :2], provenance="external")
+    est = SubspaceEstimate(basis=np.eye(3)[:, :2])
     with pytest.raises(ValueError, match=f"^{message} must be positive and finite$"):
         call(ds, est)
 
@@ -820,7 +818,7 @@ def test_global_config_validation():
 
 GLOBAL_SETTINGS = dict(m=2, tau_list=(0.3,), candidate_budget=5, seed=0)
 SPLIT = (np.arange(20.0).reshape(10, 2), np.repeat([0, 1], 5))
-SPAN = SubspaceEstimate(basis=np.eye(3)[:, :2], provenance="external")
+SPAN = SubspaceEstimate(basis=np.eye(3)[:, :2])
 
 
 @functools.cache
@@ -891,19 +889,17 @@ def test_counts_and_seeds_take_numpy_integers():
 
 def test_subspace_estimate_validation():
     with pytest.raises(ValueError, match="orthonormal"):
-        SubspaceEstimate(basis=np.array([[1.0], [1.0]]), provenance="external")
-    with pytest.raises(ValueError, match="provenance"):
-        SubspaceEstimate(basis=np.eye(2), provenance="guess")
+        SubspaceEstimate(basis=np.array([[1.0], [1.0]]))
     with pytest.raises(ValueError, match=r"^basis must be d x m_tilde$"):
-        SubspaceEstimate(basis=np.ones(3), provenance="external")
+        SubspaceEstimate(basis=np.ones(3))
     for basis in (np.ones((3, 0)), np.eye(4)[:2]):
         with pytest.raises(ValueError, match=r"^basis must have between 1 and d columns$"):
-            SubspaceEstimate(basis=basis, provenance="external")
+            SubspaceEstimate(basis=basis)
 
 
 def test_subspace_estimate_leaves_the_callers_array_writeable():
     b = np.eye(3)[:, :2].copy()
-    est = SubspaceEstimate(basis=b, provenance="external")
+    est = SubspaceEstimate(basis=b)
     assert b.flags.writeable
     assert not est.basis.flags.writeable
     b[0, 0] = 2.0
