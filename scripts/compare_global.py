@@ -10,6 +10,9 @@ test instances from its tests/ and the benchmark setups from its bench/:
 - cli-io-S: the `global` command of the bench `cli-io` workload (n = 6000,
   budget 50), run through trimfit.cli.main, seeds 0-5;
 - stress-S: the ROADMAP stress recipe, seeds 0-9;
+- hard-m8: the first hard design of ROADMAP item 18, m = 8, d = 40,
+  n = 40,000, tau 0.1, budget 40, seed 0, default delta and radius, which
+  no version recovers in full yet;
 - each SCREENING_CASES instance of tests/test_pipeline.py.
 
 For every run it prints the rows, rounds, recovered slots and
@@ -19,13 +22,15 @@ whether the theta_hat bytes agree, whether epsilon_recovery and the
 matching agree, whether the whole report agrees: a digest of
 trimfit.cli.report_to_dict, which holds the tallies, the radius, delta and
 their sources besides, and whether the span and the scale agree: a digest
-of the estimate_subspace basis of the run's data and m and of the
-default_radius (radius, L) on it, or of the error either raises, taken
-whether or not the run itself used them. It then prints each checkout's
-rounds over all runs, and the slots the pinned `global` experiment of
-tests/test_cli.py recovers per repeat at budgets 4 and 8, for each
-checkout and for tests/reference.py::reference_global. Single-threaded
-BLAS; the stress runs take a few seconds each.
+of the estimate_subspace basis of the run's data and m, of the
+default_radius (radius, L) on it and of the tensor starts plan_search puts
+ahead of the net there (none in a checkout without them), or of the error
+the span or the scale raises, taken whether or not the run itself used
+the span and the scale. It then prints each checkout's rounds over all runs, and the slots
+the pinned `global` experiment of tests/test_cli.py recovers per repeat at
+budgets 4 and 8, for each checkout and for
+tests/reference.py::reference_global. Single-threaded
+BLAS; the stress runs take a few seconds each, hard-m8 6 to 9 s.
 
 It exits 0 when every run agrees on all five counts and the recall tables
 are equal, and 1 otherwise. Given this checkout itself (`.`), it checks that
@@ -49,27 +54,32 @@ def _digest(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _span_and_scale(dataset, m):
-    """Digest of the span estimate_subspace gives and of default_radius on it, or of the
-    error message where either fails."""
+def _span_and_scale(dataset, config):
+    """Digest of the span estimate_subspace gives, of default_radius and of the tensor
+    starts plan_search puts ahead of the net on it, or of the error message where the span
+    or the scale fails."""
     import numpy as np
     from trimfit import pipeline
     parts = []
     try:
-        span = pipeline.estimate_subspace(dataset, m)
+        span = pipeline.estimate_subspace(dataset, config.m)
         parts.append(span.basis.tobytes())
         radius, factor = pipeline.default_radius(dataset, span)
         parts += [np.float64(radius).tobytes(), factor.tobytes()]
     except ValueError as err:
         parts.append(str(err).encode())
+    else:
+        plan = pipeline.plan_search(dataset, config, span)
+        if len(plan) == 3:  # (settings, ahead, starts) in a checkout with tensor starts
+            parts.append(plan[1].tobytes())
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-def _run(name, report, dataset, m):
+def _run(name, report, dataset, config):
     from trimfit import cli
     rows = [tuple(int(v) for v in row[:5]) for row in report.candidate_outcomes]
     return name, {
-        "span_scale": _span_and_scale(dataset, m),
+        "span_scale": _span_and_scale(dataset, config),
         "rows": rows,
         "slots": sum(report.recovered),
         "theta_hat": hashlib.sha256(report.theta_hat.tobytes()).hexdigest(),
@@ -98,7 +108,7 @@ def collect(root):
             dataset, truth = state[key]
             config = state[key + "_config"]
             runs.append(_run(f"sweep-{seed}-{key}", tf.global_ilts(dataset, config, truth=truth),
-                             dataset, config.m))
+                             dataset, config))
 
     cli_io = workloads.CliIo()
     for seed in range(6):
@@ -114,7 +124,8 @@ def collect(root):
                 rows = [tuple(int(v) for v in row[:5]) for row in list(csv.reader(fh))[1:]]
             with open(prefix + ".report.json", encoding="ascii") as fh:
                 doc = json.load(fh)
-            span_scale = _span_and_scale(tf.load_dataset(state["csv"]), 3)
+            span_scale = _span_and_scale(tf.load_dataset(state["csv"]), tf.GlobalConfig(
+                m=3, tau_list=(0.3,), candidate_budget=50, seed=seed))
         runs.append((f"cli-io-{seed}", {
             "span_scale": span_scale,
             "rows": rows,
@@ -133,11 +144,18 @@ def collect(root):
         config = tf.GlobalConfig(m=5, tau_list=(0.15,), delta=1e-4, candidate_budget=2000,
                                  epsilon_net=0.5, seed=seed)
         runs.append(_run(f"stress-{seed}", tf.global_ilts(dataset, config, truth=truth),
-                         dataset, config.m))
+                         dataset, config))
+
+    hard = tf.MixtureSpec(d=40, m=8, components=list(np.random.default_rng(1).standard_normal(
+        (8, 40))), weights=[1 / 8] * 8)
+    dataset, truth = tf.generate_mlrc(hard, tf.CorruptionSpec(0.05, "oblivious-random", 2.0),
+                                      n=40000, seed=0)
+    config = tf.GlobalConfig(m=8, tau_list=(0.1,), candidate_budget=40, seed=0)
+    runs.append(_run("hard-m8", tf.global_ilts(dataset, config, truth=truth), dataset, config))
 
     for case, build in test_pipeline.SCREENING_CASES.items():
         dataset, config, truth = build()
-        runs.append(_run(case, tf.global_ilts(dataset, config, truth=truth), dataset, config.m))
+        runs.append(_run(case, tf.global_ilts(dataset, config, truth=truth), dataset, config))
 
     recall = {}
     for budget in (4, 8):

@@ -1,14 +1,15 @@
 """Global recovery of all mixture components.
 
 The pipeline estimates the span of the component matrix from the d x d Gram
-of the moment rows y_i * x_i, draws candidate starting points uniformly from
-a sphere inside that span, and screens them in blocks as FAST-LTS does: a
-few rounds of the trimmed alternation from every start, then the alternation
-to the end from the few unfinished ones with the lowest trimmed loss. A
-start is tested the moment it finishes, and is accepted for component j once
-enough samples fall below the residual acceptance threshold; its support is
-then removed and the search moves to the next component. Exhausting the
-candidate budget for a slot flags a partial result instead of raising.
+of the moment rows y_i * x_i, estimates the components in that span from the
+third moments, draws more starts uniformly from a sphere inside it, and
+screens each kind in blocks as FAST-LTS does: a few rounds of the trimmed
+alternation from every start, then the alternation to the end from the few
+unfinished ones with the lowest trimmed loss. A start is tested the moment
+it finishes, and is accepted for component j once enough samples fall below
+the residual acceptance threshold; its support is then removed and the
+search moves to the next component. Exhausting the candidate budget for a
+slot flags a partial result instead of raising.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ilts import IltsConfig, RankDeficientError, ilts_run
+from .ilts import RANK_RCOND, IltsConfig, RankDeficientError, ilts_run
 from .model import Dataset, GroundTruth, check_truth
 from .util import ROW_BLOCK, as_readonly, check_finite, check_integer, floor_count, row_blocks
 
@@ -36,12 +37,17 @@ _COMPARE_TOL = 1e-8
 # continuation is bit-identical to one uninterrupted run, since each round builds
 # its system afresh. On the ROADMAP stress recipe, seeds 0-9, screening recovered
 # every slot the sequential search did with 51-58% fewer rounds, in 1.8-2.8x less
-# time; on the bench `sweep` reject call, seeds 0-2, it runs 398, 405 and 377 rounds
-# per pass where the sequential search runs 672, 683 and 643. The table is in
-# ROADMAP, under "Measurements", "Candidate screening".
+# time; on the bench `sweep` reject call, seeds 0-2, it ran 398, 405 and 377 rounds
+# per pass where the sequential search ran 672, 683 and 643, and with the tensor starts
+# 181, 219 and 196. The table is in ROADMAP, under "Measurements", "Candidate screening".
 SCREEN_BLOCK = 8
 SCREEN_ROUNDS = 2
 SCREEN_KEEP = 3
+
+# tensor_starts runs the tensor power method with TENSOR_RESTARTS restarts of TENSOR_ITERATIONS
+# iterations for each vector it finds, the setting measured in ROADMAP "Moment-tensor starts".
+TENSOR_RESTARTS = 10
+TENSOR_ITERATIONS = 30
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,11 @@ class GlobalConfig:
 
     A one-entry tau_list gives every component that fraction. plan_search
     resolves the rest for a run: delta = None sets the acceptance threshold
-    to default_delta(n) of the dataset, radius = None moves each start to the
-    response-matched scale of default_radius, and the report flags both
+    to default_delta(n) of the dataset, radius = None moves each net start to
+    the response-matched scale of default_radius, and the report flags both
     defaults; epsilon_net = None sets the net granularity to 0.2 times the
-    radius; slot j's starts come from the j-th SeedSequence child of seed. The
+    radius. Slot j's candidate_budget starts are the tensor starts, seeded
+    by SeedSequence child m of seed, then the net's draws from child j. The
     trimmed alternation inside the candidate loop runs with ilts_max_rounds
     and ilts_tol.
     """
@@ -285,6 +292,52 @@ def default_radius(dataset: Dataset, subspace: SubspaceEstimate) -> tuple[float,
     return radius, factor
 
 
+def tensor_starts(dataset: Dataset, subspace: SubspaceEstimate, seed) -> np.ndarray:
+    """Third-moment estimates of the components in subspace's span, one row each, largest |lambda|
+    first (Yi, Caramanis & Sanghavi 2016). In z = B^T x, with X and y scaled by powers of two, it
+    forms C = mean(z z^T), M2 = mean(y^2 z z^T) - mean(y^2) C and T = mean(y^3 z⊗z⊗z) -
+    sym(mean(y^3 z) ⊗ C), whitens T by M2 = U S U^T on its eigenvalues above RANK_RCOND times the
+    largest and decomposes it by the tensor power method with deflation, its restarts drawn from
+    default_rng(seed). Each (lambda, v) maps back to B C^-1 U S^1/2 v lambda / 3. Non-finite starts
+    are dropped; a singular C or an M2 with no positive eigenvalue gives none."""
+    X, y, basis, mt = dataset.X, dataset.y, subspace.basis, subspace.m_tilde
+    ex, ey = (int(np.frexp(max(a.max(), -a.min()))[1]) for a in (X, y))
+    low, third = 0.0, np.zeros((mt, mt, mt))  # sums of [y^2; z; y^2 z; y^3 z][1; z]^T, y^3 z⊗z⊗z
+    for rows in row_blocks(dataset.n):  # one sample per column
+        z, ys = basis.T @ np.ldexp(X[rows], -ex).T, np.ldexp(y[rows], -ey)
+        yz = ys * ys * z
+        low = low + np.vstack([ys * ys, z, yz, ys * yz]) @ np.vstack([np.ones_like(ys), z]).T
+        for a, w in enumerate(ys * yz):  # one slice at a time: no temporary wider than z
+            third[a] += w * z @ z.T
+    low, third = low / dataset.n, third / dataset.n
+    cov = low[1:mt + 1, 1:]
+    sym = low[2 * mt + 1:, 0, None, None] * cov
+    third -= sym + sym.transpose(1, 0, 2) + sym.transpose(1, 2, 0)
+    s, u = np.linalg.eigh(low[mt + 1:2 * mt + 1, 1:] - low[0, 0] * cov)
+    keep = s > s[-1] * RANK_RCOND  # none when no eigenvalue is positive
+    s, u = s[keep], u[:, keep]
+    k, white, rng = s.size, u / np.sqrt(s), np.random.default_rng(seed)
+    flat = white.T @ (white.T @ third.reshape(mt, -1)).reshape(k, mt, mt) @ white
+    flat = flat.reshape(k, k * k)
+    lams, vecs = np.empty(k), np.empty((k, k))
+    with np.errstate(all="ignore"):  # a vanishing or overflowing start is dropped below
+        for i in range(k):  # all restarts in one product per iteration
+            v = rng.standard_normal((k, TENSOR_RESTARTS))
+            for _ in range(TENSOR_ITERATIONS):
+                v = flat @ (v[:, None] * v[None]).reshape(k * k, -1)
+                v /= np.sqrt((v * v).sum(0))
+            lam = (v * (flat @ (v[:, None] * v[None]).reshape(k * k, -1))).sum(0)
+            best = np.argmax(np.abs(lam))
+            lams[i], vecs[:, i] = lam[best], v[:, best]
+            flat -= lams[i] * np.outer(vecs[:, i], np.outer(vecs[:, i], vecs[:, i]))
+        try:
+            found = np.ldexp(basis @ np.linalg.solve(cov, u * np.sqrt(s) @ vecs * lams / 3),
+                             ey - ex).T[np.argsort(-np.abs(lams), kind="stable")]
+        except np.linalg.LinAlgError:
+            return np.empty((0, dataset.d))
+    return found[np.all(np.isfinite(found), axis=1)]
+
+
 def default_delta(n: int) -> float:
     """10 * 1e-6 * sqrt(log n), the residual acceptance threshold for n samples
     when GlobalConfig.delta is None."""
@@ -400,10 +453,12 @@ def epsilon_recovery(theta_hat: np.ndarray, theta_star: np.ndarray):
 
 def plan_search(dataset: Dataset, config: GlobalConfig,
                 subspace: SubspaceEstimate | None = None, truth: GroundTruth | None = None):
-    """What a global run searches, as (settings, starts). settings holds
-    radius and delta with their sources, GlobalConfig's defaults applied;
-    starts(j) draws slot j's candidates from the slot's own SeedSequence
-    child when the search reaches slot j, at default_radius's scales if any."""
+    """What a global run searches, as (settings, ahead, starts). settings
+    holds radius and delta with their sources, GlobalConfig's defaults
+    applied. ahead holds at most candidate_budget - 1 tensor starts, from
+    one tensor_starts call with SeedSequence child m of the seed. starts(j)
+    returns ahead, then slot j's net drawn from child j when the search
+    reaches slot j, at default_radius's scales if any: candidate_budget rows."""
     if truth is not None:
         check_truth(dataset, truth)
         if truth.m != config.m:
@@ -421,16 +476,17 @@ def plan_search(dataset: Dataset, config: GlobalConfig,
         delta, delta_source = default_delta(dataset.n), "log-n-default"
     else:
         delta, delta_source = config.delta, "user"
-    seeds = np.random.SeedSequence(config.seed).spawn(config.m)
+    seeds = np.random.SeedSequence(config.seed).spawn(config.m + 1)
+    ahead = tensor_starts(dataset, subspace, seeds[config.m])[:config.candidate_budget - 1]
 
     def starts(j):
         drawn = generate_candidates(subspace, radius, epsilon, config.candidate_budget,
                                     int(seeds[j].generate_state(1)[0]))
         if factor is not None:  # start u to length radius / ||L^T w||, for w = B^T u / radius
             drawn /= np.linalg.norm(drawn @ subspace.basis / radius @ factor, axis=1)[:, None]
-        return drawn
+        return np.vstack([ahead, drawn])[:config.candidate_budget]
     return dict(radius=radius, radius_source=radius_source, delta=delta,
-                delta_source=delta_source), starts
+                delta_source=delta_source), ahead, starts
 
 
 def recovery_report(theta_hat: np.ndarray, outcomes: list, settings: dict,
@@ -452,28 +508,31 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
                 truth: GroundTruth | None = None) -> RecoveryReport:
     """Recover all component slots by screened candidate search plus trimming.
 
-    A slot's candidates are screened in blocks of SCREEN_BLOCK, over two
-    rungs: SCREEN_ROUNDS rounds, then ilts_max_rounds. At each rung every
-    running start runs on from its last iterate to the rung's round count in
-    all, in index order. A start finishes when it converges or reaches
-    ilts_max_rounds, and is then tested for acceptance at once; the first
-    that passes claims the slot and ends the block. After the first rung the
-    SCREEN_KEEP unfinished starts with the lowest trimmed loss (ties to the
-    lower index) run on; the next block runs only while the slot is
+    A slot's candidates are plan_search's tensor starts, then its net draws,
+    each kind screened in blocks of SCREEN_BLOCK of its own over two rungs:
+    SCREEN_ROUNDS rounds, then ilts_max_rounds. A slot skips the tensor
+    starts when they last ran at its tau and no slot was claimed since. At
+    each rung every running start runs on from its last iterate to the rung's
+    round count in all, in index order. A start finishes when it converges or
+    reaches ilts_max_rounds, and is then tested for acceptance at once; the
+    first that passes claims the slot and ends the block. After the first
+    rung the SCREEN_KEEP unfinished starts with the lowest trimmed loss (ties
+    to the lower index) run on; the next block runs only while the slot is
     unclaimed. A start left unfinished, screened out or behind the claim,
-    keeps the rounds and the support of its last iterate. The claimed
-    support is removed before the next slot is attempted. Budget exhaustion
-    leaves a slot unrecovered and flags the report partial.
+    keeps the rounds and the support of its last iterate. The claimed support
+    is removed before the next slot is attempted. Budget exhaustion leaves a
+    slot unrecovered and flags the report partial.
 
     Until a slot is claimed the search runs on dataset itself; after that it
     holds one copy of the unclaimed rows. Each refit reads its selected rows
     in blocks of at most ilts.GATHER_BYTES besides.
     """
-    settings, starts = plan_search(dataset, config, subspace, truth)
+    settings, ahead, starts = plan_search(dataset, config, subspace, truth)
     n, d, delta = dataset.n, dataset.d, settings["delta"]
     theta_hat = np.full((d, config.m), np.nan)
     outcomes = []
     working = np.arange(n)
+    ran_at = None  # the tau the tensor starts last ran at on the rows left
 
     for j in range(config.m):
         tau_j = config.tau_list[j]
@@ -492,9 +551,13 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
                            tol=config.ilts_tol, rank_policy="fail")
         # (rounds, keep): run on to `rounds` in all, then the `keep` lowest-loss unfinished go on.
         rungs = ((min(SCREEN_ROUNDS, inner.max_rounds), SCREEN_KEEP), (inner.max_rounds, 0))
+        k, total = len(ahead), candidates.shape[0]
+        ends = [*range(k if tau_j == ran_at else 0, k, SCREEN_BLOCK),
+                *range(k, total, SCREEN_BLOCK), total]
+        ran_at = tau_j
 
-        for first in range(0, candidates.shape[0], SCREEN_BLOCK):
-            running = range(first, min(first + SCREEN_BLOCK, candidates.shape[0]))
+        for first, stop in zip(ends, ends[1:]):
+            running = range(first, stop)
             rows, last, claim = [], {}, None  # last: unfinished start -> (theta, rounds, loss)
             for target, keep in rungs:
                 for c_idx in running:
@@ -526,6 +589,7 @@ def global_ilts(dataset: Dataset, config: GlobalConfig,
             if claim is not None:
                 theta_hat[:, j] = claim[0]
                 working = np.delete(working, claim[1])
+                ran_at = None
                 break
 
     return recovery_report(theta_hat, outcomes, settings, truth)

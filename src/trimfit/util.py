@@ -13,9 +13,9 @@ _FLOOR_GUARD = 1e-9
 
 # Rows per block wherever a pass over the rows of X holds a temporary the width of X: the clean
 # responses of generate_mlrc and reconstruction_error, the rows save_dataset formats at a time,
-# and pipeline._exact_gram, the one Gram of estimate_subspace's moment rows and of
-# default_radius's X B. Each response and written row is computed alone, so any size gives it the
-# same bits; the Grams' sums depend on it.
+# pipeline._exact_gram, the one Gram of estimate_subspace's moment rows and of default_radius's
+# X B, and pipeline.tensor_starts' moments in the span. Each response and written row is computed
+# alone, so any size gives it the same bits; the Grams' and the moments' sums depend on it.
 ROW_BLOCK = 4096
 
 

@@ -16,12 +16,15 @@ def reference_global(dataset, config, subspace=None, truth=None):
     candidate after another, in index order, and the first that passes the
     acceptance test claims the slot. Its rows are 5-tuples
     (component, candidate, rounds, accepted, support_size). Settings, starts
-    and the report come from the helpers global_ilts uses."""
-    settings, starts = plan_search(dataset, config, subspace, truth)
+    and the report come from the helpers global_ilts uses, and a slot skips
+    the tensor starts on the rows and at the tau they last failed on, as
+    global_ilts does."""
+    settings, ahead, starts = plan_search(dataset, config, subspace, truth)
     n, d = dataset.n, dataset.d
     theta_hat = np.full((d, config.m), np.nan)
     outcomes = []
     working = np.arange(n)
+    ran_at = None
     for j in range(config.m):
         tau_j = config.tau_list[j]
         if floor_count(tau_j * working.size) < d:
@@ -29,7 +32,11 @@ def reference_global(dataset, config, subspace=None, truth=None):
         sub = Dataset(X=dataset.X[working], y=dataset.y[working])
         inner = IltsConfig(tau=tau_j, max_rounds=config.ilts_max_rounds, tol=config.ilts_tol,
                            rank_policy="fail")
+        skip = len(ahead) if tau_j == ran_at else 0
+        ran_at = tau_j
         for c_idx, candidate in enumerate(starts(j)):
+            if c_idx < skip:
+                continue
             try:
                 trace = ilts_run(sub, candidate, inner)
             except RankDeficientError:
@@ -41,6 +48,7 @@ def reference_global(dataset, config, subspace=None, truth=None):
             if ok:
                 theta_hat[:, j] = trace.final
                 working = np.setdiff1d(working, working[support])
+                ran_at = None
                 break
     return recovery_report(theta_hat, outcomes, settings, truth)
 

@@ -285,13 +285,13 @@ def test_global_skips_a_slot_with_too_few_rows_left(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "line.report.json").read_text())
     assert report["recovered"] == [True, False]
-    # The span has two dimensions, so the budget of 3 draws 3 starts; start 0
-    # converges in its first round, is tested at once and claims the slot, so
-    # starts 1 and 2 never run.
+    # The span has two dimensions, so the budget of 3 holds the tensor starts and
+    # then the net's draws; start 0, a tensor start, converges in its second round,
+    # is tested at once and claims the slot, so starts 1 and 2 never run.
     assert report["candidates_tried"] == [1, 0]
     assert report["accepted_counts"] == [10, 0]
     assert (tmp_path / "line.candidates.csv").read_text() == (
-        "component,candidate,rounds,accepted,support\n0,0,1,1,10\n")
+        "component,candidate,rounds,accepted,support\n0,0,2,1,10\n")
 
 
 def test_global_records_a_rank_deficient_candidate(tmp_path):
@@ -304,10 +304,10 @@ def test_global_records_a_rank_deficient_candidate(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "flat.report.json").read_text())
     assert report["recovered"] == [False]
-    # a one-dimensional span has only its two poles as candidates
-    assert report["candidates_tried"] == [2]
+    # a one-dimensional span has its tensor start, then only its two poles
+    assert report["candidates_tried"] == [3]
     assert (tmp_path / "flat.candidates.csv").read_text() == (
-        "component,candidate,rounds,accepted,support\n0,0,0,0,0\n0,1,0,0,0\n")
+        "component,candidate,rounds,accepted,support\n0,0,0,0,0\n0,1,0,0,0\n0,2,0,0,0\n")
 
 
 def test_global_external_subspace(tmp_path):
@@ -568,11 +568,12 @@ def test_global_default_radius_is_computed_once(tmp_path, monkeypatch):
     # the report's when it gained delta and delta_source, and both when candidates
     # were screened in blocks, and again when a start was tested the moment it
     # finished and the candidates file lost its carried column, and again when
-    # default starts moved to the response-matched scale.
+    # default starts moved to the response-matched scale, when tensor starts went
+    # ahead of the net, and when the tensor starts were screened in a block of their own.
     digests = [hashlib.sha256((tmp_path / f"glob.{suffix}").read_bytes()).hexdigest()
                for suffix in ("report.json", "candidates.csv")]
-    assert digests == ["6f306607fc9f857335f7bbf51432b03f9fb913d73a1b7c44e307ae33d01444a3",
-                       "6aa2be3899a66e81dd75888a22e34824fa44ca6b0924da2b0b96d17cb51781b2"]
+    assert digests == ["de35cc713aad8fc10ab3b179716968d1108f3834f0807c56b5fded3ea0e24d59",
+                       "147ca8f3ff7be41bacb8aac83322ed26dd7ba3fd666858dad6919ac21153fd57"]
 
 
 def test_fit_on_header_only_csv_names_the_file(tmp_path, capsys):
@@ -631,6 +632,14 @@ def test_every_output_file_is_pinned(tmp_path):
     # row, not 8; the partial run's report kept its bytes. The global reports were
     # re-recorded when default starts moved to the response-matched scale: radius
     # and radius_source changed, and slot 0's start 1 claims after 5 rounds, not 6.
+    # The global outputs and the partial candidates file were re-recorded when tensor
+    # starts went ahead of the net: slot 0 is claimed by its start 0, a tensor start,
+    # which finds the other component first, so the matching is [0, 1]; the partial
+    # run's slots try two tensor starts and one net draw each, and its report kept
+    # its bytes. They were re-recorded when the tensor starts were screened in a
+    # block of their own and skipped where they would repeat: slot 0 of the recovered
+    # run tries its 2 tensor starts, not 8 starts, and the partial run's slot 1, on
+    # the same rows at the same tau as slot 0, tries only its net draw.
     assert digests == {
         "truth.json": "147ac25b3ddb567c3173886f6d7da8ed7bfd0d4b8c2ef150ee6267bd626a4348",
         "csv": "779fdf4f8bd58d6b2a34ac2b4dce0410f18201f9b9a9078e5f16e985d79012aa",
@@ -642,12 +651,12 @@ def test_every_output_file_is_pinned(tmp_path):
             "2435d3b0ee120abcd006954941c4197fccb6549c04fdb427a297afcc31e39d55",
         "fit-no-truth.trace.csv":
             "aa324d472d661cd236badb8cdf36257a538372c85af0bd57c8ac3783e7b0b3ef",
-        "global.report.json": "6f306607fc9f857335f7bbf51432b03f9fb913d73a1b7c44e307ae33d01444a3",
+        "global.report.json": "de35cc713aad8fc10ab3b179716968d1108f3834f0807c56b5fded3ea0e24d59",
         "global.candidates.csv":
-            "6aa2be3899a66e81dd75888a22e34824fa44ca6b0924da2b0b96d17cb51781b2",
-        "partial.report.json": "98ba9a427483e56aa2783fcf9f084a51138dedac2fc28762611b7c9eda14bd4d",
+            "147ca8f3ff7be41bacb8aac83322ed26dd7ba3fd666858dad6919ac21153fd57",
+        "partial.report.json": "ea9377b0fd52ecc2ca94f144527f4c6106ce55dac279d18305ae193737910017",
         "partial.candidates.csv":
-            "5c0fb1b6c7a1a8f45ded529972bbff8382fca9e1b9ae50775da3ec63562cd786",
+            "91b72c1995043498e985b84ffbe1cc072b532d295ffa84c396ec48201e69fe37",
         "diag.json": "7b8884d1c97f7958ef2194c0d46fc8c75f03fbbd00bedcbe4a579b448284dd62",
     }
 
@@ -684,19 +693,17 @@ THREE_COMPONENT_MODEL = dict(GEN_CONFIG["model"], m=3, weights=[0.5, 0.3, 0.2],
     (GEN_CONFIG["model"], {"kind": "ilts", "tau": 0.4},
      ("15b2f3f5056177a042dcf74ebf31507256f9a9283db621fb4e9eb8246359ea75",
       "91e15cf06850d2d3ce2a33c7a57f032fb8d546fed64ebadbe8db5c6d9cbfc3c3")),
-    # Each slot draws 4 candidates, one block. Repeat 3 is partial. A start that
-    # finishes within the screening rounds is tested at once, and one that passes
-    # claims the slot before the later starts run, so repeats 1, 2 and 4 try fewer
-    # than 12 starts. In slot 1 of repeat 4 start 1
-    # finishes and fails, the other three run on, and start 2 claims the slot after
-    # 16 rounds, as the sequential reference does; ranking every start after the
-    # screening rounds left start 2 last and the slot unrecovered. Re-recorded when
-    # that rule came in, and when default starts moved to the response-matched scale:
-    # repeat 2 tries 9 starts, not 10, and repeats 0-2 end at other rounding-level errors.
+    # Each slot draws 4 candidates in two blocks: its 3 tensor starts, then 1 net draw.
+    # A start that finishes within the screening rounds is tested at once, and one
+    # that passes claims the slot before the later starts run, so repeats 0, 2, 3 and
+    # 4 try 7 starts and repeat 1 tries 8. Re-recorded when that rule came in, when
+    # default starts moved to the response-matched scale, when tensor starts went
+    # ahead of the net, and when they were screened in a block of their own: repeat 3
+    # recovers all 3 slots, where it recovered 2 with the net alone.
     (THREE_COMPONENT_MODEL,
      {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18], "candidate_budget": 4},
-     ("fdc664e2488f66bab964c820fdc198eb811625df3635e9751f2324c484dc0f78",
-      "2308dc5b2c0c180f0715350d2d73f1101d7ae22cde3321e9ad027d55b0e85419")),
+     ("6e2e067d3002e4b81db0c19836e1129a4e1f25da9766ef1c0a60820cfcdbb79a",
+      "3911aec1238e6211378775fcbeb69df72acf9729804c1afd6366468569ea7635")),
 ], ids=["ilts", "global"])
 def test_experiment_outputs_are_pinned(tmp_path, model, solver, digests):
     exp = {"version": 1, "name": "exp", "model": model, "corruption": GEN_CONFIG["corruption"],
@@ -707,22 +714,52 @@ def test_experiment_outputs_are_pinned(tmp_path, model, solver, digests):
                  for name in ("rows", "aggregate")) == digests
 
 
-def test_pinned_global_repeat_4_at_budget_4_recovers_what_the_sequential_reference_does():
-    # Slot 1 is claimed by start 2 after 16 rounds; a start that finishes within the
-    # screening rounds (start 1) is tested there, not ranked against the others.
+def pinned_global_run(seed, budget):
+    """The data, config and truth of one repeat of the pinned `global` experiment."""
     doc = {"version": 1, "name": "exp", "model": THREE_COMPONENT_MODEL,
            "corruption": GEN_CONFIG["corruption"],
            "solver": {"kind": "global", "m": 3, "tau_list": [0.45, 0.28, 0.18],
-                      "candidate_budget": 4}}
+                      "candidate_budget": budget}}
     specs, config, _ = _experiment_setup(doc, None)
-    seed = THREE_COMPONENT_MODEL["seed"] + 4
     dataset, truth = generate_mlrc(*specs, n=THREE_COMPONENT_MODEL["n"], seed=seed)
-    config = dataclasses.replace(config, seed=seed)
+    return dataset, dataclasses.replace(config, seed=seed), truth
+
+
+def test_pinned_global_repeat_4_at_budget_4_recovers_what_the_sequential_reference_does():
+    # Slot 1 is claimed by start 0, a tensor start, after 10 rounds, where the net
+    # alone needed start 2 and 16 rounds.
+    dataset, config, truth = pinned_global_run(THREE_COMPONENT_MODEL["seed"] + 4, 4)
     report = pipeline.global_ilts(dataset, config, truth=truth)
     reference = reference_global(dataset, config, truth=truth)
     assert report.recovered == reference.recovered == (True, True, True)
-    assert (1, 2, 16, True, 90) in report.candidate_outcomes
+    assert (1, 0, 10, True, 90) in report.candidate_outcomes
     assert report.theta_hat.tobytes() == reference.theta_hat.tobytes()
+
+
+@pytest.mark.parametrize("budget", [4, 8])
+def test_pinned_global_repeat_3_recovers_every_slot(budget):
+    # Slot 1 is claimed by its tensor start 2 after 15 rounds. Screened in one block
+    # with a net draw, that start had the highest loss after the screening rounds and
+    # was dropped, leaving slot 1 empty; the net alone leaves it empty too.
+    dataset, config, truth = pinned_global_run(THREE_COMPONENT_MODEL["seed"] + 3, budget)
+    report = pipeline.global_ilts(dataset, config, truth=truth)
+    assert report.recovered == (True, True, True)
+    assert (1, 2, 15, True, 90) in report.candidate_outcomes
+    assert report.epsilon_recovery < 1e-12
+
+
+def test_tensor_starts_recover_more_slots_than_the_net_alone(monkeypatch):
+    # Seeds 100-199 of the pinned experiment's model, at budgets 4 and 8, against the
+    # same runs with no tensor start. Measured, net alone -> with tensor starts:
+    # 253 -> 283 slots at budget 4, 284 -> 298 at budget 8.
+    real = pipeline.tensor_starts
+    for budget in (4, 8):
+        slots = []
+        for starts in (lambda ds, span, seed: np.empty((0, ds.d)), real):
+            monkeypatch.setattr(pipeline, "tensor_starts", starts)
+            slots.append(sum(sum(pipeline.global_ilts(*pinned_global_run(seed, budget)[:2])
+                                 .recovered) for seed in range(100, 200)))
+        assert slots[1] > slots[0]
 
 
 @pytest.mark.parametrize("command", ["generate", "experiment", "global"])

@@ -20,7 +20,7 @@ from trimfit.model import (CorruptionSpec, Dataset, GroundTruth, MixtureSpec,
                            _allocate_counts, component_counts, generate_mlrc, inject_corruptions,
                            load_dataset, load_truth, realized_gamma_star,
                            reconstruction_error, save_dataset, save_truth)
-from trimfit.pipeline import GlobalConfig, SubspaceEstimate, global_ilts
+from trimfit.pipeline import GlobalConfig, SubspaceEstimate, global_ilts, tensor_starts
 from trimfit.util import ROW_BLOCK
 
 
@@ -391,8 +391,12 @@ def memory_instance(tmp_path_factory):
     (50, lambda ds, truth, path: gd_ilts_run(ds, fit_start(50), GdConfig(tau=0.4)), 0.4),
     # The clean responses go by blocks of rows: 0.23x X, where a whole-matrix product is 1.02x.
     (50, lambda ds, truth, path: reconstruction_error(ds, truth), 0.3),
+    # The third moments are summed one m~ x m~ slice at a time: 0.6x X at m~ = 20, where
+    # all m~^2 products of a block at once took 1.9x.
+    (50, lambda ds, truth, path: tensor_starts(
+        ds, SubspaceEstimate(basis=np.eye(50)[:, :20]), 0), 1.0),
 ], ids=["generate", "load", "global", "global-default", "save", "fit", "fit-gd",
-        "reconstruction"])
+        "reconstruction", "tensor-starts"])
 def test_peak_memory_is_a_small_multiple_of_X(memory_instance, d, step, bound):
     ds, truth, path = memory_instance(d)
     assert traced_peak(lambda: step(ds, truth, path)) <= bound * ds.X.nbytes

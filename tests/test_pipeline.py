@@ -173,17 +173,22 @@ def test_estimate_subspace_matches_the_svd_of_the_moment_rows(family):
         assert subspace_distance(est, reference.basis) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [-40, -20, 20, 40])
-def test_span_and_radius_follow_a_power_of_two_scaling_exactly(k):
-    # Scaling X or y by 2**k is exact, so the basis and the factor keep every bit and the
-    # radius moves by exactly 2**-k with X, 2**k with y. The rows of block b are scaled by
-    # 2**(4 b), so the running scale of the moment Gram moves at every block.
+def power_of_two_instance():
+    """Stress-recipe rows over three blocks, the rows of block b scaled by 2**(4 b), so the
+    running scale of the moment Gram moves at every block."""
     rng = np.random.default_rng(0)
     spec = MixtureSpec(d=20, m=5, components=list(rng.standard_normal((5, 20))),
                        weights=[0.2] * 5)
     ds = generate_mlrc(spec, CorruptionSpec(0.05, "oblivious-random", 2.0),
                        n=2 * ROW_BLOCK + 5, seed=0)[0]
-    ds = Dataset(X=np.ldexp(ds.X, 4 * (np.arange(ds.n) // ROW_BLOCK)[:, None]), y=ds.y)
+    return Dataset(X=np.ldexp(ds.X, 4 * (np.arange(ds.n) // ROW_BLOCK)[:, None]), y=ds.y)
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_span_and_radius_follow_a_power_of_two_scaling_exactly(k):
+    # Scaling X or y by 2**k is exact, so the basis and the factor keep every bit and the
+    # radius moves by exactly 2**-k with X, 2**k with y.
+    ds = power_of_two_instance()
     span = estimate_subspace(ds, 5)
     radius, factor = default_radius(ds, span)
     for scaled, shift in ((Dataset(X=np.ldexp(ds.X, k), y=ds.y), -k),
@@ -193,6 +198,76 @@ def test_span_and_radius_follow_a_power_of_two_scaling_exactly(k):
         scaled_radius, scaled_factor = default_radius(scaled, est)
         assert scaled_radius == math.ldexp(radius, shift)
         assert scaled_factor.tobytes() == factor.tobytes()
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_tensor_starts_follow_a_power_of_two_scaling_exactly(k):
+    # X and y are scaled by the powers of two of their largest magnitudes first, so X 2**k
+    # moves every start by exactly 2**-k and y 2**k by exactly 2**k. One of M2's five
+    # eigenvalues is negative on these rows of three scales, so four starts are found.
+    ds = power_of_two_instance()
+    starts = pipeline.tensor_starts(ds, estimate_subspace(ds, 5), 0)
+    assert starts.shape == (4, ds.d)
+    for scaled, shift in ((Dataset(X=np.ldexp(ds.X, k), y=ds.y), -k),
+                          (Dataset(X=ds.X, y=np.ldexp(ds.y, k)), k)):
+        got = pipeline.tensor_starts(scaled, estimate_subspace(scaled, 5), 0)
+        assert got.tobytes() == np.ldexp(starts, shift).tobytes()
+
+
+def separated_mixture(seed):
+    """A noiseless mixture of three orthonormal components of equal weight in
+    d = 6, n = 20,000, with its components as rows."""
+    comps = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 3)))[0].T
+    spec = MixtureSpec(d=6, m=3, components=list(comps), weights=[1 / 3] * 3)
+    return generate_mlrc(spec, CorruptionSpec(), n=20_000, seed=seed)[0], comps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tensor_starts_find_every_component_of_a_separated_mixture(seed):
+    # Measured: the nearest start lay at most 0.19 of a component's norm away.
+    ds, comps = separated_mixture(seed)
+    starts = pipeline.tensor_starts(ds, estimate_subspace(ds, 3), seed)
+    assert starts.shape == (3, 6)
+    gaps = np.linalg.norm(starts[:, None] - comps[None], axis=2) / np.linalg.norm(comps, axis=1)
+    assert np.max(np.min(gaps, axis=0)) <= 0.3
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_tensor_starts_survive_extreme_magnitudes(seed, scale):
+    # y^3 at 1e160 would overflow and at 1e-160 underflow; after scaling by powers of two
+    # the starts moved by at most 2.0e-15 of these unit components when measured.
+    ds, _ = separated_mixture(seed)
+    span = estimate_subspace(ds, 3)
+    starts = pipeline.tensor_starts(ds, span, 0)
+    scaled = pipeline.tensor_starts(Dataset(X=ds.X * scale, y=ds.y * scale), span, 0)
+    assert np.all(np.isfinite(scaled))
+    assert np.max(np.abs(scaled - starts)) <= 1e-13
+
+
+def rows_of(X, y):
+    return Dataset(X=np.asarray(X, dtype=float), y=np.asarray(y, dtype=float))
+
+
+_FEATURES = np.random.default_rng(0).standard_normal((200, 3))
+_NO_THIRD_COLUMN = _FEATURES * [1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("ds, columns, count", [
+    # M2 is zero, so no direction is whitened.
+    (rows_of(_FEATURES, np.zeros(200)), [0, 1], 0),
+    # One direction: T is one number, and its one start is found.
+    (rows_of(_FEATURES, _FEATURES[:, 0] * (1 + np.arange(200) % 2)), [0], 1),
+    # C is singular along the third column, which X lacks.
+    (rows_of(_NO_THIRD_COLUMN, _NO_THIRD_COLUMN[:, 0]), [0, 1, 2], 0),
+    # mean(y^2 x^2) = 4 < mean(y^2) mean(x^2) = 6.25: M2's one eigenvalue is negative.
+    (rows_of([[1.0], [2.0], [-1.0], [-2.0]], [2.0, 1.0, 2.0, -1.0]), [0], 0),
+    # One sample: mean(y^2 x^2) = mean(y^2) mean(x^2), so M2 = 0.
+    (rows_of([[1.0]], [2.0]), [0], 0),
+], ids=["zero-response", "one-direction", "singular-C", "negative-M2", "one-sample"])
+def test_degenerate_moments_give_fewer_starts_and_no_warning(ds, columns, count):
+    starts = pipeline.tensor_starts(ds, SubspaceEstimate(basis=np.eye(ds.d)[:, columns]), 0)
+    assert starts.shape == (count, ds.d) and np.all(np.isfinite(starts))
 
 
 def sweep_setups(seed):
@@ -366,18 +441,20 @@ def test_default_radius_is_the_ratio_of_the_responses_rms_to_the_features():
 
 
 def response_matched_starts(ds, m, subspace=None):
-    """Every slot's starts of a default-radius global run on ds."""
+    """Every slot's net starts of a default-radius global run on ds, the rows after its tensor
+    starts, and the number of those."""
     config = GlobalConfig(m=m, tau_list=(1 / m,), candidate_budget=40, epsilon_net=0.5, seed=3)
-    settings, starts = pipeline.plan_search(ds, config, subspace)
+    settings, ahead, starts = pipeline.plan_search(ds, config, subspace)
     assert settings["radius_source"] == "response-matched"
-    return settings["radius"], np.vstack([starts(j) for j in range(m)])
+    ahead = len(ahead)
+    return settings["radius"], np.vstack([starts(j)[ahead:] for j in range(m)]), ahead
 
 
 @pytest.mark.parametrize("family", ["sweep-stress", "anisotropic"])
 def test_every_default_start_predicts_the_responses_mean_square(family):
     ds, m = SUBSPACE_FAMILIES[family]()[:2]
-    _, starts = response_matched_starts(ds, m)
-    assert starts.shape == (m * 40, ds.d)
+    _, starts, ahead = response_matched_starts(ds, m)
+    assert starts.shape == (m * (40 - ahead), ds.d)
     predicted = np.sum(np.square(ds.X @ starts.T), axis=0)
     assert np.max(np.abs(predicted / (ds.y @ ds.y) - 1)) <= 1e-12
 
@@ -388,7 +465,7 @@ def test_default_starts_survive_extreme_magnitudes(scale):
     # subnormal; summed after scaling by powers of two, neither moves the starts.
     ds, m = SUBSPACE_FAMILIES["sweep-stress"]()[:2]
     span = estimate_subspace(ds, m)
-    radius, starts = response_matched_starts(ds, m, span)
+    radius, starts, _ = response_matched_starts(ds, m, span)
     scaled = response_matched_starts(Dataset(X=ds.X * scale, y=ds.y * scale), m, span)
     assert scaled[0] == pytest.approx(radius, rel=1e-13)
     assert np.allclose(scaled[1], starts, rtol=0, atol=1e-13 * radius)
@@ -397,13 +474,16 @@ def test_default_starts_survive_extreme_magnitudes(scale):
 def test_a_user_radius_keeps_the_drawn_starts():
     ds, config, _ = SCREENING_CASES["end-to-end"]()
     span = estimate_subspace(ds, config.m)
-    settings, starts = pipeline.plan_search(ds, config, span)
+    settings, ahead, starts = pipeline.plan_search(ds, config, span)
     assert (settings["radius"], settings["radius_source"]) == (1.0, "user")
+    # The tensor starts go first, then the net's draws from slot j's child, cut to the budget.
+    assert len(ahead) == config.m
     seeds = np.random.SeedSequence(config.seed).spawn(config.m)
     for j in range(config.m):
         drawn = generate_candidates(span, 1.0, config.epsilon_net, config.candidate_budget,
                                     int(seeds[j].generate_state(1)[0]))
-        assert starts(j).tobytes() == drawn.tobytes()
+        assert starts(j)[:config.m].tobytes() == ahead.tobytes()
+        assert starts(j)[config.m:].tobytes() == drawn[:-config.m].tobytes()
 
 
 @pytest.mark.parametrize("columns", [[2], [1, 2], [0, 2]])
@@ -661,17 +741,17 @@ def test_epsilon_recovery_is_bit_equal_to_the_largest_component_error():
 
 
 def test_partial_recovery_matches_the_recovered_slots_first():
-    # slot 0 recovers truth column 2 and slot 1 column 1; slot 2 starves. Every
+    # slot 0 recovers truth column 0 and slot 1 column 2; slot 2 starves. Every
     # permutation then has an infinite pair, but the matching must still pair the
-    # recovered slots with the columns they recovered.
+    # recovered slots with the columns they recovered, and not take the identity.
     ds, truth = three_component_instance(seed=19)
     cfg = GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.9), candidate_budget=20,
-                       epsilon_net=0.2, seed=4, radius=1.0)
+                       epsilon_net=0.2, seed=1, radius=1.0)
     report = global_ilts(ds, cfg, truth=truth)
     assert report.recovered == (True, True, False)
-    assert report.matching == (2, 1, 0)
-    assert math.isinf(report.per_component_errors[0])
-    assert max(report.per_component_errors[1:]) <= 1e-12
+    assert report.matching == (0, 2, 1)
+    assert math.isinf(report.per_component_errors[1])
+    assert max(report.per_component_errors[::2]) <= 1e-12
     assert math.isinf(report.epsilon_recovery)
 
 
@@ -682,15 +762,16 @@ def rank_deficient_instance():
 
 
 @pytest.mark.parametrize("instance, config, tallies", [
-    # Slot 2 is skipped: floor(0.001 * rows left) < d, so it has no rows.
+    # Slot 2 is skipped: floor(0.001 * rows left) < d, so it has no rows. Slots 0 and 1
+    # are claimed by start 0, in the block of the 3 tensor starts.
     (lambda: three_component_instance(seed=19)[0],
      GlobalConfig(m=3, tau_list=(0.3, 0.3, 0.001), candidate_budget=20, epsilon_net=0.2,
                   seed=4, radius=1.0),
-     ((True, True, False), (500, 500, 0), (8, 8, 0), True)),
-    # Both poles of the one-dimensional span are rank-deficient starts.
+     ((True, True, False), (500, 500, 0), (3, 3, 0), True)),
+    # The tensor start and both poles of the one-dimensional span are rank-deficient starts.
     (rank_deficient_instance,
      GlobalConfig(m=1, tau_list=(0.5,), candidate_budget=5, seed=0, radius=1.0, delta=1e-6),
-     ((False,), (0,), (2,), True)),
+     ((False,), (0,), (3,), True)),
 ], ids=["skipped-slot", "rank-deficient"])
 def test_report_tallies_restate_the_candidate_rows(instance, config, tallies):
     report = global_ilts(instance(), config)
@@ -967,11 +1048,16 @@ def test_screening_recovers_what_the_sequential_reference_does(case):
         assert (report.epsilon_recovery <= reference.epsilon_recovery
                 or report.epsilon_recovery < 1e-12)
     # One row claims each recovered slot, and the claim ends the slot: no later block ran.
+    # The tensor starts and the net's draws are screened in blocks of their own.
+    k = len(pipeline.plan_search(ds, config)[1])
+
+    def block(c):
+        return (c >= k, (c if c < k else c - k) // SCREEN_BLOCK)
     for j in range(config.m):
         mine = [row for row in report.candidate_outcomes if row[0] == j]
         won = [row for row in mine if row[3]]
         assert len(won) == report.recovered[j]
-        assert all(row[1] // SCREEN_BLOCK == mine[-1][1] // SCREEN_BLOCK for row in won)
+        assert all(block(row[1]) == block(mine[-1][1]) for row in won)
     # Below CARRY_MIN_WORK a start run on after the screening rounds finishes bit for
     # bit as the reference ran it, so while the earlier slots hold the same columns
     # (and so leave the same rows) such a row is the reference's, and a slot whose
@@ -1012,35 +1098,40 @@ def test_the_sequential_reference_draws_its_starts_by_the_same_rule(monkeypatch,
 
 def test_screening_finishes_the_three_lowest_prefix_losses_of_each_block():
     # tau 0.9 exceeds every component's share, so no start is accepted and each slot
-    # screens its whole budget on all rows, in blocks of 8, 8 and 4. A start that
-    # converges within the screening rounds is finished: it is tested there and not
-    # ranked, and the three lowest losses among the rest run on.
+    # screens on all rows. Slot 0 screens its 3 tensor starts as one block, then its 17
+    # net draws in blocks of 8, 8 and 1; slots 1 and 2, on the same rows at the same tau,
+    # skip the tensor starts. A start that converges within the screening rounds is
+    # finished: it is tested there and not ranked, and the three lowest losses among the
+    # rest run on.
     ds, _ = three_component_instance(seed=3, n=300)
     config = GlobalConfig(m=3, tau_list=(0.9,), delta=1e-5, candidate_budget=20,
                           epsilon_net=0.2, seed=4, radius=1.0)
     report = global_ilts(ds, config)
-    subspace = estimate_subspace(ds, 3)
+    _, ahead, plan = pipeline.plan_search(ds, config)
+    assert len(ahead) == 3
     whole = IltsConfig(tau=0.9, max_rounds=config.ilts_max_rounds, tol=config.ilts_tol)
     prefix = dataclasses.replace(whole, max_rounds=SCREEN_ROUNDS)
-    finished_would_rank = 0
-    for j, seed in enumerate(np.random.SeedSequence(config.seed).spawn(3)):
-        starts = generate_candidates(subspace, 1.0, 0.2, 20, int(seed.generate_state(1)[0]))
+    finished_would_rank = screened_out = 0
+    for j in range(3):
+        starts = plan(j)
         expected = []
-        for first in range(0, 20, SCREEN_BLOCK):
-            block = range(first, min(first + SCREEN_BLOCK, 20))
+        ends = [0, 3, 11, 19, 20] if j == 0 else [3, 11, 19, 20]
+        for block in (range(first, stop) for first, stop in zip(ends, ends[1:])):
             traces = {c: ilts_run(ds, starts[c], prefix) for c in block}
             by_loss = sorted(block, key=lambda c: traces[c].trimmed_losses[-1])
             finished_would_rank += any(traces[c].converged for c in by_loss[:SCREEN_KEEP])
-            kept = [c for c in by_loss if not traces[c].converged][:SCREEN_KEEP]
-            assert len(kept) == SCREEN_KEEP
+            unfinished = [c for c in by_loss if not traces[c].converged]
+            kept = unfinished[:SCREEN_KEEP]
+            screened_out += len(unfinished) - len(kept)
             for c in kept:
                 traces[c] = ilts_run(ds, starts[c], whole)
             for c in block:
                 support = accept_component(ds, traces[c].final, config.delta, 1)[1]
                 expected.append((j, c, traces[c].rounds_used, False, support.size))
         assert [row for row in report.candidate_outcomes if row[0] == j] == expected
-    # Ranking the finished starts too would have changed which ones run on.
-    assert finished_would_rank > 0
+    # Some starts were screened out, and ranking the finished starts too would have
+    # changed which ones run on.
+    assert screened_out > 0 and finished_would_rank > 0
 
 
 def test_a_start_finished_within_the_screening_rounds_claims_its_slot_alone():
